@@ -2,12 +2,16 @@
 
 Monotone paths in ordered colorings are handled by a polynomial DP over the
 DAG of forward edges.  Directed paths in general tournaments use an exact
-subset DP indexed by (vertex set, endpoint); the default 22-vertex cap is a
-memory decision (about 22 * 2^22 states).
+subset DP over (vertex set, endpoint) states, stored as one uint32 endpoint
+mask per vertex set: 2^n words per direction, 16 MB at the 22-vertex cap.
+The cap bounds time as much as memory: filling a table visits n * 2^n
+states, about 92 million at n = 22.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,18 +180,50 @@ def ell_avoid_monotone(k: OrderedColoring, i: int) -> PathCertificate:
 # ---------------------------------------------------------------------------
 # directed paths, exact subset DP
 
+# Index entries per gather chunk of the level fill, so the chunk's index,
+# gather and bit matrices stay near 400 kB whatever the level size.  Larger
+# chunks raised the peak memory of runs full of 15-vertex oracles and gained
+# no measurable speed at 21 vertices.
+_CHUNK = 1 << 15
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
+
+@functools.cache
+def _levels(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """All n-bit vertex sets, sorted by size and then by value.
+
+    Level k (the k-vertex sets, in increasing value) is
+    ``order[bounds[k]:bounds[k + 1]]``.  Every oracle on n vertices shares
+    the result (32 MB at n = 22), so the array is read-only.
+    """
+    masks = np.arange(1 << n, dtype=np.intp)
+    size = np.bitwise_count(masks)
+    order = np.concatenate([masks[size == k] for k in range(n + 1)])
+    order.flags.writeable = False
+    bounds = tuple(itertools.accumulate((math.comb(n, k) for k in range(n + 1)), initial=0))
+    return order, bounds
+
+
+def _level(n: int, k: int) -> np.ndarray:
+    order, bounds = _levels(n)
+    return order[bounds[k] : bounds[k + 1]]
+
+
+def _longest_at(reach: list[int], i: int) -> int:
+    """Longest path from (or to) position i, given a table's level ORs."""
+    # a path on k vertices from (or to) i shortens to one on k - 1
+    return sum((r >> i) & 1 for r in reach)
 
 
 class SubsetPathOracle:
     """Exact longest-directed-path queries inside one vertex subset.
 
-    Builds the table start[S, v] = "a directed path with vertex set exactly S
-    starts at v", over allowed-colored edges of a tournament restricted to the
-    subset.  The mirrored table for paths ending at a vertex is built on the
-    reversed orientation.
+    Over the allowed-colored edges of the tournament restricted to the
+    subset, ``h[S]`` is a uint32 endpoint mask: bit v is set iff some
+    directed path with vertex set exactly S starts at v.  The table has one
+    word per vertex set, 2^n words (16 MB at the 22-vertex cap, where a
+    2^n x n bool table takes 92 MB).  The mirrored table, for paths ending
+    at a vertex, is the same table built on the reversed orientation, on the
+    first query that needs it.  Every query reads these tables.
     """
 
     def __init__(
@@ -200,6 +236,8 @@ class SubsetPathOracle:
         self.allowed = frozenset(allowed)
         self.labels = tuple(sorted(vertices if vertices is not None else t.vertices))
         n = len(self.labels)
+        if n == 0:
+            raise ValueError("the vertex subset must be nonempty")
         if n > EXACT_VERTEX_CAP:
             raise BudgetExceeded(
                 f"{n} vertices exceed the exact-DP cap of {EXACT_VERTEX_CAP}"
@@ -207,59 +245,67 @@ class SubsetPathOracle:
         self.n = n
         self._pos = {v: i for i, v in enumerate(self.labels)}
         adj = [0] * n  # adj[u] bit v set iff u -> v with an allowed color
+        radj = [0] * n  # the reversed orientation
         for a in range(n):
             for b in range(n):
                 if a != b:
                     u, v = self.labels[a], self.labels[b]
                     if t.has_edge(u, v) and t.color(u, v) in self.allowed:
                         adj[a] |= 1 << b
+                        radj[b] |= 1 << a
         self._adj = adj
-        self._radj = [0] * n
-        for a in range(n):
-            for b in range(n):
-                if (adj[a] >> b) & 1:
-                    self._radj[b] |= 1 << a
-        self._masks = np.arange(1 << n, dtype=np.int64)
-        self._pop = _popcounts(self._masks)
-        self._by_pop = [self._masks[self._pop == k] for k in range(n + 1)]
-        self._start = self._build(adj)
-        self._end = None  # built lazily from the reversed adjacency
+        self._radj = radj
+        self._start, self._start_reach = self._build(adj)
+        self._end = self._end_reach = None  # built lazily from radj
 
-    def _build(self, adj: list[int]) -> np.ndarray:
+    def _build(self, adj: list[int]) -> tuple[np.ndarray, list[int]]:
+        """The endpoint-mask table over ``adj``, and its per-level ORs.
+
+        ``reach[k]`` has bit v set iff some k-vertex path starts at v; the
+        list stops before the first empty level, so its last index is the
+        longest path length.  Level k is filled from level k - 1: v starts
+        a path on S iff v has an edge to a start of a path on S - {v}.  For
+        v outside S the pulled word belongs to the larger set S + {v}, which
+        is still zero when level k is filled, so every v can be pulled in
+        one gather.
+        """
         n = self.n
-        h = np.zeros((1 << n, n), dtype=bool)
-        for v in range(n):
-            h[1 << v, v] = True
-        for k in range(1, n):
-            mk = self._by_pop[k]
-            for v in range(n):
-                alive = mk[h[mk, v]]
-                if alive.size == 0:
-                    continue
-                for u in range(n):
-                    if u == v or not (adj[u] >> v) & 1:
-                        continue
-                    fresh = alive[(alive >> u) & 1 == 0]
-                    if fresh.size:
-                        h[fresh | (1 << u), u] = True
-        return h
+        h = np.zeros(1 << n, dtype=np.uint32)
+        bits = 1 << np.arange(n, dtype=np.intp)
+        h[bits] = bits
+        out = np.array(adj, dtype=np.uint32)
+        reach = [0, (1 << n) - 1]
+        for k in range(2, n + 1):
+            level = _level(n, k)
+            seen = 0
+            step = _CHUNK // n
+            for lo in range(0, level.size, step):
+                sets = level[lo : lo + step]
+                pulled = h[sets[:, None] ^ bits]
+                pulled &= out
+                words = np.zeros((sets.size, 4), dtype=np.uint8)
+                words[:, : (n + 7) // 8] = np.packbits(pulled != 0, axis=1, bitorder="little")
+                starts = words.view("<u4")[:, 0]
+                h[sets] = starts
+                seen |= int(np.bitwise_or.reduce(starts))
+            if not seen:
+                break  # no path on k vertices, so none on more
+            reach.append(seen)
+        return h, reach
 
-    def _end_table(self) -> np.ndarray:
+    def _end_table(self) -> tuple[np.ndarray, list[int]]:
         if self._end is None:
-            self._end = self._build(self._radj)
-        return self._end
+            self._end, self._end_reach = self._build(self._radj)
+        return self._end, self._end_reach
 
     def longest(self) -> int:
-        reach = np.any(self._start, axis=1)
-        return int(self._pop[reach].max())
+        return len(self._start_reach) - 1
 
     def longest_from(self, v: int) -> int:
-        col = self._start[:, self._pos[v]]
-        return int(self._pop[col].max())
+        return _longest_at(self._start_reach, self._pos[v])
 
     def longest_to(self, v: int) -> int:
-        col = self._end_table()[:, self._pos[v]]
-        return int(self._pop[col].max())
+        return _longest_at(self._end_table()[1], self._pos[v])
 
     def lengths_from(self) -> dict[int, int]:
         return {v: self.longest_from(v) for v in self.labels}
@@ -267,58 +313,50 @@ class SubsetPathOracle:
     def lengths_to(self) -> dict[int, int]:
         return {v: self.longest_to(v) for v in self.labels}
 
-    def _walk(self, table: np.ndarray, adj: list[int], mask: int, v: int) -> list[int]:
-        seq = [v]
-        while mask != (1 << v):
-            rest = mask ^ (1 << v)
-            for u in range(self.n):
-                if (rest >> u) & 1 and (adj[v] >> u) & 1 and table[rest, u]:
-                    seq.append(u)
-                    mask, v = rest, u
-                    break
-            else:  # pragma: no cover - table construction guarantees a step
+    def _path(self, table: np.ndarray, reach: list[int], adj: list[int], i: int) -> list[int]:
+        """A longest path from i in ``table``, as positions.
+
+        The vertex set is the least in value among the optimal ones; each
+        step goes to the smallest admissible next vertex.
+        """
+        level = _level(self.n, _longest_at(reach, i))
+        mask = int(level[np.argmax(table[level] & (1 << i) != 0)])
+        seq = [i]
+        while mask != 1 << i:
+            mask ^= 1 << i
+            nxt = adj[i] & int(table[mask])
+            if not nxt:  # pragma: no cover - table construction guarantees a step
                 raise RuntimeError("corrupt path table")
+            i = (nxt & -nxt).bit_length() - 1
+            seq.append(i)
         return seq
 
     def path_from(self, v: int) -> tuple[int, ...]:
         """A longest path starting at v (deterministic choice among optima)."""
-        i = self._pos[v]
-        col = self._start[:, i]
-        target = self._pop[col].max()
-        mask = int(self._masks[col & (self._pop == target)][0])
-        return tuple(self.labels[u] for u in self._walk(self._start, self._adj, mask, i))
+        seq = self._path(self._start, self._start_reach, self._adj, self._pos[v])
+        return tuple(self.labels[u] for u in seq)
 
     def path_to(self, v: int) -> tuple[int, ...]:
         """A longest path ending at v (deterministic choice among optima)."""
-        i = self._pos[v]
-        table = self._end_table()
-        col = table[:, i]
-        target = self._pop[col].max()
-        mask = int(self._masks[col & (self._pop == target)][0])
-        rev = self._walk(table, self._radj, mask, i)
-        return tuple(self.labels[u] for u in reversed(rev))
+        table, reach = self._end_table()
+        seq = self._path(table, reach, self._radj, self._pos[v])
+        return tuple(self.labels[u] for u in reversed(seq))
 
     def lex_least_longest(self) -> tuple[int, ...]:
         """The lexicographically least vertex sequence among all optima."""
-        best = self.longest()
         path: list[int] = []
         used = 0
-        last: int | None = None
-        for pos in range(best):
-            rem = best - pos
-            for c in range(self.n):
-                if (used >> c) & 1:
-                    continue
-                if last is not None and not (self._adj[last] >> c) & 1:
-                    continue
-                cand = self._masks[(self._pop == rem) & self._start[:, c]]
-                if cand.size and bool(np.any((cand & used) == 0)):
-                    path.append(c)
-                    used |= 1 << c
-                    last = c
-                    break
-            else:  # pragma: no cover - feasibility is exact
+        for rem in range(self.longest(), 0, -1):
+            level = _level(self.n, rem)
+            # starts of rem-vertex paths that avoid the vertices placed so far
+            starts = int(np.bitwise_or.reduce(self._start[level[(level & used) == 0]]))
+            if path:
+                starts &= self._adj[path[-1]]
+            if not starts:  # pragma: no cover - feasibility is exact
                 raise RuntimeError("reconstruction failed")
+            c = (starts & -starts).bit_length() - 1
+            path.append(c)
+            used |= 1 << c
         return tuple(self.labels[c] for c in path)
 
 

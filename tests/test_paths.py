@@ -218,3 +218,8 @@ def test_subset_oracle_respects_subset():
     assert set(path) <= {2, 4, 6, 8}
     for a, b in zip(path, path[1:]):
         assert t.has_edge(a, b)
+
+
+def test_subset_oracle_rejects_empty_subset():
+    with pytest.raises(ValueError):
+        SubsetPathOracle(random_tournament(4, 2, seed=0), frozenset({1}), vertices=())
