@@ -1,8 +1,9 @@
 """Command-line driver: search, verify, construct, decompose.
 
 Exit codes: 0 success (search: exact value), 1 invalid input or failed
-verification, 2 bound-only search result or no cyclic triangles, 3 parse
-errors on input files.
+verification, 2 bound-only search result or no cyclic triangles, 3 an
+input file that cannot be read, is not JSON, or does not describe a valid
+object.
 """
 
 from __future__ import annotations
@@ -46,14 +47,23 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_json(path: str) -> dict:
+def _load(path: str, parse, what: str):
+    """Read a JSON input file and build it with ``parse``.
+
+    Every input file goes through here, so malformed content exits with
+    code 3 like unreadable or unparsable JSON does.
+    """
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse {path}: {exc}", 3)
+    try:
+        return parse(data)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise CliError(f"bad {what}: {exc}", 3)
 
 
-def _load_instance(data: dict):
+def _parse_instance(data: dict):
     if "edges" in data:
         return ColoredTournament.from_json(data)
     if "colors" in data:
@@ -90,10 +100,8 @@ def cmd_search(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc), 1)
-    if args.json:
-        print(json.dumps(record.to_json()))
-    else:
-        print(json.dumps(record.to_json()))
+    print(json.dumps(record.to_json()))
+    if not args.json:
         print(TABLE_HEADER)
         print(
             f"{record.kind},{record.q},{record.r},{record.size},"
@@ -106,37 +114,20 @@ def cmd_verify(args) -> int:
     if args.kind == "path":
         if args.certificate is None:
             raise CliError("path verification needs a certificate file", 1)
-        instance = _load_instance(_read_json(args.instance))
-        try:
-            cert = PathCertificate.from_json(_read_json(args.certificate))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CliError(f"bad certificate: {exc}", 3)
+        instance = _load(args.instance, _parse_instance, "instance")
+        cert = _load(args.certificate, PathCertificate.from_json, "certificate")
         problem = validate_path(instance, cert)
     elif args.kind in ("sequence", "comparable"):
-        try:
-            fam = VectorFamily.from_json(_read_json(args.instance))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CliError(f"bad family: {exc}", 3)
+        fam = _load(args.instance, VectorFamily.from_json, "family")
         check = validate_increasing if args.kind == "sequence" else validate_comparable
         cert = check(fam)
         problem = None if cert.ok() else f"failure at pair {cert.pair}"
     else:  # packing
-        try:
-            packing = Packing.from_json(_read_json(args.instance))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CliError(f"bad packing: {exc}", 3)
+        packing = _load(args.instance, Packing.from_json, "packing")
         problem = None
         if not packing.valid:
-            pods = packing.pods
-            for i in range(len(pods)):
-                for j in range(i + 1, len(pods)):
-                    from .pods import pods_disjoint_fast
-
-                    if not pods_disjoint_fast(pods[i], pods[j]):
-                        problem = f"pods {i + 1} and {j + 1} intersect"
-                        break
-                if problem:
-                    break
+            i, j = packing.certificate.pair
+            problem = f"pods {i} and {j} intersect"
     if problem is None:
         print("ok" if not args.json else json.dumps({"ok": True}))
         return 0
@@ -165,8 +156,8 @@ def cmd_construct(args) -> int:
     elif args.what == "product":
         if len(args.args) != 2:
             raise CliError("usage: construct product <K1.json> <K2.json>", 1)
-        k1 = OrderedColoring.from_json(_read_json(args.args[0]))
-        k2 = OrderedColoring.from_json(_read_json(args.args[1]))
+        k1 = _load(args.args[0], OrderedColoring.from_json, "coloring")
+        k2 = _load(args.args[1], OrderedColoring.from_json, "coloring")
         try:
             out = lex_product(k1, k2)
         except ValueError as exc:
@@ -176,7 +167,7 @@ def cmd_construct(args) -> int:
     elif args.what == "balance":
         if len(args.args) != 1:
             raise CliError("usage: construct balance <K.json>", 1)
-        k = OrderedColoring.from_json(_read_json(args.args[0]))
+        k = _load(args.args[0], OrderedColoring.from_json, "coloring")
         out = balance_coloring(k)
         stats = {
             "N": out.n_vertices,
@@ -189,8 +180,8 @@ def cmd_construct(args) -> int:
     else:  # boost
         if len(args.args) != 2:
             raise CliError("usage: construct boost <A.json> <B.json>", 1)
-        a = VectorFamily.from_json(_read_json(args.args[0]))
-        b = VectorFamily.from_json(_read_json(args.args[1]))
+        a = _load(args.args[0], VectorFamily.from_json, "family")
+        b = _load(args.args[1], VectorFamily.from_json, "family")
         try:
             out = product_boost_vectors(a, b)
         except ValueError as exc:
@@ -209,11 +200,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    data = _read_json(args.tournament)
-    try:
-        t = ColoredTournament.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"bad tournament: {exc}", 3)
+    t = _load(args.tournament, ColoredTournament.from_json, "tournament")
     if args.mode == "three-color":
         try:
             result = three_color_path(t, args.min_support)
@@ -255,14 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable stdout")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized components")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker cap (current kernels are single-threaded)"
-    )
     # the same flags are accepted after the subcommand without clobbering
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_search = sub.add_parser(

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class Comparison(Enum):
@@ -153,8 +155,10 @@ class ComparabilityCertificate:
     """Outcome of a family validation; indices are 1-based family positions.
 
     FAIL_PAIR carries ``pair`` = (a, b), the lexicographically first offending
-    pair.  CYCLIC_TRIPLE carries ``triple`` = (x, y, z) with the dominance
-    relation cycling x -> y -> z -> x, and the three coordinate witness sets
+    pair, and ``check``, the validator that issued it: "increasing" (vector a
+    is not below vector b) or "comparable" (neither is below the other).
+    CYCLIC_TRIPLE carries ``triple`` = (x, y, z) with the dominance relation
+    cycling x -> y -> z -> x, and the three coordinate witness sets
     A = {i: x_i < y_i}, B = {i: y_i < z_i}, C = {i: z_i < x_i}.
     """
 
@@ -164,6 +168,7 @@ class ComparabilityCertificate:
     witness_a: frozenset[int] | None = None
     witness_b: frozenset[int] | None = None
     witness_c: frozenset[int] | None = None
+    check: str | None = None
 
     def ok(self) -> bool:
         return self.verdict in (Verdict.INCREASING, Verdict.COMPARABLE)
@@ -184,18 +189,70 @@ INCREASING = ComparabilityCertificate(Verdict.INCREASING)
 COMPARABLE = ComparabilityCertificate(Verdict.COMPARABLE)
 
 
+# Cells of one (rows x m) count block: the block and the comparison it adds
+# per coordinate stay near 256 KB each, whatever the family size.
+_BLOCK_CELLS = 1 << 18
+
+
+def _coords(fam: VectorFamily) -> np.ndarray:
+    """The family as an (m, q) integer array, row i = vector i + 1."""
+    return np.array([v.coords for v in fam.vectors])
+
+
+def _win_blocks(coords: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Pairwise dominance counts of an (m, q) array, a bounded row block at a time.
+
+    Yields (lo, counts) in row order, where counts[i, j] is the number of
+    coordinates in which row j is strictly larger than row lo + i.  Together
+    the blocks cover all m rows; each has about _BLOCK_CELLS cells.
+    """
+    m, q = coords.shape
+    cols = np.ascontiguousarray(coords.T)
+    dtype = np.min_scalar_type(q)  # a count never exceeds q
+    step = max(1, _BLOCK_CELLS // max(m, 1))
+    for lo in range(0, m, step):
+        rows = cols[:, lo : lo + step]
+        counts = np.zeros((rows.shape[1], m), dtype=dtype)
+        for k in range(q):
+            counts += cols[k] > rows[k, :, None]
+        yield lo, counts
+
+
+def _below(coords: np.ndarray, r: int) -> np.ndarray:
+    """(m, m) bool matrix: [i, j] iff row j beats row i in at least r coordinates."""
+    m = len(coords)
+    out = np.empty((m, m), dtype=bool)
+    for lo, counts in _win_blocks(coords):
+        out[lo : lo + len(counts)] = counts >= r
+    return out
+
+
+def _first_pair(bad_blocks: Iterator[tuple[int, np.ndarray]]) -> tuple[int, int] | None:
+    """The first 1-based (a, b), a < b, in row-major order whose cell is set.
+
+    ``bad_blocks`` yields (lo, bad) row blocks as ``_win_blocks`` does; the
+    scan stops at the first block holding a set cell.
+    """
+    for lo, bad in bad_blocks:
+        bad = np.triu(bad, lo + 1)
+        idx = int(bad.argmax())
+        if bad.flat[idx]:
+            a, b = divmod(idx, bad.shape[1])
+            return lo + a + 1, b + 1
+    return None
+
+
 def validate_increasing(fam: VectorFamily) -> ComparabilityCertificate:
     """Check that every earlier vector is below every later one.
 
     Returns INCREASING, or FAIL_PAIR with the lexicographically first (a, b)
     such that vector a is not below vector b.
     """
-    vs, r = fam.vectors, fam.r
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if not less_r(vs[a], vs[b], r):
-                return ComparabilityCertificate(Verdict.FAIL_PAIR, pair=(a + 1, b + 1))
-    return INCREASING
+    r = fam.r
+    pair = _first_pair((lo, up < r) for lo, up in _win_blocks(_coords(fam)))
+    if pair is None:
+        return INCREASING
+    return ComparabilityCertificate(Verdict.FAIL_PAIR, pair=pair, check="increasing")
 
 
 def validate_comparable(fam: VectorFamily) -> ComparabilityCertificate:
@@ -203,12 +260,15 @@ def validate_comparable(fam: VectorFamily) -> ComparabilityCertificate:
 
     Duplicate vectors always fail: an equal pair has no strict coordinate.
     """
-    vs, r = fam.vectors, fam.r
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if compare_r(vs[a], vs[b], r) is Comparison.INCOMPARABLE:
-                return ComparabilityCertificate(Verdict.FAIL_PAIR, pair=(a + 1, b + 1))
-    return COMPARABLE
+    r, coords = fam.r, _coords(fam)
+    # the counts of the negated array are the coordinates where row j is smaller
+    pair = _first_pair(
+        (lo, (up < r) & (down < r))
+        for (lo, up), (_, down) in zip(_win_blocks(coords), _win_blocks(-coords))
+    )
+    if pair is None:
+        return COMPARABLE
+    return ComparabilityCertificate(Verdict.FAIL_PAIR, pair=pair, check="comparable")
 
 
 def _witness_sets(x: GridVector, y: GridVector, z: GridVector):
@@ -224,25 +284,33 @@ def find_cyclic_triple(fam: VectorFamily) -> ComparabilityCertificate | None:
     Requires a comparable family.  Returns None when no cycle exists; for
     r > 2q/3 that is always the case, since the three witness sets each have
     size >= r and would share a coordinate i with x_i < y_i < z_i < x_i.
+    Triples a < b < c are tried in lexicographic order, each as the cycle
+    a -> b -> c -> a before a -> c -> b -> a.
     """
     if not validate_comparable(fam).ok():
         raise ValueError("input family is not comparable")
-    vs, r = fam.vectors, fam.r
-    m = len(vs)
-    for a in range(m):
-        for b in range(a + 1, m):
-            for c in range(b + 1, m):
-                for (i, j, k) in ((a, b, c), (a, c, b)):
-                    x, y, z = vs[i], vs[j], vs[k]
-                    if less_r(x, y, r) and less_r(y, z, r) and less_r(z, x, r):
-                        wa, wb, wc = _witness_sets(x, y, z)
-                        return ComparabilityCertificate(
-                            Verdict.CYCLIC_TRIPLE,
-                            triple=(i + 1, j + 1, k + 1),
-                            witness_a=wa,
-                            witness_b=wb,
-                            witness_c=wc,
-                        )
+    below = _below(_coords(fam), fam.r)
+    for a in range(len(below) - 2):
+        later = below[a + 1 :, a + 1 :]  # [b, c]: b below c, both after a
+        above_a = below[a, a + 1 :]  # b: a below b
+        under_a = below[a + 1 :, a]  # b: b below a
+        forward = later & above_a[:, None] & under_a[None, :]  # a -> b -> c -> a
+        backward = later.T & under_a[:, None] & above_a[None, :]  # a -> c -> b -> a
+        hit = np.triu(forward | backward, 1)
+        idx = int(hit.argmax())
+        if not hit.flat[idx]:
+            continue
+        b, c = divmod(idx, hit.shape[1])
+        i, j, k = (a, a + 1 + b, a + 1 + c) if forward.flat[idx] else (a, a + 1 + c, a + 1 + b)
+        x, y, z = fam.vectors[i], fam.vectors[j], fam.vectors[k]
+        wa, wb, wc = _witness_sets(x, y, z)
+        return ComparabilityCertificate(
+            Verdict.CYCLIC_TRIPLE,
+            triple=(i + 1, j + 1, k + 1),
+            witness_a=wa,
+            witness_b=wb,
+            witness_c=wc,
+        )
     return None
 
 
@@ -252,38 +320,25 @@ def transitive_order(fam: VectorFamily):
     Returns a tuple of 1-based indices pi such that the family read in that
     order validates as increasing, or a CYCLIC_TRIPLE certificate when no
     such order exists.  Pairs related in both directions are oriented toward
-    the higher index; sources are drained smallest index first.
+    the higher index; the order is the only topological order of the
+    resulting orientation.
     """
     if not validate_comparable(fam).ok():
         raise ValueError("input family is not comparable")
-    vs, r = fam.vectors, fam.r
-    m = len(vs)
-    # beats[a] = set of b that a must precede
-    beats = [set() for _ in range(m)]
-    indeg = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            cmp = compare_r(vs[a], vs[b], r)
-            if cmp in (Comparison.FORWARD, Comparison.BOTH):
-                beats[a].add(b)
-                indeg[b] += 1
-            else:
-                beats[b].add(a)
-                indeg[a] += 1
-    order: list[int] = []
-    removed = [False] * m
-    for _ in range(m):
-        src = next((v for v in range(m) if not removed[v] and indeg[v] == 0), None)
-        if src is None:
-            cert = find_cyclic_triple(fam)
-            assert cert is not None  # a stuck drain means the relation has a cycle
-            return cert
-        removed[src] = True
-        order.append(src + 1)
-        for w in beats[src]:
-            if not removed[w]:
-                indeg[w] -= 1
-    return tuple(order)
+    below = _below(_coords(fam), fam.r)
+    # precede[a, b]: a must come before b.  A pair a < b goes a -> b when a
+    # is below b (also when b is below a too), and b -> a otherwise.
+    precede = np.triu(below, 1) | np.tril(~below.T, -1)
+    # precede orients every pair once, so it is acyclic iff its in-degrees
+    # are 0..m-1, and then sorting by in-degree gives its only topological
+    # order: the one any drain of sources returns
+    indeg = precede.sum(axis=0)
+    order = np.argsort(indeg)
+    if not np.array_equal(indeg[order], np.arange(len(below))):
+        cert = find_cyclic_triple(fam)
+        assert cert is not None  # a cyclic tournament has a cyclic triangle
+        return cert
+    return tuple(int(i) + 1 for i in order)
 
 
 def reordered(fam: VectorFamily, order: Sequence[int]) -> VectorFamily:
@@ -295,10 +350,18 @@ def certificate_is_sound(fam: VectorFamily, cert: ComparabilityCertificate) -> b
     """Re-check a certificate against the family it was issued for."""
     vs, r = fam.vectors, fam.r
     if cert.verdict is Verdict.FAIL_PAIR:
-        # both validators only issue (a, b) when a is not below b
         a, b = cert.pair
-        return not less_r(vs[a - 1], vs[b - 1], r)
+        if not 1 <= a < b <= len(vs):
+            return False
+        x, y = vs[a - 1], vs[b - 1]
+        if cert.check == "increasing":
+            return not less_r(x, y, r)
+        if cert.check == "comparable":
+            return compare_r(x, y, r) is Comparison.INCOMPARABLE
+        return False
     if cert.verdict is Verdict.CYCLIC_TRIPLE:
+        if not all(1 <= i <= len(vs) for i in cert.triple):
+            return False
         x, y, z = (vs[i - 1] for i in cert.triple)
         wa, wb, wc = _witness_sets(x, y, z)
         return (
@@ -310,7 +373,10 @@ def certificate_is_sound(fam: VectorFamily, cert: ComparabilityCertificate) -> b
             and less_r(y, z, r)
             and less_r(z, x, r)
         )
-    return True
+    # a positive verdict carries no witness: re-run the check that issues it
+    if cert.verdict is Verdict.INCREASING:
+        return validate_increasing(fam).ok()
+    return validate_comparable(fam).ok()
 
 
 def dumps(fam: VectorFamily) -> str:

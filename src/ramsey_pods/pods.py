@@ -14,7 +14,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Comparison, GridVector, VectorFamily, compare_r, validate_comparable
+from .core import (
+    COMPARABLE,
+    ComparabilityCertificate,
+    Comparison,
+    GridVector,
+    VectorFamily,
+    compare_r,
+    validate_comparable,
+)
 
 
 @dataclass(frozen=True)
@@ -71,31 +79,41 @@ def pods_disjoint_fast(a: Pod, b: Pod) -> bool:
     return compare_r(a.apex, b.apex, a.r) is not Comparison.INCOMPARABLE
 
 
+def _apex_family(pods: tuple[Pod, ...]) -> VectorFamily:
+    return VectorFamily(tuple(p.apex for p in pods), pods[0].r)
+
+
 @dataclass(frozen=True)
 class Packing:
-    """A collection of same-parameter pods; valid iff pairwise disjoint."""
+    """A collection of same-parameter pods; valid iff pairwise disjoint.
+
+    ``certificate`` is the apex family's comparability verdict.  Two pods
+    are disjoint exactly when their apices are comparable, so a FAIL_PAIR
+    (i, j) names the first pair of intersecting pods.
+    """
 
     pods: tuple[Pod, ...]
-    valid: bool
+    certificate: ComparabilityCertificate
+
+    @property
+    def valid(self) -> bool:
+        return self.certificate.ok()
 
     @classmethod
     def of(cls, pods) -> "Packing":
         pods = tuple(pods)
         for p in pods[1:]:
             _check_same_parameters(pods[0], p)
-        valid = all(
-            pods_disjoint_fast(pods[i], pods[j])
-            for i in range(len(pods))
-            for j in range(i + 1, len(pods))
-        )
-        return cls(pods, valid)
+        if not pods:
+            return cls(pods, COMPARABLE)
+        return cls(pods, validate_comparable(_apex_family(pods)))
 
     @classmethod
     def from_apices(cls, q: int, r: int, n: int, apices) -> "Packing":
         return cls.of(Pod(q, r, n, GridVector(tuple(a), n)) for a in apices)
 
     def apex_family(self) -> VectorFamily:
-        return VectorFamily(tuple(p.apex for p in self.pods), self.pods[0].r)
+        return _apex_family(self.pods)
 
     def to_json(self) -> dict:
         p0 = self.pods[0]

@@ -22,11 +22,14 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .budget import Budget, BudgetExceeded
 from .constructions import canonical_coloring
 from .core import (
     GridVector,
     VectorFamily,
+    _below,
     validate_comparable,
     validate_increasing,
 )
@@ -97,8 +100,10 @@ def _grid_vectors(q: int, n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(1, n + 1), repeat=q))
 
 
-def _less_r_tuple(x, y, r) -> bool:
-    return sum(1 for a, b in zip(x, y) if a < b) >= r
+def _bitmask_rows(rel: np.ndarray) -> list[int]:
+    """Row i of a bool matrix as an int with bit j set iff rel[i, j]."""
+    packed = np.packbits(rel, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRecord:
@@ -114,11 +119,7 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     clock = (budget or Budget()).start()
     vecs = _grid_vectors(q, n)
     m = len(vecs)
-    greater = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and _less_r_tuple(vecs[i], vecs[j], r):
-                greater[i] |= 1 << j
+    greater = _bitmask_rows(_below(np.array(vecs), r))
     memo: dict[int, tuple[int, int]] = {}
     best_chain: list[int] = []
 
@@ -193,12 +194,8 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     clock = (budget or Budget()).start()
     vecs = _grid_vectors(q, n)
     m = len(vecs)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if _less_r_tuple(vecs[i], vecs[j], r) or _less_r_tuple(vecs[j], vecs[i], r):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    below = _below(np.array(vecs), r)
+    adj = _bitmask_rows(below | below.T)
     best: list[int] = []
 
     def coloring_bound(cand: int) -> int:

@@ -95,6 +95,41 @@ def test_verify_parse_error_exit_three(workdir, capsys):
     assert code == 3
 
 
+def _malformed_inputs(workdir):
+    """One command per file-reading path, each given a structurally bad file."""
+    t = random_tournament(4, 2, seed=0).to_json()
+    t["edges"] = t["edges"][:-1]  # one vertex pair left without an edge
+    (workdir / "t.json").write_text(json.dumps(t))
+    cert = {"mode": "directed", "constraint": {"avoid": 1}, "vertices": [1]}
+    (workdir / "c.json").write_text(json.dumps(cert))
+    (workdir / "k.json").write_text(json.dumps({"N": 3, "q": 2, "colors": [[1, 2, 1]]}))
+    (workdir / "f.json").write_text(json.dumps({"q": 2, "n": 2, "r": 1, "vectors": [[1, 3]]}))
+    return {
+        "verify_path": ["verify", "path", "t.json", "c.json"],
+        "construct_product": ["construct", "product", "k.json", "k.json"],
+        "construct_balance": ["construct", "balance", "k.json"],
+        "construct_boost": ["construct", "boost", "f.json", "f.json"],
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["verify_path", "construct_product", "construct_balance", "construct_boost"]
+)
+def test_malformed_input_exit_three(workdir, capsys, command):
+    code, _, err = run(capsys, *_malformed_inputs(workdir)[command])
+    assert code == 3
+    assert err.startswith("error: bad ")
+
+
+def test_verify_packing_names_first_intersecting_pair(workdir, capsys):
+    apices = [[1, 1, 1], [2, 2, 1], [2, 2, 2], [2, 1, 2], [1, 2, 1]]
+    (workdir / "p.json").write_text(json.dumps({"q": 3, "r": 2, "n": 2, "apices": apices}))
+    code, out, _ = run(capsys, "verify", "packing", "p.json", "--json")
+    assert code == 1
+    # (1,2,1) meets (1,1,1) and (2,1,2) meets (2,2,1); the pair of pod 1 comes first
+    assert json.loads(out) == {"ok": False, "violation": "pods 1 and 5 intersect"}
+
+
 def test_decompose_recursive_and_verify(workdir, capsys):
     t = random_tournament(10, 3, seed=1)
     (workdir / "t.json").write_text(json.dumps(t.to_json()))

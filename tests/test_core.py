@@ -4,6 +4,9 @@ import random
 import pytest
 
 from ramsey_pods.core import (
+    COMPARABLE,
+    INCREASING,
+    ComparabilityCertificate,
     Comparison,
     GridVector,
     VectorFamily,
@@ -204,6 +207,40 @@ def test_cyclic_triple_witnesses_always_sound():
             len(cert.witness_a), len(cert.witness_b), len(cert.witness_c)
         ) >= family.r
         found += 1
+
+
+def test_fail_pair_certificates_name_their_check():
+    family = fam([(2, 2), (1, 1)], 1)  # comparable, not increasing
+    cert = validate_increasing(family)
+    assert (cert.pair, cert.check) == ((1, 2), "increasing")
+    assert certificate_is_sound(family, cert)
+    dup = fam([(1, 2), (1, 2)], 1)
+    cert = validate_comparable(dup)
+    assert (cert.pair, cert.check) == ((1, 2), "comparable")
+    assert certificate_is_sound(dup, cert)
+
+
+def test_forged_certificates_are_rejected():
+    family = fam([(2, 2), (1, 1)], 1)
+    forged = ComparabilityCertificate(Verdict.FAIL_PAIR, pair=(1, 2), check="comparable")
+    assert not certificate_is_sound(family, forged)
+    for pair in ((0, 1), (2, 1), (1, 3)):
+        cert = ComparabilityCertificate(Verdict.FAIL_PAIR, pair=pair, check="increasing")
+        assert not certificate_is_sound(family, cert)
+    unsigned = ComparabilityCertificate(Verdict.FAIL_PAIR, pair=(1, 2))
+    assert not certificate_is_sound(family, unsigned)
+    assert not certificate_is_sound(family, INCREASING)
+    assert certificate_is_sound(family, COMPARABLE)
+    rps = fam([(1, 2, 3), (2, 3, 1), (3, 1, 2)], 2)
+    cert = find_cyclic_triple(rps)
+    shifted = ComparabilityCertificate(
+        Verdict.CYCLIC_TRIPLE,
+        triple=(0, 1, 2),
+        witness_a=cert.witness_c,
+        witness_b=cert.witness_a,
+        witness_c=cert.witness_b,
+    )
+    assert not certificate_is_sound(rps, shifted)
 
 
 def test_family_rejects_r_zero():
