@@ -276,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_decompose.add_argument("mode", choices=["three-color", "recursive"])
     p_decompose.add_argument("tournament")
     p_decompose.add_argument("--min-support", type=int, default=None)
-    p_decompose.add_argument("--trace", help="write one JSON object per recursion node")
+    p_decompose.add_argument(
+        "--trace",
+        help="write one JSON object per recursion node visited; "
+        "halves too small to beat the best path so far are skipped and write none",
+    )
     p_decompose.add_argument("-o", "--output", help="write the certificate here")
     p_decompose.set_defaults(func=cmd_decompose)
     return parser

@@ -10,10 +10,16 @@ edges backward) with colors periodic with period three.
 The recursive finder realizes the interval decomposition: order the
 vertices, clean high-backward-degree vertices, split colors into long and
 short by the gamma*N threshold, rank top in/out path endpoints near the
-midpoint, glue matched halves through a non-avoided forward edge, and, when
-enough colors are diffuse on the left, chain blocks of their top endpoints
-through anchor vertices.  At desk scale these are heuristics; every returned
-path is re-validated, never trusted.
+midpoint, glue matched halves through a non-avoided forward edge, and
+recurse into the halves that are large enough to beat the best path found
+so far.  Its candidates are the exact subset DP at or below the exact cap,
+and above it the merged-color baseline, the midpoint gluing and the two
+half recursions.  The anchor/block gluing structure of the proof's second
+case (``build_gluing``) is built and audited as a library function; the
+finder does not chain blocks through it, nor run the triangle-pattern
+builder: neither ever won a recursion node on the benchmark's decompose
+instances or on the pinned corpus of ``tests/test_decomposition_pinned.py``.  At desk scale these are heuristics; every returned path is
+re-validated, never trusted.
 """
 
 from __future__ import annotations
@@ -209,27 +215,16 @@ def audit_pattern_path(t: ColoredTournament, cert: PathCertificate) -> str | Non
 # maximal-acyclic-subgraph levels: estimator and merged-color baseline
 
 
-def _level_paths(
-    t: ColoredTournament,
-    allowed: frozenset[int],
-    vertices: tuple[int, ...],
-):
+def _level_paths(adj: list[int], vertices: tuple[int, ...]):
     """Longest-path levels of a maximal acyclic subgraph of allowed edges.
 
-    Returns (levels, parents) keyed by label.  The level of v is the vertex
-    count of the longest path ending at v inside the subgraph, so levels
-    properly color the allowed edge set and max(levels) realizes an actual
-    directed path.
+    ``adj[a]`` has bit b set iff vertices[a] -> vertices[b] is an allowed
+    edge (``ColoredTournament.allowed_masks``).  Returns (levels, parents)
+    keyed by label.  The level of v is the vertex count of the longest path
+    ending at v inside the subgraph, so levels properly color the allowed
+    edge set and max(levels) realizes an actual directed path.
     """
     m = len(vertices)
-    pos = {v: i for i, v in enumerate(vertices)}
-    adj = [0] * m  # D restricted to the subset
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                u, v = vertices[a], vertices[b]
-                if t.has_edge(u, v) and t.color(u, v) in allowed:
-                    adj[a] |= 1 << b
     keep = [0] * m  # maximal acyclic subgraph, starts from forward edges
     for a in range(m):
         forward_mask = ~((1 << (a + 1)) - 1)
@@ -328,7 +323,7 @@ def merged_color_baseline(t: ColoredTournament) -> tuple[int, PathCertificate]:
     best: tuple[int, PathCertificate] | None = None
     for cls in classes:
         avoided = min(c for c in range(1, q + 1) if c not in cls)
-        levels, parents = _level_paths(t, cls, verts)
+        levels, parents = _level_paths(t.allowed_masks(verts, cls)[0], verts)
         top = max(levels.values())
         v = min(u for u, lv in levels.items() if lv == top)
         cert = PathCertificate(
@@ -404,30 +399,16 @@ def _half_endpoint_data(t, allowed, half: tuple[int, ...], incoming: bool):
             paths = {v: oracle.path_from(v) for v in half}
         return lengths, paths, True
     if incoming:
-        levels, parents = _level_paths(t, allowed, half)
+        levels, parents = _level_paths(t.allowed_masks(half, allowed)[0], half)
         paths = {v: _level_path_to(levels, parents, v) for v in half}
         return levels, paths, False
     # starting lengths: the level method on the reversed orientation and order
-    levels, parents = _level_paths(_Reversed(t), allowed, tuple(reversed(half)))
+    rev = tuple(reversed(half))
+    levels, parents = _level_paths(t.allowed_masks(rev, allowed)[1], rev)
     paths = {
         v: tuple(reversed(_level_path_to(levels, parents, v))) for v in half
     }
     return levels, paths, False
-
-
-class _Reversed:
-    """Orientation-reversed view of a tournament (colors unchanged)."""
-
-    def __init__(self, t: ColoredTournament):
-        self._t = t
-        self.vertices = t.vertices
-        self.q = t.q
-
-    def has_edge(self, u, v):
-        return self._t.has_edge(v, u)
-
-    def color(self, u, v):
-        return self._t.color(u, v)
 
 
 def classify_colors(
@@ -480,7 +461,8 @@ def classify_colors(
             if n <= EXACT_VERTEX_CAP:
                 ell[i] = SubsetPathOracle(t, allowed).longest()
             else:
-                levels, _ = _level_paths(t, allowed, tuple(sorted(t.vertices)))
+                verts = tuple(sorted(t.vertices))
+                levels, _ = _level_paths(t.allowed_masks(verts, allowed)[0], verts)
                 ell[i] = max(levels.values())
                 all_exact = False
             lengths_in, paths_in, exact_l = _half_endpoint_data(t, allowed, left, True)
@@ -675,21 +657,6 @@ def _driver_params(q: int, n: int) -> ProofParameters:
     return ProofParameters(q, n, p.gamma, min(p.p, q), s_eff, p.delta)
 
 
-def _best_avoiding_in_subset(t, avoid: int, subset) -> tuple[int, ...]:
-    allowed = frozenset(c for c in range(1, t.q + 1) if c != avoid)
-    subset = tuple(sorted(subset))
-    if not allowed:
-        return (subset[0],)
-    if len(subset) <= EXACT_VERTEX_CAP:
-        oracle = SubsetPathOracle(t, allowed, subset)
-        best_v = max(subset, key=lambda v: (oracle.longest_to(v), -v))
-        return oracle.path_to(best_v)
-    levels, parents = _level_paths(t, allowed, subset)
-    top = max(levels.values())
-    v = min(u for u, lv in levels.items() if lv == top)
-    return _level_path_to(levels, parents, v)
-
-
 def _measured_delta(back: int, n: int, floor_delta: float) -> Fraction | None:
     """Smallest workable rational delta covering the observed backwardness."""
     if back == 0:
@@ -712,14 +679,17 @@ def recursive_color_avoiding(
     seed: int = 0,
     trace: list | None = None,
 ) -> tuple[int, PathCertificate]:
-    """Best color-avoiding directed path over all proof-derived branches.
+    """Best color-avoiding directed path over the proof-derived branches.
 
-    Branches: exact subset DP below the recursion floor; the merged-color
-    baseline; the triangle-pattern path when cyclic triangles exist; half
-    recursion with midpoint gluing through ranked endpoints; and block
-    chaining through a gluing structure when enough colors are left-diffuse.
-    The maximum is returned and always re-validated; ties prefer the smaller
-    avoided color, then the lexicographically smaller vertex sequence.
+    Branches: the exact subset DP up to ``EXACT_VERTEX_CAP`` vertices; above
+    it, the merged-color baseline, midpoint gluing of ranked endpoint paths
+    across the cleaned order ("case1"), and recursion into the two halves.
+    A half is visited only when it has at least as many vertices as the
+    longest candidate so far: a shorter half cannot hold a longer path, and
+    an equal one may still win the tie-break.  The maximum is returned and
+    always re-validated; ties prefer the smaller avoided color, then the
+    lexicographically smaller vertex sequence.  With ``trace``, every node
+    visited appends one record; skipped halves append none.
     """
     q = t.q
     n = t.n_vertices
@@ -750,20 +720,6 @@ def recursive_color_avoiding(
     base_color, base_cert = merged_color_baseline(t)
     candidates.append((base_color, base_cert, "baseline"))
     branch_lengths["baseline"] = base_cert.length
-
-    try:
-        result = three_color_path(t)
-        used = set(result.pattern)
-        if len(used) < q:
-            avoided = min(c for c in range(1, q + 1) if c not in used)
-            cert = PathCertificate(
-                "directed", PathConstraint(avoid=avoided), result.certificate.vertices
-            )
-            if validate_path(t, cert) is None:
-                candidates.append((avoided, cert, "pattern"))
-                branch_lengths["pattern"] = cert.length
-    except (NoCyclicTriangles, SupportTooHigh, AuditFailed):
-        pass
 
     order = heuristic_transitive_order(t, seed)
     base_params = params if params is not None else _driver_params(q, n)
@@ -822,37 +778,21 @@ def recursive_color_avoiding(
                 branch_lengths["case1"] = max(
                     branch_lengths.get("case1", 0), cert.length
                 )
-        try:
-            structure = build_gluing(sub_t, sub_order, classification)
-        except (NotDiffuse, AuditFailed):
-            structure = None
-        if structure is not None and structure.t >= 1:
-            for k in range(1, q + 1):
-                if k in structure.delta_l:
-                    continue
-                chain: list[int] = [structure.anchors[0]]
-                for a, block in enumerate(structure.blocks):
-                    chain.extend(_best_avoiding_in_subset(sub_t, k, block))
-                    chain.append(structure.anchors[a + 1])
-                cert = PathCertificate(
-                    "directed", PathConstraint(avoid=k), tuple(chain)
-                )
-                if validate_path(t, cert) is None:
-                    candidates.append((k, cert, "case2"))
-                    branch_lengths["case2"] = max(
-                        branch_lengths.get("case2", 0), cert.length
-                    )
     else:
         half = len(order) // 2
         halves = (order[:half], order[half:])
 
     for side, half_verts in zip(("left", "right"), halves):
-        if len(half_verts) >= 2:
-            sub = t.restrict(half_verts)
-            color, cert = recursive_color_avoiding(sub, params, seed, trace)
-            if validate_path(t, cert) is None:
-                candidates.append((color, cert, f"recurse_{side}"))
-                branch_lengths[f"recurse_{side}"] = cert.length
+        best = max(cert.length for _, cert, _ in candidates)
+        # a path inside the half has at most len(half_verts) vertices, so a
+        # shorter half cannot win; an equal one may still win the tie-break
+        if len(half_verts) < max(2, best):
+            continue
+        sub = t.restrict(half_verts)
+        color, cert = recursive_color_avoiding(sub, params, seed, trace)
+        if validate_path(t, cert) is None:
+            candidates.append((color, cert, f"recurse_{side}"))
+            branch_lengths[f"recurse_{side}"] = cert.length
 
     chosen = _select(t, candidates)
     if trace is not None:

@@ -244,18 +244,9 @@ class SubsetPathOracle:
             )
         self.n = n
         self._pos = {v: i for i, v in enumerate(self.labels)}
-        adj = [0] * n  # adj[u] bit v set iff u -> v with an allowed color
-        radj = [0] * n  # the reversed orientation
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    u, v = self.labels[a], self.labels[b]
-                    if t.has_edge(u, v) and t.color(u, v) in self.allowed:
-                        adj[a] |= 1 << b
-                        radj[b] |= 1 << a
-        self._adj = adj
-        self._radj = radj
-        self._start, self._start_reach = self._build(adj)
+        # _adj[u] bit v set iff u -> v with an allowed color; _radj reversed
+        self._adj, self._radj = t.allowed_masks(self.labels, self.allowed)
+        self._start, self._start_reach = self._build(self._adj)
         self._end = self._end_reach = None  # built lazily from radj
 
     def _build(self, adj: list[int]) -> tuple[np.ndarray, list[int]]:

@@ -146,8 +146,3 @@ def packing_density(packing: Packing) -> Fraction:
     per_pod = len(pod_voxels(p0))
     box = (2 * p0.n - 1) ** p0.q
     return Fraction(len(packing.pods) * per_pod, box)
-
-
-def packing_is_comparable(packing: Packing) -> bool:
-    """Cross-check: validity must coincide with apex comparability."""
-    return validate_comparable(packing.apex_family()).ok()

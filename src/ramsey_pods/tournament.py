@@ -133,6 +133,28 @@ class ColoredTournament:
             raise ValueError("no loops")
         return self._colmat[self._idx[u]][self._idx[v]]
 
+    def allowed_masks(
+        self, labels: Sequence[int], allowed: frozenset[int]
+    ) -> tuple[list[int], list[int]]:
+        """Allowed-colored adjacency over a label sequence, both orientations.
+
+        Returns ``(out, into)`` indexed by position in ``labels``: bit b of
+        ``out[a]`` is set iff labels[a] -> labels[b] carries an allowed
+        color, bit b of ``into[a]`` iff labels[b] -> labels[a] does.
+        """
+        idx = [self._idx[v] for v in labels]
+        out = [0] * len(idx)
+        into = [0] * len(idx)
+        for a, i in enumerate(idx):
+            row, cols = self._out[i], self._colmat[i]
+            for b, j in enumerate(idx):
+                if a != b and cols[j] in allowed:
+                    if (row >> j) & 1:
+                        out[a] |= 1 << b
+                    else:
+                        into[a] |= 1 << b
+        return out, into
+
     def out_degree(self, u: int) -> int:
         return bin(self._out[self._idx[u]]).count("1")
 

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +345,31 @@ def test_recursive_beats_baseline_by_construction():
         color, cert = recursive_color_avoiding(t)
         assert cert.length >= base_cert.length
         assert validate_path(t, cert) is None
+
+
+def test_recursive_skips_halves_shorter_than_the_best_path():
+    # the baseline already spans all 30 vertices; neither 15-vertex half can win
+    trace = []
+    color, cert = recursive_color_avoiding(transitive(30, 2), trace=trace)
+    assert (color, cert.length) == (2, 30)
+    assert len(trace) == 1
+    assert set(trace[0]["branch_lengths"]) == {"baseline", "case1"}
+
+
+def test_recursive_visits_halves_that_can_still_win():
+    # halves of 40 and 41 vertices against a best of 25: both are visited,
+    # and the right half's 31-vertex path wins at the root
+    data = json.loads(
+        (Path(__file__).parent / "data" / "decomposition_pinned.json").read_text()
+    )
+    t = ColoredTournament.from_json(data["canonical_flip_instance"])
+    trace = []
+    color, cert = recursive_color_avoiding(t, trace=trace)
+    root = trace[-1]
+    assert root["case"] == "recurse_right"
+    assert root["branch_lengths"]["case1"] == 25
+    assert root["branch_lengths"]["recurse_right"] == cert.length == 31
+    assert sorted(node["N"] for node in trace) == [20, 20, 40, 41, 81]
 
 
 def test_recursive_case1_fires_on_near_transitive():

@@ -8,7 +8,6 @@ from ramsey_pods.pods import (
     Packing,
     Pod,
     packing_density,
-    packing_is_comparable,
     pod_voxels,
     pods_disjoint_fast,
     pods_disjoint_voxel,
@@ -77,9 +76,9 @@ def test_voxel_and_comparability_oracles_agree(q, r, sides):
 
 def test_packing_validity_is_comparability():
     good = Packing.from_apices(3, 2, 2, [[1, 1, 1], [2, 2, 1]])
-    assert good.valid and packing_is_comparable(good)
+    assert good.valid
     bad = Packing.from_apices(3, 2, 2, [[1, 1, 1], [2, 1, 1]])
-    assert not bad.valid and not packing_is_comparable(bad)
+    assert not bad.valid
 
 
 def test_max_packing_matches_comparable_optimum():

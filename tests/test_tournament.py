@@ -253,3 +253,15 @@ def test_restrict_keeps_labels():
             if u != v:
                 assert sub.has_edge(u, v) == t.has_edge(u, v)
                 assert sub.color(u, v) == t.color(u, v)
+
+
+def test_allowed_masks_match_edges_and_colors():
+    t = random_tournament(12, 3, seed=4)
+    labels = (9, 2, 11, 5, 7, 1)  # unsorted, with gaps
+    for allowed in (frozenset({1}), frozenset({2, 3}), frozenset({1, 2, 3})):
+        out, into = t.allowed_masks(labels, allowed)
+        for a, u in enumerate(labels):
+            for b, v in enumerate(labels):
+                edge = u != v and t.has_edge(u, v) and t.color(u, v) in allowed
+                assert bool((out[a] >> b) & 1) == edge
+                assert bool((into[b] >> a) & 1) == edge
