@@ -10,7 +10,15 @@ Kinds:
 
 Maximizers degrade to lower_bound records when a budget trips; minimizers
 degrade to upper_bound.  Exact records always carry a witness that
-re-validates on load.
+re-validates on load; a cache read re-validates only the records of the key
+it asks for.
+
+The minimizers assign edges in prefix-clique order and update their
+objective only when a vertex's last edge is set, extending per-color-subset
+tables by that vertex instead of recomputing the prefix: ``exact_f`` one
+row of monotone path lengths, ``exact_g`` the endpoint-mask tables of
+``PrefixPathTables``.  ``SubsetPathOracle`` stays the independent check of
+every f/g witness.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -196,6 +205,9 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     m = len(vecs)
     below = _below(np.array(vecs), r)
     adj = _bitmask_rows(below | below.T)
+    full = (1 << m) - 1
+    # nonadj[v]: the vertices v may share a color class with, v excluded
+    nonadj = [full & ~(row | 1 << v) for v, row in enumerate(adj)]
     best: list[int] = []
 
     def coloring_bound(cand: int) -> int:
@@ -207,9 +219,7 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
             avail = rest
             while avail:
                 bit = avail & -avail
-                v = bit.bit_length() - 1
-                avail &= ~adj[v]
-                avail ^= bit
+                avail &= nonadj[bit.bit_length() - 1]
                 rest ^= bit
         return classes
 
@@ -222,7 +232,7 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
         if len(cur) + coloring_bound(cand) <= len(best):
             return
         while cand:
-            if len(cur) + bin(cand).count("1") <= len(best):
+            if len(cur) + cand.bit_count() <= len(best):
                 return
             bit = cand & -cand
             v = bit.bit_length() - 1
@@ -232,7 +242,7 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
             cur.pop()
 
     try:
-        expand([], (1 << m) - 1)
+        expand([], full)
         status = EXACT
     except BudgetExceeded:
         status = LOWER_BOUND
@@ -279,8 +289,11 @@ def exact_f(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
     Edges are assigned in prefix-clique order; colors obey a first-use
     canonical rule (color c+1 may appear only after c), which fixes the color
     of edge (1,2) to 1 and removes the palette-relabeling symmetry.  The
-    partial objective is tracked incrementally per r-subset of colors and a
-    branch is pruned as soon as it matches the incumbent.
+    partial objective is tracked incrementally per r-subset of colors: when
+    the last edge into vertex k is colored, one pass over k's incoming colors
+    fills the longest path ending at k for every subset, reading only the
+    subsets that hold each edge's color.  A branch is pruned as soon as it
+    matches the incumbent.
     """
     _check_params("f", q, r, n_vertices)
     clock = (budget or Budget()).start()
@@ -296,28 +309,26 @@ def exact_f(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
     best_val = _restricted_value_monotone(start, r)
     best_witness = start
     subsets = list(itertools.combinations(range(1, q + 1), r))
+    # holding[c]: indices of the subsets that contain color c
+    holding = [tuple(i for i, s in enumerate(subsets) if c in s) for c in range(q + 1)]
     edges = [(i, k) for k in range(2, n + 1) for i in range(1, k)]
-    color_of: dict[tuple[int, int], int] = {}
-    # dp[s][v] = longest monotone path ending at v colored within subset s
-    dp: dict[tuple, list[int]] = {s: [0] * (n + 1) for s in subsets}
+    # into[k][j]: color of edge (j, k); read only once all of them are set
+    into = [[0] * k for k in range(n + 1)]
+    # dp[v][i]: longest monotone path ending at v colored within subsets[i],
+    # valid for every completed vertex v
+    dp = [[1] * len(subsets) for _ in range(n + 1)]
 
     def vertex_value(k: int) -> int:
-        # called once all edges into k are colored; fills dp rows for k
-        val = 0
-        for s in subsets:
-            row = dp[s]
-            sset = set(s)
-            longest = 1
-            for j in range(1, k):
-                if color_of[(j, k)] in sset and row[j] + 1 > longest:
-                    longest = row[j] + 1
-            row[k] = longest
-            val = max(val, longest)
-        return val
-
-    def undo_vertex(k: int) -> None:
-        for s in subsets:
-            dp[s][k] = 0
+        # called once all edges into k are colored; fills dp[k]
+        longest = [1] * len(subsets)
+        colors = into[k]
+        for j in range(1, k):
+            row = dp[j]
+            for i in holding[colors[j]]:
+                if row[i] >= longest[i]:
+                    longest[i] = row[i] + 1
+        dp[k] = longest
+        return max(longest)
 
     def dfs(edge_idx: int, used_colors: int, prefix_val: int):
         nonlocal best_val, best_witness
@@ -326,27 +337,20 @@ def exact_f(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
         if edge_idx == len(edges):
             # complete coloring strictly better than the incumbent
             best_val = prefix_val
-            best_witness = OrderedColoring(
-                n, q, ((u, v, c) for (u, v), c in color_of.items())
-            )
+            best_witness = OrderedColoring(n, q, ((i, k, into[k][i]) for i, k in edges))
             return
         clock.tick()
         i, k = edges[edge_idx]
         completes = i == k - 1
+        colors = into[k]
         for c in range(1, min(used_colors + 1, q) + 1):
-            color_of[(i, k)] = c
+            colors[i] = c
             new_used = max(used_colors, c)
             if completes:
-                val = max(prefix_val, vertex_value(k))
-                dfs(edge_idx + 1, new_used, val)
-                undo_vertex(k)
+                dfs(edge_idx + 1, new_used, max(prefix_val, vertex_value(k)))
             else:
                 dfs(edge_idx + 1, new_used, prefix_val)
-            del color_of[(i, k)]
 
-    # seed dp for vertex 1 (no incoming edges)
-    for s in subsets:
-        dp[s][1] = 1
     try:
         dfs(0, 0, 1)
         status = EXACT
@@ -372,13 +376,89 @@ def _restricted_value_directed(t: ColoredTournament, r: int) -> int:
     )
 
 
+class PrefixPathTables:
+    """Endpoint-mask tables of a tournament that grows one vertex at a time.
+
+    One table per color subset, in the ``SubsetPathOracle`` convention over
+    vertices 1..n (vertex v is bit v - 1): bit v of ``h[S]`` is set iff a
+    path colored within the subset, with vertex set exactly S, starts at v.
+    ``complete(k, ...)`` fills the 2^(k-1) masks that contain k, in
+    increasing order, once every edge between k and 1..k-1 is known; the
+    masks below k are read, never changed.  This is the Bellman-Held-Karp
+    subset DP extended by one vertex.  Going back to a shorter prefix needs
+    no undo: the next ``complete(k, ...)`` overwrites the same entries.  The
+    tables are plain int lists, because at a handful of vertices numpy's
+    per-call set-up costs more than the DP itself, and they grow to 2^k
+    entries only when a search first reaches vertex k.
+    """
+
+    def __init__(self, n: int, subsets: Sequence[frozenset[int]]):
+        # one bitmask of colors per subset
+        self._colors = [sum(1 << c for c in s) for s in subsets]
+        self._adj = [[0] * n for _ in subsets]  # _adj[i][v]: allowed out-neighbours
+        self._h = [[0, 1] for _ in subsets]  # the empty set and vertex 1 alone
+
+    def complete(self, k: int, arcs: Sequence[tuple[int, int, int]], enough: int) -> int:
+        """Add vertex k; the longest allowed path through it, over all subsets.
+
+        ``arcs`` holds (tail, head, color) for each edge between k and
+        1..k-1.  Together with the longest path on 1..k-1, the result is the
+        longest path of the prefix tournament on 1..k.  The fill stops at
+        the first path on ``enough`` vertices and returns that length: a
+        search prunes there, and the entries left unfilled are only read
+        after the next ``complete(k, ...)``.  Pass ``enough > k`` for the
+        exact value.
+        """
+        top = 1 << (k - 1)
+        best = 1
+        for colors, adj, h in zip(self._colors, self._adj, self._h):
+            out_k = 0
+            for tail, head, c in arcs:
+                if tail == k:
+                    other = head - 1
+                    adj[other] &= ~top
+                    if colors >> c & 1:
+                        out_k |= 1 << other
+                else:
+                    other = tail - 1
+                    if colors >> c & 1:
+                        adj[other] |= top
+                    else:
+                        adj[other] &= ~top
+            adj[k - 1] = out_k
+            if len(h) < 2 * top:
+                h.extend([0] * (2 * top - len(h)))
+            h[top] = top
+            for rest in range(1, top):
+                s = top | rest
+                # v starts a path on S iff v has an edge to a start on S - {v}
+                word = top if out_k & h[rest] else 0
+                m = rest
+                while m:
+                    b = m & -m
+                    if adj[b.bit_length() - 1] & h[s ^ b]:
+                        word |= b
+                    m ^= b
+                h[s] = word
+                if word:
+                    size = s.bit_count()
+                    if size > best:
+                        best = size
+                        if best >= enough:
+                            return best
+        return best
+
+
 def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> ExtremalRecord:
     """Minimize the longest <= r colored directed path over tournaments.
 
     Assignments are (orientation, color) per edge in prefix-clique order;
     edge (1,2) is fixed to point forward (whole-tournament reversal keeps
-    the objective) with color 1 (first-use rule).  Practical only for very
-    small N: the leaf objective is an exponential path DP.
+    the objective) with color 1 (first-use rule).  The prefix objective is
+    incremental: when the last edge into vertex k is set,
+    ``PrefixPathTables`` extends one endpoint-mask table per r-subset of
+    colors by the vertex sets that contain k.  Practical only for very
+    small N: a search that reaches vertex N holds tables of 2^N entries.
     """
     _check_params("g", q, r, n_vertices)
     clock = (budget or Budget()).start()
@@ -394,12 +474,9 @@ def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
     best_val = _restricted_value_directed(start, r)
     best_witness = start
     subsets = [frozenset(s) for s in itertools.combinations(range(1, q + 1), r)]
+    tables = PrefixPathTables(n, subsets)
     edges = [(i, k) for k in range(2, n + 1) for i in range(1, k)]
     chosen: dict[tuple[int, int], tuple[int, int, int]] = {}
-
-    def prefix_value(k: int) -> int:
-        sub = ColoredTournament(k, q, list(chosen.values()))
-        return max(SubsetPathOracle(sub, s).longest() for s in subsets)
 
     def dfs(edge_idx: int, used_colors: int, prefix_val: int):
         nonlocal best_val, best_witness
@@ -419,7 +496,9 @@ def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
                 chosen[(i, k)] = (tail, head, c)
                 new_used = max(used_colors, c)
                 if completes:
-                    dfs(edge_idx + 1, new_used, max(prefix_val, prefix_value(k)))
+                    arcs = [chosen[(j, k)] for j in range(1, k)]
+                    value = tables.complete(k, arcs, best_val)
+                    dfs(edge_idx + 1, new_used, max(prefix_val, value))
                 else:
                     dfs(edge_idx + 1, new_used, prefix_val)
                 del chosen[(i, k)]
@@ -429,6 +508,7 @@ def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
         status = EXACT
     except BudgetExceeded:
         status = UPPER_BOUND
+    # the witness's value, re-derived by the independent subset oracle
     assert _restricted_value_directed(best_witness, r) == best_val
     return ExtremalRecord(
         "g", q, r, n, best_val, status, best_witness.to_json(), clock.nodes, clock.elapsed()
@@ -483,7 +563,17 @@ def cache_path(explicit: str | os.PathLike | None = None) -> Path:
     return Path(os.environ.get(CACHE_ENV, "cache.jsonl"))
 
 
-def _load_records(path: Path) -> list[ExtremalRecord]:
+def _record_key(rec: ExtremalRecord) -> tuple[str, int, int, int]:
+    return (rec.kind, rec.q, rec.r, rec.size)
+
+
+def _load_records(path: Path, key: tuple | None = None) -> list[ExtremalRecord]:
+    """The file's records whose witnesses re-validate, in file order.
+
+    With ``key``, only that key's records are validated and returned: a
+    witness check can build subset oracles, so other keys' records are
+    skipped unchecked.
+    """
     records = []
     if not path.exists():
         return records
@@ -495,21 +585,15 @@ def _load_records(path: Path) -> list[ExtremalRecord]:
             rec = ExtremalRecord.from_json(json.loads(line))
         except (json.JSONDecodeError, KeyError, ValueError, TypeError):
             continue
+        if key is not None and _record_key(rec) != key:
+            continue
         if validate_record(rec) is None:
             records.append(rec)
     return records
 
 
-def cache_get(
-    kind: str, q: int, r: int, size: int, path: str | os.PathLike | None = None
-) -> ExtremalRecord | None:
-    """Best valid knowledge for a key: exact beats bounds, bounds improve."""
-    key = (kind, q, r, size)
-    matches = [
-        rec
-        for rec in _load_records(cache_path(path))
-        if (rec.kind, rec.q, rec.r, rec.size) == key
-    ]
+def _best(kind: str, matches: list[ExtremalRecord]) -> ExtremalRecord | None:
+    """Exact beats bounds; otherwise the strongest bound, first in file order."""
     if not matches:
         return None
     exact = [rec for rec in matches if rec.status == EXACT]
@@ -518,6 +602,13 @@ def cache_get(
     if kind in "FG":
         return max(matches, key=lambda rec: rec.value)
     return min(matches, key=lambda rec: rec.value)
+
+
+def cache_get(
+    kind: str, q: int, r: int, size: int, path: str | os.PathLike | None = None
+) -> ExtremalRecord | None:
+    """Best valid knowledge for a key: exact beats bounds, bounds improve."""
+    return _best(kind, _load_records(cache_path(path), (kind, q, r, size)))
 
 
 def cache_put(record: ExtremalRecord, path: str | os.PathLike | None = None) -> bool:
@@ -537,9 +628,10 @@ def cache_put(record: ExtremalRecord, path: str | os.PathLike | None = None) -> 
 def cache_compact(path: str | os.PathLike | None = None) -> int:
     """Rewrite the cache keeping only the best record per key."""
     target = cache_path(path)
-    records = _load_records(target)
-    keys = {(rec.kind, rec.q, rec.r, rec.size) for rec in records}
-    kept = [cache_get(*key, path=target) for key in sorted(keys)]
+    by_key: dict[tuple, list[ExtremalRecord]] = {}
+    for rec in _load_records(target):
+        by_key.setdefault(_record_key(rec), []).append(rec)
+    kept = [_best(key[0], by_key[key]) for key in sorted(by_key)]
     with open(target, "w", encoding="utf-8") as fh:
         for rec in kept:
             fh.write(json.dumps(rec.to_json()) + "\n")

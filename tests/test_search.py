@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ramsey_pods import search
 from ramsey_pods.budget import Budget
 from ramsey_pods.core import VectorFamily, validate_comparable, validate_increasing
 from ramsey_pods.search import (
@@ -201,6 +202,29 @@ def test_cache_compaction(tmp_path):
     assert kept == 2
     lines = [l for l in path.read_text().splitlines() if l.strip()]
     assert len(lines) == 2
+
+
+def test_cache_validates_only_the_key_it_reads(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    for rec in (exact_F(2, 1, 2), exact_F(2, 2, 2), exact_g(2, 1, 3), exact_f(2, 1, 4)):
+        cache_put(rec, path)
+    seen = []
+
+    def counting(rec):
+        seen.append((rec.kind, rec.q, rec.r, rec.size))
+        return validate_record(rec)
+
+    monkeypatch.setattr(search, "validate_record", counting)
+    assert cache_get("g", 2, 1, 3, path).value == 2
+    assert seen == [("g", 2, 1, 3)]
+    seen.clear()
+    assert cache_put(exact_F(2, 1, 2, Budget(max_nodes=1)), path) is False
+    assert seen == [("F", 2, 1, 2)] * 2  # the new record, then the cached one
+    seen.clear()
+    assert cache_compact(path) == 4
+    assert sorted(seen) == sorted(
+        [("F", 2, 1, 2), ("F", 2, 2, 2), ("g", 2, 1, 3), ("f", 2, 1, 4)]
+    )
 
 
 def test_cache_env_default(tmp_path, monkeypatch):

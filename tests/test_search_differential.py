@@ -1,0 +1,133 @@
+"""The f/g minimizers against brute force that shares no code with them.
+
+``exact_g`` is checked against every q-colored tournament on N <= 4
+vertices, with the longest allowed path found by trying vertex orders;
+``exact_f`` against every coloring of the ordered complete graph on N <= 5
+vertices, with the longest monotone path found by trying vertex subsets.
+The incremental prefix tables inside ``exact_g`` are checked, entry by
+entry, against a fresh ``SubsetPathOracle`` on seeded random prefixes.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from ramsey_pods.paths import SubsetPathOracle
+from ramsey_pods.search import EXACT, PrefixPathTables, exact_f, exact_g
+from ramsey_pods.tournament import ColoredTournament
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
+def _longest_directed(n: int, arcs: dict, allowed: set) -> int:
+    """Longest allowed path: every path is a prefix of some vertex order."""
+    best = 1
+    for order in itertools.permutations(range(1, n + 1)):
+        length = 1
+        while length < n and arcs.get((order[length - 1], order[length])) in allowed:
+            length += 1
+        best = max(best, length)
+    return best
+
+
+def _longest_monotone(n: int, color: dict, allowed: set) -> int:
+    best = 1
+    for size in range(2, n + 1):
+        for verts in itertools.combinations(range(1, n + 1), size):
+            if all(color[a, b] in allowed for a, b in zip(verts, verts[1:])):
+                best = size
+    return best
+
+
+def _brute_g(q: int, r: int, n: int) -> int:
+    subsets = [set(s) for s in itertools.combinations(range(1, q + 1), r)]
+    pairs = _pairs(n)
+    best = n
+    for choice in itertools.product(range(2 * q), repeat=len(pairs)):
+        arcs = {}
+        for (u, v), x in zip(pairs, choice):
+            tail, head = (u, v) if x < q else (v, u)
+            arcs[tail, head] = x % q + 1
+        best = min(best, max(_longest_directed(n, arcs, s) for s in subsets))
+    return best
+
+
+def _brute_f(q: int, r: int, n: int) -> int:
+    subsets = [set(s) for s in itertools.combinations(range(1, q + 1), r)]
+    pairs = _pairs(n)
+    best = n
+    for choice in itertools.product(range(1, q + 1), repeat=len(pairs)):
+        color = dict(zip(pairs, choice))
+        best = min(best, max(_longest_monotone(n, color, s) for s in subsets))
+    return best
+
+
+@pytest.mark.parametrize(
+    "q,r,n", [(q, r, n) for q in (1, 2) for r in range(1, q + 1) for n in range(1, 5)]
+)
+def test_exact_g_matches_every_tournament(q, r, n):
+    rec = exact_g(q, r, n)
+    assert rec.status == EXACT
+    assert rec.value == _brute_g(q, r, n)
+    witness = ColoredTournament.from_json(rec.certificate)
+    arcs = {(u, v): c for u, v, c in witness.edges()}
+    subsets = [set(s) for s in itertools.combinations(range(1, q + 1), r)]
+    assert max(_longest_directed(n, arcs, s) for s in subsets) == rec.value
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2) for n in range(1, 6)])
+def test_exact_f_matches_every_coloring(r, n):
+    rec = exact_f(2, r, n)
+    assert rec.status == EXACT
+    assert rec.value == _brute_f(2, r, n)
+    color = {(u, v): c for u, v, c in rec.certificate["colors"]}
+    subsets = [set(s) for s in itertools.combinations((1, 2), r)]
+    assert max(_longest_monotone(n, color, s) for s in subsets) == rec.value
+
+
+def _random_arcs(rng: random.Random, n: int, q: int) -> dict:
+    """(i, k) -> (tail, head, color) for every pair i < k."""
+    arcs = {}
+    for i, k in _pairs(n):
+        tail, head = (i, k) if rng.random() < 0.5 else (k, i)
+        arcs[i, k] = (tail, head, rng.randint(1, q))
+    return arcs
+
+
+def _check_prefix(tables, subsets, arcs: dict, q: int, k: int) -> None:
+    prefix = ColoredTournament(k, q, [a for (i, j), a in arcs.items() if j <= k])
+    for s, h in zip(subsets, tables._h):
+        oracle = SubsetPathOracle(prefix, s)
+        assert h[: 1 << k] == [int(w) for w in oracle._start], (sorted(s), k)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_prefix_tables_match_a_fresh_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    q = rng.randint(1, 3)
+    r = rng.randint(1, q)
+    subsets = [frozenset(s) for s in itertools.combinations(range(1, q + 1), r)]
+    tables = PrefixPathTables(n, subsets)
+    arcs = _random_arcs(rng, n, q)
+    longest = 1
+    for k in range(2, n + 1):
+        longest = max(longest, tables.complete(k, [arcs[j, k] for j in range(1, k)], k + 1))
+        prefix = ColoredTournament(k, q, [a for (i, j), a in arcs.items() if j <= k])
+        assert longest == max(SubsetPathOracle(prefix, s).longest() for s in subsets)
+        _check_prefix(tables, subsets, arcs, q, k)
+    # go back to a random vertex, as the search does, and grow a new suffix;
+    # a fill cut short at a small ``enough`` is redone by the next completion
+    for _ in range(4):
+        k0 = rng.randint(2, n)
+        fresh = _random_arcs(rng, n, q)
+        arcs.update({(i, k): a for (i, k), a in fresh.items() if k >= k0})
+        for k in range(k0, n + 1):
+            into = [arcs[j, k] for j in range(1, k)]
+            if rng.random() < 0.5:
+                assert tables.complete(k, into, 2) <= 2
+            tables.complete(k, into, k + 1)
+            _check_prefix(tables, subsets, arcs, q, k)
