@@ -388,27 +388,23 @@ class ColorClassification:
 
 
 def _half_endpoint_data(t, allowed, half: tuple[int, ...], incoming: bool):
-    """(lengths, paths) for best avoiding paths ending (or starting) per vertex."""
+    """(lengths, path, exact) for best avoiding paths ending (or starting) per vertex.
+
+    ``path(v)`` builds one such path on demand: callers keep only a few
+    ranked endpoints.
+    """
     if len(half) <= EXACT_VERTEX_CAP:
         oracle = SubsetPathOracle(t, allowed, half)
         if incoming:
-            lengths = oracle.lengths_to()
-            paths = {v: oracle.path_to(v) for v in half}
-        else:
-            lengths = oracle.lengths_from()
-            paths = {v: oracle.path_from(v) for v in half}
-        return lengths, paths, True
+            return oracle.lengths_to(), oracle.path_to, True
+        return oracle.lengths_from(), oracle.path_from, True
     if incoming:
         levels, parents = _level_paths(t.allowed_masks(half, allowed)[0], half)
-        paths = {v: _level_path_to(levels, parents, v) for v in half}
-        return levels, paths, False
+        return levels, lambda v: _level_path_to(levels, parents, v), False
     # starting lengths: the level method on the reversed orientation and order
     rev = tuple(reversed(half))
     levels, parents = _level_paths(t.allowed_masks(rev, allowed)[1], rev)
-    paths = {
-        v: tuple(reversed(_level_path_to(levels, parents, v))) for v in half
-    }
-    return levels, paths, False
+    return levels, lambda v: tuple(reversed(_level_path_to(levels, parents, v))), False
 
 
 def classify_colors(
@@ -465,15 +461,14 @@ def classify_colors(
                 levels, _ = _level_paths(t.allowed_masks(verts, allowed)[0], verts)
                 ell[i] = max(levels.values())
                 all_exact = False
-            lengths_in, paths_in, exact_l = _half_endpoint_data(t, allowed, left, True)
-            lengths_out, paths_out, exact_r = _half_endpoint_data(t, allowed, right, False)
+            lengths_in, path_in, exact_l = _half_endpoint_data(t, allowed, left, True)
+            lengths_out, path_out, exact_r = _half_endpoint_data(t, allowed, right, False)
             all_exact = all_exact and exact_l and exact_r
         else:
             ell[i] = 1
             lengths_in = {v: 1 for v in left}
-            paths_in = {v: (v,) for v in left}
             lengths_out = {v: 1 for v in right}
-            paths_out = {v: (v,) for v in right}
+            path_in = path_out = lambda v: (v,)
         if ell[i] >= params.gamma * n:
             long_colors.add(i)
         ranked_left = sorted(left, key=lambda v: (-lengths_in[v], v))
@@ -482,8 +477,8 @@ def classify_colors(
         y_sets[i] = tuple(ranked_right[:s])
         ell_in[i] = lengths_in
         ell_out[i] = lengths_out
-        in_paths[i] = {v: paths_in[v] for v in x_sets[i]}
-        out_paths[i] = {v: paths_out[v] for v in y_sets[i]}
+        in_paths[i] = {v: path_in(v) for v in x_sets[i]}
+        out_paths[i] = {v: path_out(v) for v in y_sets[i]}
     left_condensed = {}
     right_condensed = {}
     b_set, c_set = set(interval_b), set(interval_c)

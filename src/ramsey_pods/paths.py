@@ -4,8 +4,10 @@ Monotone paths in ordered colorings are handled by a polynomial DP over the
 DAG of forward edges.  Directed paths in general tournaments use an exact
 subset DP over (vertex set, endpoint) states, stored as one uint32 endpoint
 mask per vertex set: 2^n words per direction, 16 MB at the 22-vertex cap.
-The cap bounds time as much as memory: filling a table visits n * 2^n
-states, about 92 million at n = 22.
+A table is filled by pushing from the vertex sets that carry a path, level
+by level, so its cost follows those sets and one scan of each level, not
+all n * 2^n states; a dense table at n = 22 still touches most of them.
+Each direction's table is built on the first query that reads it.
 """
 
 from __future__ import annotations
@@ -180,12 +182,6 @@ def ell_avoid_monotone(k: OrderedColoring, i: int) -> PathCertificate:
 # ---------------------------------------------------------------------------
 # directed paths, exact subset DP
 
-# Index entries per gather chunk of the level fill, so the chunk's index,
-# gather and bit matrices stay near 400 kB whatever the level size.  Larger
-# chunks raised the peak memory of runs full of 15-vertex oracles and gained
-# no measurable speed at 21 vertices.
-_CHUNK = 1 << 15
-
 
 @functools.cache
 def _levels(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -195,9 +191,9 @@ def _levels(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     ``order[bounds[k]:bounds[k + 1]]``.  Every oracle on n vertices shares
     the result (32 MB at n = 22), so the array is read-only.
     """
-    masks = np.arange(1 << n, dtype=np.intp)
-    size = np.bitwise_count(masks)
-    order = np.concatenate([masks[size == k] for k in range(n + 1)])
+    size = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    # a stable sort keeps each level in increasing value
+    order = np.argsort(size, kind="stable")
     order.flags.writeable = False
     bounds = tuple(itertools.accumulate((math.comb(n, k) for k in range(n + 1)), initial=0))
     return order, bounds
@@ -222,8 +218,10 @@ class SubsetPathOracle:
     directed path with vertex set exactly S starts at v.  The table has one
     word per vertex set, 2^n words (16 MB at the 22-vertex cap, where a
     2^n x n bool table takes 92 MB).  The mirrored table, for paths ending
-    at a vertex, is the same table built on the reversed orientation, on the
-    first query that needs it.  Every query reads these tables.
+    at a vertex, is the same table built on the reversed orientation.  Both
+    tables are built on the first query that reads them, so a caller that
+    asks only about starts, or only about ends, builds one.  A build visits
+    only the vertex sets that carry a path, plus one scan per level.
     """
 
     def __init__(
@@ -246,54 +244,61 @@ class SubsetPathOracle:
         self._pos = {v: i for i, v in enumerate(self.labels)}
         # _adj[u] bit v set iff u -> v with an allowed color; _radj reversed
         self._adj, self._radj = t.allowed_masks(self.labels, self.allowed)
-        self._start, self._start_reach = self._build(self._adj)
-        self._end = self._end_reach = None  # built lazily from radj
+        # (table, reach) per direction, built on first use
+        self._start: tuple[np.ndarray, list[int]] | None = None
+        self._end: tuple[np.ndarray, list[int]] | None = None
 
     def _build(self, adj: list[int]) -> tuple[np.ndarray, list[int]]:
         """The endpoint-mask table over ``adj``, and its per-level ORs.
 
         ``reach[k]`` has bit v set iff some k-vertex path starts at v; the
         list stops before the first empty level, so its last index is the
-        longest path length.  Level k is filled from level k - 1: v starts
-        a path on S iff v has an edge to a start of a path on S - {v}.  For
-        v outside S the pulled word belongs to the larger set S + {v}, which
-        is still zero when level k is filled, so every v can be pulled in
-        one gather.
+        longest path length.  Level k is pushed from the frontier of level
+        k - 1, the sets S whose word is nonzero: u starts a path on S + {u}
+        iff u is outside S and has an edge to a start of a path on S.  For
+        one u the targets S + {u} are distinct, so a fancy-index OR writes
+        them all.  Sets that carry no path are scanned once and never read
+        again.
         """
         n = self.n
         h = np.zeros(1 << n, dtype=np.uint32)
         bits = 1 << np.arange(n, dtype=np.intp)
         h[bits] = bits
-        out = np.array(adj, dtype=np.uint32)
         reach = [0, (1 << n) - 1]
         for k in range(2, n + 1):
-            level = _level(n, k)
+            level = _level(n, k - 1)
+            frontier = level[h[level] != 0]
+            words = h[frontier]
             seen = 0
-            step = _CHUNK // n
-            for lo in range(0, level.size, step):
-                sets = level[lo : lo + step]
-                pulled = h[sets[:, None] ^ bits]
-                pulled &= out
-                words = np.zeros((sets.size, 4), dtype=np.uint8)
-                words[:, : (n + 7) // 8] = np.packbits(pulled != 0, axis=1, bitorder="little")
-                starts = words.view("<u4")[:, 0]
-                h[sets] = starts
-                seen |= int(np.bitwise_or.reduce(starts))
+            for u, out in enumerate(adj):
+                bit = 1 << u
+                hit = frontier[((frontier & bit) == 0) & ((words & out) != 0)]
+                if hit.size:
+                    hit |= bit
+                    h[hit] |= bit
+                    seen |= bit
             if not seen:
                 break  # no path on k vertices, so none on more
             reach.append(seen)
         return h, reach
 
+    def _start_table(self) -> tuple[np.ndarray, list[int]]:
+        if self._start is None:
+            self._start = self._build(self._adj)
+        return self._start
+
     def _end_table(self) -> tuple[np.ndarray, list[int]]:
         if self._end is None:
-            self._end, self._end_reach = self._build(self._radj)
-        return self._end, self._end_reach
+            self._end = self._build(self._radj)
+        return self._end
 
     def longest(self) -> int:
-        return len(self._start_reach) - 1
+        # both directions give the same length, so read whichever is built
+        _, reach = self._start or self._end or self._start_table()
+        return len(reach) - 1
 
     def longest_from(self, v: int) -> int:
-        return _longest_at(self._start_reach, self._pos[v])
+        return _longest_at(self._start_table()[1], self._pos[v])
 
     def longest_to(self, v: int) -> int:
         return _longest_at(self._end_table()[1], self._pos[v])
@@ -324,7 +329,8 @@ class SubsetPathOracle:
 
     def path_from(self, v: int) -> tuple[int, ...]:
         """A longest path starting at v (deterministic choice among optima)."""
-        seq = self._path(self._start, self._start_reach, self._adj, self._pos[v])
+        table, reach = self._start_table()
+        seq = self._path(table, reach, self._adj, self._pos[v])
         return tuple(self.labels[u] for u in seq)
 
     def path_to(self, v: int) -> tuple[int, ...]:
@@ -335,12 +341,13 @@ class SubsetPathOracle:
 
     def lex_least_longest(self) -> tuple[int, ...]:
         """The lexicographically least vertex sequence among all optima."""
+        table, reach = self._start_table()
         path: list[int] = []
         used = 0
-        for rem in range(self.longest(), 0, -1):
+        for rem in range(len(reach) - 1, 0, -1):
             level = _level(self.n, rem)
             # starts of rem-vertex paths that avoid the vertices placed so far
-            starts = int(np.bitwise_or.reduce(self._start[level[(level & used) == 0]]))
+            starts = int(np.bitwise_or.reduce(table[level[(level & used) == 0]]))
             if path:
                 starts &= self._adj[path[-1]]
             if not starts:  # pragma: no cover - feasibility is exact

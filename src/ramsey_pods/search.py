@@ -42,7 +42,7 @@ from .core import (
     validate_comparable,
     validate_increasing,
 )
-from .paths import SubsetPathOracle, longest_restricted_monotone
+from .paths import EXACT_VERTEX_CAP, SubsetPathOracle, longest_restricted_monotone
 from .tournament import ColoredTournament, OrderedColoring
 
 CACHE_ENV = "RAMSEY_PODS_CACHE"
@@ -459,6 +459,8 @@ def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
     ``PrefixPathTables`` extends one endpoint-mask table per r-subset of
     colors by the vertex sets that contain k.  Practical only for very
     small N: a search that reaches vertex N holds tables of 2^N entries.
+    Unless every tournament is trivially optimal (r >= q or N = 1), N above
+    ``EXACT_VERTEX_CAP`` raises ValueError: no witness could be valued.
     """
     _check_params("g", q, r, n_vertices)
     clock = (budget or Budget()).start()
@@ -470,6 +472,9 @@ def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
         return ExtremalRecord(
             "g", q, r, n, n, EXACT, witness.to_json(), 0, clock.elapsed()
         )
+    if n > EXACT_VERTEX_CAP:
+        # the start witness and every record check value a whole tournament
+        raise ValueError(f"g needs at most {EXACT_VERTEX_CAP} vertices, got {n}")
     start = _canonical_start_coloring(q, n).as_tournament()
     best_val = _restricted_value_directed(start, r)
     best_witness = start
@@ -612,13 +617,25 @@ def cache_get(
 
 
 def cache_put(record: ExtremalRecord, path: str | os.PathLike | None = None) -> bool:
-    """Append a record unless it would weaken existing exact knowledge."""
+    """Append a record unless it would weaken or repeat what is cached.
+
+    Nothing is written under an exact record unless the new one is exact
+    too, nor when a record of the same status is already as strong: for F
+    and G a value at least as large, for f and g one at most as large.
+    """
     problem = validate_record(record)
     if problem is not None:
         raise ValueError(f"refusing to persist an invalid record: {problem}")
     existing = cache_get(record.kind, record.q, record.r, record.size, path)
-    if existing is not None and existing.status == EXACT and record.status != EXACT:
-        return False
+    if existing is not None:
+        if existing.status == EXACT and record.status != EXACT:
+            return False
+        if existing.status == record.status and (
+            existing.value >= record.value
+            if record.kind in "FG"
+            else existing.value <= record.value
+        ):
+            return False
     target = cache_path(path)
     with open(target, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record.to_json()) + "\n")

@@ -45,6 +45,25 @@ def test_search_invalid_exit_one(workdir, capsys):
     assert "error" in err
 
 
+def test_search_g_above_exact_cap_exit_one(workdir, capsys):
+    code, out, err = run(
+        capsys, "search", "g", "2", "1", "23", "--budget", "10", "--no-cache"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "22" in err
+
+
+def test_search_repeated_bound_cached_once(workdir, capsys):
+    for _ in range(3):
+        code, _, _ = run(
+            capsys, "search", "g", "3", "2", "5", "--budget", "80", "--cache", "c.jsonl"
+        )
+        assert code == 2
+    lines = [l for l in (workdir / "c.jsonl").read_text().splitlines() if l.strip()]
+    assert len(lines) == 1
+
+
 def test_search_hits_cache(workdir, capsys):
     run(capsys, "search", "g", "2", "1", "3")
     code, out, _ = run(capsys, "search", "g", "2", "1", "3", "--json")

@@ -193,6 +193,18 @@ def test_cache_prefers_strongest_bound(tmp_path):
     assert cache_get("F", 3, 2, 3, path).value == max(weak.value, strong.value)
 
 
+def test_cache_skips_bounds_no_stronger_than_cached(tmp_path):
+    path = tmp_path / "c.jsonl"
+    weak = exact_F(3, 2, 3, Budget(max_nodes=2))
+    strong = exact_F(3, 2, 3, Budget(max_nodes=20))
+    assert weak.value < strong.value
+    assert cache_put(strong, path)
+    assert not cache_put(weak, path)
+    assert not cache_put(strong, path)
+    lines = [l for l in path.read_text().splitlines() if l.strip()]
+    assert len(lines) == 1
+
+
 def test_cache_compaction(tmp_path):
     path = tmp_path / "c.jsonl"
     cache_put(exact_F(2, 1, 2), path)
