@@ -47,15 +47,25 @@ class CliError(Exception):
         self.code = code
 
 
+def _reject_float(text: str):
+    raise ValueError(f"non-integer number {text}")
+
+
 def _load(path: str, parse, what: str):
     """Read a JSON input file and build it with ``parse``.
 
     Every input file goes through here, so malformed content exits with
-    code 3 like unreadable or unparsable JSON does.
+    code 3 like unreadable or unparsable JSON does.  Every number in an
+    input file is an integer: a float literal (``1.5``, ``2e3``, ``NaN``,
+    ``Infinity``) is rejected, not truncated.
     """
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(
+            Path(path).read_text(),
+            parse_float=_reject_float,
+            parse_constant=_reject_float,
+        )
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot parse {path}: {exc}", 3)
     try:
         return parse(data)

@@ -8,18 +8,21 @@ output is the square of a path (consecutive edges forward, distance-two
 edges backward) with colors periodic with period three.
 
 The recursive finder realizes the interval decomposition: order the
-vertices, clean high-backward-degree vertices, split colors into long and
-short by the gamma*N threshold, rank top in/out path endpoints near the
-midpoint, glue matched halves through a non-avoided forward edge, and
-recurse into the halves that are large enough to beat the best path found
-so far.  Its candidates are the exact subset DP at or below the exact cap,
-and above it the merged-color baseline, the midpoint gluing and the two
-half recursions.  The anchor/block gluing structure of the proof's second
-case (``build_gluing``) is built and audited as a library function; the
-finder does not chain blocks through it, nor run the triangle-pattern
-builder: neither ever won a recursion node on the benchmark's decompose
-instances or on the pinned corpus of ``tests/test_decomposition_pinned.py``.  At desk scale these are heuristics; every returned path is
-re-validated, never trusted.
+vertices, clean high-backward-degree vertices, rank top in/out path
+endpoints of the two halves around the midpoint, glue matched halves
+through a non-avoided forward edge, and recurse into the halves that are
+large enough to beat the best path found so far.  Its candidates are the
+exact subset DP at or below the exact cap, and above it the merged-color
+baseline, the midpoint gluing and the two half recursions.
+
+The proof's second case, an anchor/block chain through the diffuse colors,
+is built and audited by ``build_gluing`` as a library function, which
+derives its own long/short and condensed split of the colors.  The finder
+neither chains blocks through it nor runs the triangle-pattern builder:
+neither ever won a recursion node on the benchmark's decompose instances
+or on the pinned corpus of ``tests/test_decomposition_pinned.py``.  At
+desk scale these are heuristics; every returned path is re-validated,
+never trusted.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .paths import (
 )
 from .tournament import (
     ColoredTournament,
-    ConsistentOrderedGraph,
     backward_edge_count,
     clean_degrees,
     heuristic_transitive_order,
@@ -329,8 +331,7 @@ def merged_color_baseline(t: ColoredTournament) -> tuple[int, PathCertificate]:
         cert = PathCertificate(
             "directed", PathConstraint(avoid=avoided), _level_path_to(levels, parents, v)
         )
-        key = (-cert.length, avoided, cert.vertices)
-        if best is None or key < (-best[1].length, best[0], best[1].vertices):
+        if best is None or _preference(avoided, cert) < _preference(*best):
             best = (avoided, cert)
     assert validate_path(t, best[1]) is None
     return best
@@ -342,7 +343,7 @@ def merged_color_baseline(t: ColoredTournament) -> tuple[int, PathCertificate]:
 
 @dataclass(frozen=True)
 class ColorClassification:
-    """Interval split, long/short colors, and ranked endpoint sets.
+    """Interval split and ranked endpoint sets per avoided color.
 
     ``ell_in[i][v]`` is the (exact or estimated) length of the longest
     i-avoiding path inside the left half ending at v, ``x_sets[i]`` the s
@@ -352,72 +353,48 @@ class ColorClassification:
 
     order: tuple[int, ...]
     params: ProofParameters
-    graph: ConsistentOrderedGraph
     interval_a: tuple[int, ...]
     interval_b: tuple[int, ...]
     interval_c: tuple[int, ...]
     interval_d: tuple[int, ...]
-    ell: dict[int, int]
-    long_colors: frozenset[int]
     x_sets: dict[int, tuple[int, ...]]
     y_sets: dict[int, tuple[int, ...]]
     ell_in: dict[int, dict[int, int]] = field(repr=False)
     ell_out: dict[int, dict[int, int]] = field(repr=False)
     in_paths: dict[int, dict[int, tuple[int, ...]]] = field(repr=False)
     out_paths: dict[int, dict[int, tuple[int, ...]]] = field(repr=False)
-    left_condensed: dict[int, bool] = field(default_factory=dict)
-    right_condensed: dict[int, bool] = field(default_factory=dict)
-    exact: bool = True
-
-    @property
-    def short_colors(self) -> list[int]:
-        q = self.params.q
-        return [c for c in range(1, q + 1) if c not in self.long_colors]
-
-    @property
-    def condensed(self) -> list[int]:
-        return [
-            c
-            for c in self.short_colors
-            if self.left_condensed[c] and self.right_condensed[c]
-        ]
-
-    @property
-    def left_diffuse(self) -> list[int]:
-        return [c for c in self.short_colors if not self.left_condensed[c]]
 
 
 def _half_endpoint_data(t, allowed, half: tuple[int, ...], incoming: bool):
-    """(lengths, path, exact) for best avoiding paths ending (or starting) per vertex.
+    """(lengths, path) for best avoiding paths ending (or starting) per vertex.
 
     ``path(v)`` builds one such path on demand: callers keep only a few
-    ranked endpoints.
+    ranked endpoints.  Lengths are exact up to ``EXACT_VERTEX_CAP`` vertices
+    and level-method estimates above it.
     """
     if len(half) <= EXACT_VERTEX_CAP:
         oracle = SubsetPathOracle(t, allowed, half)
         if incoming:
-            return oracle.lengths_to(), oracle.path_to, True
-        return oracle.lengths_from(), oracle.path_from, True
+            return oracle.lengths_to(), oracle.path_to
+        return oracle.lengths_from(), oracle.path_from
     if incoming:
         levels, parents = _level_paths(t.allowed_masks(half, allowed)[0], half)
-        return levels, lambda v: _level_path_to(levels, parents, v), False
+        return levels, lambda v: _level_path_to(levels, parents, v)
     # starting lengths: the level method on the reversed orientation and order
     rev = tuple(reversed(half))
     levels, parents = _level_paths(t.allowed_masks(rev, allowed)[1], rev)
-    return levels, lambda v: tuple(reversed(_level_path_to(levels, parents, v))), False
+    return levels, lambda v: tuple(reversed(_level_path_to(levels, parents, v)))
 
 
 def classify_colors(
-    t: ColoredTournament,
-    order,
-    params: ProofParameters,
-    graph: ConsistentOrderedGraph | None = None,
+    t: ColoredTournament, order, params: ProofParameters
 ) -> ColorClassification:
-    """Split colors by length and rank endpoint sets over four intervals.
+    """Rank endpoint sets per avoided color over four intervals.
 
     The order is cut into A|B|C|D with |B| = |C| = 4s around the midpoint;
-    requires at least 16s vertices.  Endpoint ranking ties break by vertex
-    label ascending.
+    requires at least 16s vertices.  Per color, one endpoint table for each
+    half: the s best ends of paths in A|B and the s best starts of paths in
+    C|D.  Endpoint ranking ties break by vertex label ascending.
     """
     order = tuple(order)
     n = len(order)
@@ -426,14 +403,6 @@ def classify_colors(
         raise DegenerateScale(f"{n} vertices < 16s = {16 * s}")
     if sorted(order) != sorted(t.vertices):
         raise ValueError("order must be a permutation of the vertex set")
-    if graph is None:
-        edges = frozenset(
-            (min(u, v), max(u, v))
-            for i, u in enumerate(order)
-            for v in order[i + 1 :]
-            if t.has_edge(u, v)
-        )
-        graph = ConsistentOrderedGraph(order=order, edges=edges)
     h = n // 2
     interval_a = order[: h - 4 * s]
     interval_b = order[h - 4 * s : h]
@@ -442,35 +411,21 @@ def classify_colors(
     left = interval_a + interval_b
     right = interval_c + interval_d
     q = params.q
-    ell: dict[int, int] = {}
-    long_colors = set()
     x_sets: dict[int, tuple[int, ...]] = {}
     y_sets: dict[int, tuple[int, ...]] = {}
     ell_in: dict[int, dict[int, int]] = {}
     ell_out: dict[int, dict[int, int]] = {}
     in_paths: dict[int, dict[int, tuple[int, ...]]] = {}
     out_paths: dict[int, dict[int, tuple[int, ...]]] = {}
-    all_exact = True
     for i in range(1, q + 1):
         allowed = frozenset(c for c in range(1, q + 1) if c != i)
         if allowed:
-            if n <= EXACT_VERTEX_CAP:
-                ell[i] = SubsetPathOracle(t, allowed).longest()
-            else:
-                verts = tuple(sorted(t.vertices))
-                levels, _ = _level_paths(t.allowed_masks(verts, allowed)[0], verts)
-                ell[i] = max(levels.values())
-                all_exact = False
-            lengths_in, path_in, exact_l = _half_endpoint_data(t, allowed, left, True)
-            lengths_out, path_out, exact_r = _half_endpoint_data(t, allowed, right, False)
-            all_exact = all_exact and exact_l and exact_r
+            lengths_in, path_in = _half_endpoint_data(t, allowed, left, True)
+            lengths_out, path_out = _half_endpoint_data(t, allowed, right, False)
         else:
-            ell[i] = 1
             lengths_in = {v: 1 for v in left}
             lengths_out = {v: 1 for v in right}
             path_in = path_out = lambda v: (v,)
-        if ell[i] >= params.gamma * n:
-            long_colors.add(i)
         ranked_left = sorted(left, key=lambda v: (-lengths_in[v], v))
         ranked_right = sorted(right, key=lambda v: (-lengths_out[v], v))
         x_sets[i] = tuple(ranked_left[:s])
@@ -479,33 +434,19 @@ def classify_colors(
         ell_out[i] = lengths_out
         in_paths[i] = {v: path_in(v) for v in x_sets[i]}
         out_paths[i] = {v: path_out(v) for v in y_sets[i]}
-    left_condensed = {}
-    right_condensed = {}
-    b_set, c_set = set(interval_b), set(interval_c)
-    for i in range(1, q + 1):
-        if i in long_colors:
-            continue
-        left_condensed[i] = 2 * len(set(x_sets[i]) & b_set) >= s
-        right_condensed[i] = 2 * len(set(y_sets[i]) & c_set) >= s
     return ColorClassification(
         order=order,
         params=params,
-        graph=graph,
         interval_a=interval_a,
         interval_b=interval_b,
         interval_c=interval_c,
         interval_d=interval_d,
-        ell=ell,
-        long_colors=frozenset(long_colors),
         x_sets=x_sets,
         y_sets=y_sets,
         ell_in=ell_in,
         ell_out=ell_out,
         in_paths=in_paths,
         out_paths=out_paths,
-        left_condensed=left_condensed,
-        right_condensed=right_condensed,
-        exact=all_exact,
     )
 
 
@@ -560,19 +501,55 @@ def audit_gluing(
     return None
 
 
+def _left_diffuse_colors(
+    t: ColoredTournament, classification: ColorClassification
+) -> list[int]:
+    """Colors that are neither long nor left-condensed, ascending.
+
+    A color is long when its avoiding path over the whole vertex set, exact
+    up to ``EXACT_VERTEX_CAP`` vertices and a level-method estimate above
+    it, has at least gamma*N vertices; left-condensed when at least s/2 of
+    its ranked left endpoints ``x_sets[i]`` lie in B.
+    """
+    params = classification.params
+    q, s = params.q, params.s
+    n = len(classification.order)
+    verts = tuple(sorted(t.vertices))
+    b_set = set(classification.interval_b)
+    diffuse = []
+    for i in range(1, q + 1):
+        if 2 * len(set(classification.x_sets[i]) & b_set) >= s:
+            continue
+        allowed = frozenset(c for c in range(1, q + 1) if c != i)
+        if not allowed:
+            estimate = 1
+        elif n <= EXACT_VERTEX_CAP:
+            estimate = SubsetPathOracle(t, allowed).longest()
+        else:
+            levels, _ = _level_paths(t.allowed_masks(verts, allowed)[0], verts)
+            estimate = max(levels.values())
+        if estimate < params.gamma * n:
+            diffuse.append(i)
+    return diffuse
+
+
 def build_gluing(
     t: ColoredTournament, order, classification: ColorClassification
 ) -> GluingStructure:
     """Anchor/block chain through the left-diffuse top endpoint sets.
 
-    Follows the recursive construction: after each anchor take the next 4s
-    vertices of U as candidates, the following 8s as anchor candidates,
-    drop the current anchor's exceptional set, and pick the next anchor
-    with few exceptional hits.  The result is audited edge by edge.
+    The left-diffuse colors come from ``_left_diffuse_colors``; the first p
+    of them form the diffuse set.  Follows the recursive construction: after
+    each anchor take the next 4s vertices of U as candidates, the following
+    8s as anchor candidates, drop the current anchor's exceptional set, and
+    pick the next anchor with few exceptional hits.  A vertex's exceptional
+    set holds its ranked path, its color's ranked endpoints and its
+    non-neighbours: the vertices of A|B whose pair with it ``t`` orients
+    against ``classification.order``.  The result is audited edge by edge.
     """
     params = classification.params
     p, s = params.p, params.s
-    diffuse = classification.left_diffuse
+    diffuse = _left_diffuse_colors(t, classification)
     if len(diffuse) < p:
         raise NotDiffuse(f"{len(diffuse)} left-diffuse colors < p = {p}")
     delta_l = tuple(sorted(diffuse)[:p])
@@ -587,7 +564,11 @@ def build_gluing(
     if not u_all:
         raise NotDiffuse("no ranked endpoints fall inside the first interval")
 
-    graph = classification.graph
+    ranks = {v: k for k, v in enumerate(classification.order)}
+
+    def neighbours(v: int, w: int) -> bool:
+        first, last = (v, w) if ranks[v] < ranks[w] else (w, v)
+        return t.has_edge(first, last)
 
     def exceptional(v: int) -> set[int]:
         i = iota[v]
@@ -595,7 +576,7 @@ def build_gluing(
         bad.update(
             w
             for w in classification.interval_a + classification.interval_b
-            if w != v and not graph.has_edge(v, w)
+            if w != v and not neighbours(v, w)
         )
         bad.update(classification.x_sets[i])
         return bad
@@ -720,30 +701,27 @@ def recursive_color_avoiding(
     base_params = params if params is not None else _driver_params(q, n)
 
     classification = None
-    cleaned = None
     back = backward_edge_count(t, order)
     delta = _measured_delta(back, n, base_params.delta)
     if delta is not None:
         try:
-            sub_t, graph = clean_degrees(t, order, delta)
-            sub_order = tuple(v for v in order if v in set(sub_t.vertices))
+            sub_t, sub_order = clean_degrees(t, order, delta)
             cls_params = (
                 params
                 if params is not None
                 else _driver_params(q, sub_t.n_vertices)
             )
-            classification = classify_colors(sub_t, sub_order, cls_params, graph)
-            cleaned = (sub_t, sub_order)
+            classification = classify_colors(sub_t, sub_order, cls_params)
         except (DegenerateScale, ValueError):
             classification = None
 
     if classification is not None:
-        sub_t, sub_order = cleaned
         halves = (
             classification.interval_a + classification.interval_b,
             classification.interval_c + classification.interval_d,
         )
-        # midpoint gluing: first forward non-i edge between ranked endpoint sets
+        # midpoint gluing: first forward non-i edge between ranked endpoint
+        # sets; every v in B precedes every w in C in the cleaned order
         b_set = set(classification.interval_b)
         c_set = set(classification.interval_c)
         for i in range(1, q + 1):
@@ -752,11 +730,7 @@ def recursive_color_avoiding(
             hit = None
             for v in xs:
                 for w in ys:
-                    if (
-                        classification.graph.has_edge(v, w)
-                        and sub_t.has_edge(v, w)
-                        and sub_t.color(v, w) != i
-                    ):
+                    if sub_t.has_edge(v, w) and sub_t.color(v, w) != i:
                         hit = (v, w)
                         break
                 if hit:
@@ -803,11 +777,17 @@ def recursive_color_avoiding(
     return chosen
 
 
+def _preference(color: int, cert: PathCertificate):
+    """Sort key of the tie-break rule: the smallest key wins.
+
+    Longer paths first, then the smaller avoided color, then the
+    lexicographically smaller vertex sequence.
+    """
+    return (-cert.length, color, cert.vertices)
+
+
 def _select(t, candidates) -> tuple[int, PathCertificate]:
-    best = min(
-        candidates, key=lambda item: (-item[1].length, item[0], item[1].vertices)
-    )
-    color, cert = best[0], best[1]
+    color, cert, _ = min(candidates, key=lambda item: _preference(item[0], item[1]))
     problem = validate_path(t, cert)
     if problem is not None:
         raise AuditFailed(f"selected certificate failed validation: {problem}")

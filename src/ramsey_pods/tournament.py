@@ -8,7 +8,6 @@ refer to the instance they were found in.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -195,28 +194,6 @@ class ColoredTournament:
         return cls(int(data["N"]), int(data["q"]), [tuple(e) for e in data["edges"]])
 
 
-@dataclass(frozen=True)
-class ConsistentOrderedGraph:
-    """An ordered graph whose edges are exactly the forward pairs of a tournament."""
-
-    order: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]  # pairs sorted by label
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def non_neighbor_count(self, v: int) -> int:
-        return sum(1 for w in self.order if w != v and not self.has_edge(v, w))
-
-    def is_consistent_with(self, t: ColoredTournament) -> bool:
-        pos = {v: i for i, v in enumerate(self.order)}
-        for u in self.order:
-            for v in self.order:
-                if pos[u] < pos[v] and self.has_edge(u, v) != t.has_edge(u, v):
-                    return False
-        return True
-
-
 def backward_edge_count(t: ColoredTournament, order: Sequence[int]) -> int:
     """Pairs placed forward by ``order`` but oriented backward in ``t``."""
     if sorted(order) != sorted(t.vertices):
@@ -349,14 +326,15 @@ def pattern_buckets(t: ColoredTournament) -> dict[tuple[int, int, int], list[tup
 
 def clean_degrees(
     t: ColoredTournament, order: Sequence[int], delta
-) -> tuple[ColoredTournament, ConsistentOrderedGraph]:
-    """Drop high-backward-degree vertices and expose the forward graph.
+) -> tuple[ColoredTournament, tuple[int, ...]]:
+    """Drop high-backward-degree vertices; return the rest and their order.
 
     Requires the order to witness delta^2-closeness, i.e. at most
-    delta^2 * N0^2 backward edges.  The result keeps at least (1-delta) N0
-    vertices and every surviving vertex has at most 4 delta N non-neighbors
-    in the returned graph, both guaranteed by construction and re-checkable
-    independently.
+    delta^2 * N0^2 backward edges.  Returns the restricted tournament and
+    ``kept``, the surviving vertices in the given order.  At least
+    (1-delta) N0 vertices survive, and each lies in at most 4 delta N pairs
+    of ``kept`` that the tournament orients backward; both bounds hold by
+    construction and are re-checkable independently.
     """
     delta = Fraction(delta)
     if not Fraction(0) < delta < Fraction(1, 2):
@@ -370,26 +348,14 @@ def clean_degrees(
         )
     # backward-pair graph degrees
     deg = {v: 0 for v in order}
-    backward_pairs = set()
     for i, u in enumerate(order):
         for v in order[i + 1 :]:
             if t.has_edge(v, u):
                 deg[u] += 1
                 deg[v] += 1
-                backward_pairs.add((min(u, v), max(u, v)))
     threshold = 2 * delta * n0
-    kept = [v for v in order if Fraction(deg[v]) <= threshold]
-    sub = t.restrict(kept)
-    kept_set = set(kept)
-    edges = frozenset(
-        (min(u, v), max(u, v))
-        for i, u in enumerate(kept)
-        for v in kept[i + 1 :]
-        if (min(u, v), max(u, v)) not in backward_pairs
-    )
-    graph = ConsistentOrderedGraph(order=tuple(kept), edges=edges)
-    assert kept_set == set(sub.vertices)
-    return sub, graph
+    kept = tuple(v for v in order if Fraction(deg[v]) <= threshold)
+    return t.restrict(kept), kept
 
 
 def random_tournament(n_vertices: int, q: int, seed: int = 0) -> ColoredTournament:

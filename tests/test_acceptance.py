@@ -295,16 +295,17 @@ def test_criterion_11_degree_cleaning_postconditions():
             ]
             t = ColoredTournament(n0, 3, edges)
             order = tuple(range(1, n0 + 1))
-            sub, graph = clean_degrees(t, order, delta)
+            sub, kept = clean_degrees(t, order, delta)
             n = sub.n_vertices
             assert Fraction(n) >= (1 - delta) * n0
-            pos = {v: i for i, v in enumerate(graph.order)}
-            for v in graph.order:
+            assert set(kept) == set(sub.vertices)
+            assert kept == tuple(v for v in order if v in set(kept))
+            pos = {v: i for i, v in enumerate(kept)}
+            for v in kept:
                 bad = sum(
                     1
-                    for w in graph.order
+                    for w in kept
                     if w != v
                     and (t.has_edge(w, v) if pos[v] < pos[w] else t.has_edge(v, w))
                 )
                 assert Fraction(bad) <= 4 * delta * n
-            assert graph.is_consistent_with(sub)

@@ -140,6 +140,38 @@ def test_malformed_input_exit_three(workdir, capsys, command):
     assert err.startswith("error: bad ")
 
 
+def _float_inputs(workdir):
+    """One command per input file kind, each file holding one float literal."""
+    t = random_tournament(4, 2, seed=0).to_json()
+    (workdir / "t.json").write_text(json.dumps(t))
+    cert = '{"mode": "directed", "constraint": {"avoid": 1}, "vertices": [%s]}'
+    (workdir / "c.json").write_text(cert % "1")
+    (workdir / "c_float.json").write_text(cert % "1.9, 2.2")
+    u, v, _ = t["edges"][0]
+    t["edges"][0] = [u, v, 1.5]
+    (workdir / "t_float.json").write_text(json.dumps(t))
+    (workdir / "f.json").write_text('{"q": 2, "n": 3, "r": 1, "vectors": [[1, 1], [2.5, 3]]}')
+    (workdir / "k.json").write_text('{"N": 2, "q": 2, "colors": [[1, 2, 1e0]]}')
+    (workdir / "p.json").write_text('{"q": 3, "r": 2, "n": 2, "apices": [[1, 1, Infinity]]}')
+    return {
+        "certificate": ["verify", "path", "t.json", "c_float.json"],
+        "tournament": ["verify", "path", "t_float.json", "c.json"],
+        "family": ["verify", "sequence", "f.json"],
+        "coloring": ["construct", "balance", "k.json"],
+        "packing": ["verify", "packing", "p.json"],
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["certificate", "tournament", "family", "coloring", "packing"]
+)
+def test_float_literal_exit_three(workdir, capsys, kind):
+    code, out, err = run(capsys, *_float_inputs(workdir)[kind])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot parse ") and "non-integer number" in err
+
+
 def test_verify_packing_names_first_intersecting_pair(workdir, capsys):
     apices = [[1, 1, 1], [2, 2, 1], [2, 2, 2], [2, 1, 2], [1, 2, 1]]
     (workdir / "p.json").write_text(json.dumps({"q": 3, "r": 2, "n": 2, "apices": apices}))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -13,6 +14,8 @@ from ramsey_pods.decomposition import (
     NoCyclicTriangles,
     NotDiffuse,
     SupportTooHigh,
+    _left_diffuse_colors,
+    _level_paths,
     audit_gluing,
     audit_pattern_path,
     build_gluing,
@@ -23,14 +26,11 @@ from ramsey_pods.decomposition import (
 )
 from ramsey_pods.paths import (
     ProofParameters,
+    SubsetPathOracle,
     longest_avoiding_directed_exact,
     validate_path,
 )
-from ramsey_pods.tournament import (
-    ColoredTournament,
-    ConsistentOrderedGraph,
-    random_tournament,
-)
+from ramsey_pods.tournament import ColoredTournament, random_tournament
 
 
 def transitive(n, q, color_fn=lambda u, v: 1):
@@ -108,11 +108,16 @@ def test_classify_monochromatic_long_short_split():
     order = tuple(range(1, n + 1))
     params = ProofParameters(q=2, n_vertices=n, gamma=1 / 8, p=1, s=1, delta=1 / 64)
     cls = classify_colors(t, order, params)
-    assert cls.ell[1] == 1  # avoiding the only used color strands every vertex
-    assert cls.ell[2] == n
-    assert cls.long_colors == frozenset({2})  # n >= 1/gamma
-    assert cls.left_condensed[1] is False  # ties rank the earliest labels
-    assert cls.left_diffuse == [1]
+    assert cls.x_sets[1] == (1,)  # ties rank the earliest labels, outside B
+    assert _left_diffuse_colors(t, cls) == [1]
+    # avoiding the only used color strands every vertex: 1 < gamma * n, short;
+    # avoiding color 2 leaves the whole Hamiltonian path: n >= gamma * n, long
+    spread = dataclasses.replace(cls, x_sets={**cls.x_sets, 2: (1,)})
+    assert _left_diffuse_colors(t, spread) == [1]
+    nothing_long = dataclasses.replace(
+        spread, params=dataclasses.replace(params, gamma=n + 1)
+    )
+    assert _left_diffuse_colors(t, nothing_long) == [1, 2]
 
 
 def test_classify_interval_and_ranking_sizes():
@@ -132,24 +137,37 @@ def test_classify_interval_and_ranking_sizes():
             assert len(cls.y_sets[i]) == s
 
 
+FLAG_CASES = [
+    (20, 3, 5, 1.0, []),  # every color has a Hamiltonian path: all long
+    (20, 3, 5, 1.05, [1, 3]),  # none long; color 2's top endpoint is in B
+    (36, 3, 0, 31 / 36, [1]),  # level estimates 30, 32, 32
+    (36, 2, 3, 0.75, [2]),  # estimates 27, 24; color 1 condensed
+]
+
+
 def test_classify_flags_recomputable():
-    n, q = 36, 3
-    t = near_transitive(n, q, 0.02, 11)
-    order = tuple(range(1, n + 1))
-    params = ProofParameters(q=q, n_vertices=n, gamma=0.08, p=2, s=2, delta=0.01)
-    cls = classify_colors(t, order, params)
-    b_set, c_set = set(cls.interval_b), set(cls.interval_c)
-    for i in range(1, q + 1):
-        if i in cls.long_colors:
-            assert cls.ell[i] >= params.gamma * n
-            continue
-        assert cls.ell[i] < params.gamma * n
-        assert cls.left_condensed[i] == (
-            2 * len(set(cls.x_sets[i]) & b_set) >= params.s
+    for n, q, seed, gamma, want in FLAG_CASES:
+        t = random_tournament(n, q, seed=seed)
+        verts = tuple(range(1, n + 1))
+        params = ProofParameters(
+            q=q, n_vertices=n, gamma=gamma, p=2, s=1, delta=0.01
         )
-        assert cls.right_condensed[i] == (
-            2 * len(set(cls.y_sets[i]) & c_set) >= params.s
-        )
+        cls = classify_colors(t, verts, params)
+        expected = []
+        for i in range(1, q + 1):
+            allowed = frozenset(range(1, q + 1)) - {i}
+            if n <= 22:  # exact over the whole node, else the level estimate
+                whole = SubsetPathOracle(t, allowed).longest()
+            else:
+                levels, _ = _level_paths(t.allowed_masks(verts, allowed)[0], verts)
+                whole = max(levels.values())
+            long = whole >= gamma * n
+            b_set = set(cls.interval_b)
+            condensed = 2 * len(set(cls.x_sets[i]) & b_set) >= params.s
+            if not long and not condensed:
+                expected.append(i)
+        assert expected == want, (n, q, seed, gamma)
+        assert _left_diffuse_colors(t, cls) == want, (n, q, seed, gamma)
 
 
 def test_classify_ranking_audit():
@@ -201,11 +219,13 @@ def test_classify_engineered_condensed():
     )
     params = ProofParameters(q=2, n_vertices=n, gamma=1 / 4, p=1, s=s, delta=0.01)
     cls = classify_colors(t, order, params)
-    assert 1 not in cls.long_colors  # avoid-1 paths are trapped inside B
-    assert set(cls.x_sets[1]) <= b_members
-    assert cls.left_condensed[1] is True
-    assert cls.right_condensed[1] is True
-    assert 1 in cls.condensed
+    assert set(cls.x_sets[1]) <= b_members  # condensed on the left
+    assert set(cls.y_sets[1]) <= set(cls.interval_c)  # and on the right
+    assert _left_diffuse_colors(t, cls) == []
+    # avoid-1 paths are trapped inside B, so color 1 is short: with its
+    # ranked endpoint moved out of B it turns left-diffuse
+    spread = dataclasses.replace(cls, x_sets={**cls.x_sets, 1: (1,)})
+    assert _left_diffuse_colors(t, spread) == [1]
 
 
 def test_classify_degenerate_scale():
@@ -221,15 +241,15 @@ def test_classify_degenerate_scale():
 
 def _gluing_fixture():
     """13 diffuse colors own one early vertex each; edges inherit the
-    source's color, so anchor-block wiring is diffuse by construction."""
+    source's color, so anchor-block wiring is diffuse by construction.
+
+    With gamma = 1 no color is long: the avoid-i estimate is 33 for
+    i <= 13 and 14 for color 14, both below 34.  Color 14's ranked endpoint
+    lies in B, so colors 1..13 are exactly the left-diffuse ones."""
     n, q = 34, 14
     t = transitive(n, q, color_fn=lambda u, v: u if u <= 13 else 14)
     order = tuple(range(1, n + 1))
-    params = ProofParameters(q=q, n_vertices=n, gamma=0.5, p=13, s=1, delta=0.05)
-    graph = ConsistentOrderedGraph(
-        order=order,
-        edges=frozenset((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)),
-    )
+    params = ProofParameters(q=q, n_vertices=n, gamma=1, p=13, s=1, delta=0.05)
     h = n // 2
     a, b = order[: h - 4], order[h - 4 : h]
     c, d = order[h : h + 4], order[h + 4 :]
@@ -237,27 +257,23 @@ def _gluing_fixture():
     cls = ColorClassification(
         order=order,
         params=params,
-        graph=graph,
         interval_a=a,
         interval_b=b,
         interval_c=c,
         interval_d=d,
-        ell={i: 1 for i in range(1, q + 1)},
-        long_colors=frozenset({14}),
         x_sets=x_sets,
         y_sets={i: (c[0],) for i in range(1, q + 1)},
         ell_in={i: {v: 1 for v in a + b} for i in range(1, q + 1)},
         ell_out={i: {v: 1 for v in c + d} for i in range(1, q + 1)},
         in_paths={i: {v: (v,) for v in x_sets[i]} for i in range(1, q + 1)},
         out_paths={i: {c[0]: (c[0],)} for i in range(1, q + 1)},
-        left_condensed={i: False for i in range(1, 14)},
-        right_condensed={i: True for i in range(1, 14)},
     )
     return t, order, cls
 
 
 def test_build_gluing_fixture():
     t, order, cls = _gluing_fixture()
+    assert _left_diffuse_colors(t, cls) == list(range(1, 14))
     structure = build_gluing(t, order, cls)
     assert structure.t >= 1
     assert structure.anchors == (1, 6)
@@ -272,12 +288,11 @@ def test_build_gluing_fixture():
 
 def test_build_gluing_not_diffuse():
     t, order, cls = _gluing_fixture()
-    starved = ColorClassification(
-        **{
-            **cls.__dict__,
-            "left_condensed": {i: True for i in range(1, 14)},
-        }
+    # every color's ranked left endpoint in B: all left-condensed
+    starved = dataclasses.replace(
+        cls, x_sets={i: (cls.interval_b[0],) for i in cls.x_sets}
     )
+    assert _left_diffuse_colors(t, starved) == []
     with pytest.raises(NotDiffuse):
         build_gluing(t, order, starved)
 

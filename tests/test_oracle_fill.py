@@ -123,10 +123,10 @@ def builds(monkeypatch):
 def test_a_half_builds_only_the_table_it_reads(builds, incoming):
     t = random_tournament(14, 3, seed=2)
     half = tuple(range(1, 15))
-    lengths, path, exact = decomposition._half_endpoint_data(
+    lengths, path = decomposition._half_endpoint_data(
         t, frozenset({1, 2}), half, incoming
     )
-    assert exact and builds[0] == 1
+    assert builds[0] == 1
     for v in sorted(half, key=lambda v: (-lengths[v], v))[:3]:
         seq = path(v)
         assert len(seq) == lengths[v] and seq[-1 if incoming else 0] == v
@@ -140,6 +140,31 @@ def test_classify_colors_builds_one_table_per_half_and_color(builds):
     params = ProofParameters(q=q, n_vertices=n, gamma=0.08, p=2, s=2, delta=0.01)
     decomposition.classify_colors(t, order, params)
     assert builds[0] == 2 * q  # halves of 16 vertices; the whole is above the cap
+
+
+def test_classify_colors_builds_no_whole_node_table(builds):
+    # the whole node is below the cap, but only the halves' tables are read
+    n, q = 20, 3
+    t = random_tournament(n, q, seed=6)
+    params = ProofParameters(q=q, n_vertices=n, gamma=0.5, p=2, s=1, delta=0.01)
+    decomposition.classify_colors(t, tuple(range(1, n + 1)), params)
+    assert builds[0] == 2 * q
+
+
+def test_classify_colors_levels_only_the_halves(monkeypatch):
+    calls = []
+    raw = decomposition._level_paths
+
+    def counting(adj, vertices):
+        calls.append(len(vertices))
+        return raw(adj, vertices)
+
+    monkeypatch.setattr(decomposition, "_level_paths", counting)
+    n, q = 46, 3  # halves of 23 vertices, one above the exact cap
+    t = random_tournament(n, q, seed=8)
+    params = ProofParameters(q=q, n_vertices=n, gamma=0.5, p=2, s=2, delta=0.01)
+    decomposition.classify_colors(t, tuple(range(1, n + 1)), params)
+    assert calls == [23] * (2 * q)
 
 
 def test_exact_node_builds_one_table(builds):

@@ -154,14 +154,23 @@ def test_pattern_buckets_partition_triangles():
         assert sum(len(v) for v in buckets.values()) == count
 
 
+def backward_partners(t, kept, v):
+    """Vertices w of kept whose pair with v t orients against kept's order."""
+    pos = {w: i for i, w in enumerate(kept)}
+    return sum(
+        1
+        for w in kept
+        if w != v and (t.has_edge(w, v) if pos[v] < pos[w] else t.has_edge(v, w))
+    )
+
+
 def test_clean_degrees_transitive_noop():
     t = transitive(10)
     order = tuple(range(1, 11))
-    sub, graph = clean_degrees(t, order, Fraction(1, 10))
+    sub, kept = clean_degrees(t, order, Fraction(1, 10))
     assert sub.n_vertices == 10
-    assert graph.order == order
-    assert all(graph.non_neighbor_count(v) == 0 for v in order)
-    assert graph.is_consistent_with(sub)
+    assert kept == order
+    assert all(backward_partners(t, kept, v) == 0 for v in order)
 
 
 def test_clean_degrees_single_reversal_under_threshold():
@@ -173,10 +182,11 @@ def test_clean_degrees_single_reversal_under_threshold():
     t = ColoredTournament(10, 1, edges)
     order = tuple(range(1, 11))
     assert backward_edge_count(t, order) == 1
-    sub, graph = clean_degrees(t, order, Fraction(2, 5))
+    sub, kept = clean_degrees(t, order, Fraction(2, 5))
     assert sub.n_vertices == 10  # degree 1 <= 2*delta*N = 8, nobody deleted
-    assert graph.non_neighbor_count(4) == 1
-    assert graph.is_consistent_with(sub)
+    assert kept == order
+    assert backward_partners(t, kept, 4) == 1
+    assert backward_partners(t, kept, 3) == 0
 
 
 def test_clean_degrees_postconditions_random():
@@ -194,23 +204,14 @@ def test_clean_degrees_postconditions_random():
         ]
         t = ColoredTournament(n0, 2, edges)
         order = tuple(range(1, n0 + 1))
-        sub, graph = clean_degrees(t, order, delta)
+        sub, kept = clean_degrees(t, order, delta)
         n = sub.n_vertices
         assert Fraction(n) >= (1 - delta) * n0
-        pos = {v: i for i, v in enumerate(graph.order)}
-        for v in graph.order:
+        assert set(kept) == set(sub.vertices)
+        assert kept == tuple(v for v in order if v in set(kept))
+        for v in kept:
             # independent recount straight from the tournament orientation
-            bad = sum(
-                1
-                for w in graph.order
-                if w != v
-                and (
-                    t.has_edge(w, v) if pos[v] < pos[w] else t.has_edge(v, w)
-                )
-            )
-            assert bad == graph.non_neighbor_count(v)
-            assert Fraction(bad) <= 4 * delta * n
-        assert graph.is_consistent_with(sub)
+            assert Fraction(backward_partners(t, kept, v)) <= 4 * delta * n
 
 
 def test_clean_degrees_precondition_violation():
