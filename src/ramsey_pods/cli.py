@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .budget import Budget
@@ -81,9 +82,39 @@ def _parse_instance(data: dict):
     raise CliError("instance file is neither a tournament nor a coloring", 3)
 
 
+def _indented(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` for a value nested at ``indent``.
+
+    The stdlib encoder drops to pure Python whenever it indents.  The shapes
+    the written files are made of are filled at C speed instead: a list of
+    exact ints is one join, and a list of equal-length rows of exact ints
+    (edges, coloring entries, vectors) is one ``%`` fill of a per-row
+    template.  ``bool`` is not an exact int, so it never prints as a digit.
+    Everything else goes to ``json.dumps`` and is shifted to ``indent``; a
+    JSON text has no raw newline inside its strings, so that shift only
+    moves its line starts.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        items = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in obj.items()]
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    if type(obj) is list and obj:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            return "[\n" + inner + sep.join(map(int.__repr__, obj)) + "\n" + indent + "]"
+        if kinds == {list} and len(set(map(len, obj))) == 1 and obj[0]:
+            flat = tuple(chain.from_iterable(obj))
+            if set(map(type, flat)) == {int}:
+                cell = ",\n" + inner + "  "
+                row = "[\n" + inner + "  " + cell.join(["%d"] * len(obj[0])) + "\n" + inner + "]"
+                return ("[\n" + inner + sep.join([row] * len(obj)) + "\n" + indent + "]") % flat
+    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     if path:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(path).write_text(_indented(payload, "") + "\n")
 
 
 def _parse_budget(text: str | None) -> Budget | None:

@@ -43,7 +43,7 @@ from .paths import (
 )
 from .tournament import (
     ColoredTournament,
-    backward_edge_count,
+    backward_degrees,
     clean_degrees,
     heuristic_transitive_order,
     pattern_buckets,
@@ -701,11 +701,11 @@ def recursive_color_avoiding(
     base_params = params if params is not None else _driver_params(q, n)
 
     classification = None
-    back = backward_edge_count(t, order)
-    delta = _measured_delta(back, n, base_params.delta)
+    degrees = backward_degrees(t, order)
+    delta = _measured_delta(sum(degrees) // 2, n, base_params.delta)
     if delta is not None:
         try:
-            sub_t, sub_order = clean_degrees(t, order, delta)
+            sub_t, sub_order = clean_degrees(t, order, delta, degrees)
             cls_params = (
                 params
                 if params is not None

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 class OrderedColoring:
     """A q-edge-colored complete graph on ordered vertices 1..N."""
@@ -22,16 +24,22 @@ class OrderedColoring:
             raise ValueError("palette must be nonempty")
         self.n_vertices = n_vertices
         self.q = q
-        self._color = [[0] * (n_vertices + 1) for _ in range(n_vertices + 1)]
+        color = self._color = [[0] * (n_vertices + 1) for _ in range(n_vertices + 1)]
         seen = 0
-        for u, v, c in colors:
+        for edge in colors:
+            try:
+                u, v, c = edge
+            except TypeError:
+                iter(edge)  # a non-iterable entry: "'int' object is not iterable"
+                raise
             if not (1 <= u < v <= n_vertices):
                 raise ValueError(f"edge ({u},{v}) is not an ordered pair in range")
             if not 1 <= c <= q:
                 raise ValueError(f"color {c} outside [1, {q}]")
-            if self._color[u][v]:
+            row = color[u]
+            if row[v]:
                 raise ValueError(f"edge ({u},{v}) colored twice")
-            self._color[u][v] = self._color[v][u] = c
+            row[v] = color[v][u] = c
             seen += 1
         if seen != n_vertices * (n_vertices - 1) // 2:
             raise ValueError("every vertex pair must be colored exactly once")
@@ -68,7 +76,7 @@ class OrderedColoring:
 
     @classmethod
     def from_json(cls, data: dict) -> "OrderedColoring":
-        return cls(int(data["N"]), int(data["q"]), [tuple(e) for e in data["colors"]])
+        return cls(int(data["N"]), int(data["q"]), data["colors"])
 
     def __eq__(self, other):
         return (
@@ -89,25 +97,36 @@ class ColoredTournament:
 
     def _init_from_edges(self, edges):
         n = len(self.vertices)
-        self._idx = {v: i for i, v in enumerate(self.vertices)}
-        self._colmat = [[0] * n for _ in range(n)]
-        self._out = [0] * n
-        if self.q < 1:
+        q = self.q
+        idx = self._idx = {v: i for i, v in enumerate(self.vertices)}
+        colmat = self._colmat = [[0] * n for _ in range(n)]
+        if q < 1:
             raise ValueError("palette must be nonempty")
+        get = idx.get
+        arrows = bytearray(n * n)  # arrows[i * n + j] == 1 iff i -> j
         seen = 0
-        for u, v, c in edges:
-            if u not in self._idx or v not in self._idx or u == v:
+        for edge in edges:
+            try:
+                u, v, c = edge
+            except TypeError:
+                iter(edge)  # a non-iterable edge: "'int' object is not iterable"
+                raise
+            i = get(u)
+            if i is None or (j := get(v)) is None or i == j:
                 raise ValueError(f"edge ({u},{v}) references an unknown vertex")
-            if not 1 <= c <= self.q:
-                raise ValueError(f"color {c} outside [1, {self.q}]")
-            i, j = self._idx[u], self._idx[v]
-            if self._colmat[i][j]:
+            if not 1 <= c <= q:
+                raise ValueError(f"color {c} outside [1, {q}]")
+            row = colmat[i]
+            if row[j]:
                 raise ValueError(f"pair ({u},{v}) oriented twice")
-            self._colmat[i][j] = self._colmat[j][i] = c
-            self._out[i] |= 1 << j
+            row[j] = colmat[j][i] = c
+            arrows[i * n + j] = 1
             seen += 1
         if seen != n * (n - 1) // 2:
             raise ValueError("every vertex pair needs exactly one directed edge")
+        bits = np.frombuffer(arrows, dtype=np.uint8).reshape(n, n)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        self._out = [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     @classmethod
     def _from_parts(cls, vertices, q, colmat, out) -> "ColoredTournament":
@@ -191,19 +210,34 @@ class ColoredTournament:
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoredTournament":
-        return cls(int(data["N"]), int(data["q"]), [tuple(e) for e in data["edges"]])
+        return cls(int(data["N"]), int(data["q"]), data["edges"])
+
+
+def backward_degrees(t: ColoredTournament, order: Sequence[int]) -> list[int]:
+    """Per vertex of ``order``, its pairs placed forward but oriented backward.
+
+    One pass over the order: a vertex's backward pairs are the later
+    vertices that beat it and the earlier ones it beats.  The degrees sum to
+    twice the backward edge count.
+    """
+    if sorted(order) != sorted(t.vertices):
+        raise ValueError("order must be a permutation of the vertex set")
+    full = (1 << t.n_vertices) - 1
+    later = full
+    degrees = []
+    for u in order:
+        i = t._idx[u]
+        bit = 1 << i
+        later ^= bit
+        earlier = full ^ later ^ bit
+        out = t._out[i]
+        degrees.append((later & ~out).bit_count() + (earlier & out).bit_count())
+    return degrees
 
 
 def backward_edge_count(t: ColoredTournament, order: Sequence[int]) -> int:
     """Pairs placed forward by ``order`` but oriented backward in ``t``."""
-    if sorted(order) != sorted(t.vertices):
-        raise ValueError("order must be a permutation of the vertex set")
-    count = 0
-    for i, u in enumerate(order):
-        for v in order[i + 1 :]:
-            if t.has_edge(v, u):
-                count += 1
-    return count
+    return sum(backward_degrees(t, order)) // 2
 
 
 def heuristic_transitive_order(t: ColoredTournament, seed: int = 0) -> tuple[int, ...]:
@@ -325,7 +359,7 @@ def pattern_buckets(t: ColoredTournament) -> dict[tuple[int, int, int], list[tup
 
 
 def clean_degrees(
-    t: ColoredTournament, order: Sequence[int], delta
+    t: ColoredTournament, order: Sequence[int], delta, degrees: Sequence[int] | None = None
 ) -> tuple[ColoredTournament, tuple[int, ...]]:
     """Drop high-backward-degree vertices; return the rest and their order.
 
@@ -334,27 +368,23 @@ def clean_degrees(
     ``kept``, the surviving vertices in the given order.  At least
     (1-delta) N0 vertices survive, and each lies in at most 4 delta N pairs
     of ``kept`` that the tournament orients backward; both bounds hold by
-    construction and are re-checkable independently.
+    construction and are re-checkable independently.  ``degrees`` is
+    ``backward_degrees(t, order)``, for a caller that already has it.
     """
     delta = Fraction(delta)
     if not Fraction(0) < delta < Fraction(1, 2):
         raise ValueError("delta must lie strictly between 0 and 1/2")
     n0 = t.n_vertices
-    back = backward_edge_count(t, order)
+    if degrees is None:
+        degrees = backward_degrees(t, order)
+    back = sum(degrees) // 2
     if Fraction(back) > delta * delta * n0 * n0:
         raise ValueError(
             f"order witnesses only {back} backward edges > delta^2 N0^2 = "
             f"{float(delta * delta * n0 * n0):.3f}; closeness precondition fails"
         )
-    # backward-pair graph degrees
-    deg = {v: 0 for v in order}
-    for i, u in enumerate(order):
-        for v in order[i + 1 :]:
-            if t.has_edge(v, u):
-                deg[u] += 1
-                deg[v] += 1
     threshold = 2 * delta * n0
-    kept = tuple(v for v in order if Fraction(deg[v]) <= threshold)
+    kept = tuple(v for v, d in zip(order, degrees) if d <= threshold)
     return t.restrict(kept), kept
 
 

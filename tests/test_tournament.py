@@ -7,6 +7,7 @@ import pytest
 from ramsey_pods.tournament import (
     ColoredTournament,
     OrderedColoring,
+    backward_degrees,
     backward_edge_count,
     canonical_pattern,
     clean_degrees,
@@ -52,6 +53,24 @@ def test_backward_count_complementarity():
             backward_edge_count(t, order) + backward_edge_count(t, order[::-1])
             == total
         )
+
+
+def test_backward_degrees_match_pair_scan():
+    for seed in range(10):
+        t = random_tournament(12, 3, seed=seed)
+        # relabeled vertices, so positions in the order and internal indices differ
+        order = list(t.vertices)
+        random.Random(seed).shuffle(order)
+        t = t.restrict(order[:10])
+        order = [v for v in order if v in t.vertices]
+        deg = {v: 0 for v in order}
+        for i, u in enumerate(order):
+            for v in order[i + 1 :]:
+                if t.has_edge(v, u):
+                    deg[u] += 1
+                    deg[v] += 1
+        assert backward_degrees(t, order) == [deg[v] for v in order]
+        assert backward_edge_count(t, order) == sum(deg.values()) // 2
 
 
 def test_backward_edge_count_rejects_non_permutation():
