@@ -52,26 +52,46 @@ def _reject_float(text: str):
     raise ValueError(f"non-integer number {text}")
 
 
+def _find_bool(data):
+    """A JSON ``true``/``false`` inside parsed data, else None."""
+    stack = [data]
+    while stack:
+        x = stack.pop()
+        if type(x) is bool:
+            return x
+        if type(x) is list:
+            stack.extend(x)
+        elif type(x) is dict:
+            stack.extend(x.values())
+    return None
+
+
 def _load(path: str, parse, what: str):
     """Read a JSON input file and build it with ``parse``.
 
     Every input file goes through here, so malformed content exits with
     code 3 like unreadable or unparsable JSON does.  Every number in an
     input file is an integer: a float literal (``1.5``, ``2e3``, ``NaN``,
-    ``Infinity``) is rejected, not truncated.
+    ``Infinity``) is rejected, not truncated.  No input format has a
+    boolean field, and Python reads ``true`` as the integer 1, so a file
+    holding ``true`` or ``false`` is rejected too; the parser's own checks
+    run first and keep their messages.  The data is walked for booleans
+    only when the raw text holds such a token.
     """
     try:
-        data = json.loads(
-            Path(path).read_text(),
-            parse_float=_reject_float,
-            parse_constant=_reject_float,
-        )
+        text = Path(path).read_text()
+        data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot parse {path}: {exc}", 3)
     try:
-        return parse(data)
+        obj = parse(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"bad {what}: {exc}", 3)
+    if "true" in text or "false" in text:
+        flag = _find_bool(data)
+        if flag is not None:
+            raise CliError(f"bad {what}: boolean {json.dumps(flag)} is not an integer", 3)
+    return obj
 
 
 def _parse_instance(data: dict):

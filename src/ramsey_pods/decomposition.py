@@ -27,6 +27,7 @@ never trusted.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -217,67 +218,76 @@ def audit_pattern_path(t: ColoredTournament, cert: PathCertificate) -> str | Non
 # maximal-acyclic-subgraph levels: estimator and merged-color baseline
 
 
+def _maximal_acyclic(adj: list[int]) -> tuple[list[int], list[int]]:
+    """Maximal acyclic subgraph of ``adj`` as (out, into) bitmasks.
+
+    Keeps every forward edge, then each backward edge a -> b (positions a
+    ascending, b ascending) that closes no cycle with the edges kept so
+    far.  Keeping an edge out of a never changes the set R of vertices
+    that reach a: a new path into a through a -> b would need b to reach a
+    already, and then that edge was not kept.  So one reverse search over
+    the kept in-edges per vertex with backward edges gives R, and a's kept
+    backward edges are ``back & ~R``.  Cost: one search per such vertex,
+    O(m) big-int operations each, instead of one search per edge.
+    """
+    m = len(adj)
+    keep = [0] * m  # keep[x] has bit y iff x -> y is kept
+    into = [0] * m  # into[y] has bit x iff x -> y is kept
+    for a in range(m):
+        keep[a] = adj[a] & ~((1 << (a + 1)) - 1)
+        mm = keep[a]
+        while mm:
+            bit = mm & -mm
+            into[bit.bit_length() - 1] |= 1 << a
+            mm ^= bit
+    for a in range(m):
+        back = adj[a] & ((1 << a) - 1)
+        if not back:
+            continue
+        # vertices above a still have only forward edges, so R lies below a
+        reach = frontier = into[a]
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            fresh = into[bit.bit_length() - 1] & ~reach
+            reach |= fresh
+            frontier |= fresh
+        kept = back & ~reach
+        keep[a] |= kept
+        while kept:
+            bit = kept & -kept
+            into[bit.bit_length() - 1] |= 1 << a
+            kept ^= bit
+    return keep, into
+
+
 def _level_paths(adj: list[int], vertices: tuple[int, ...]):
     """Longest-path levels of a maximal acyclic subgraph of allowed edges.
 
     ``adj[a]`` has bit b set iff vertices[a] -> vertices[b] is an allowed
     edge (``ColoredTournament.allowed_masks``).  Returns (levels, parents)
     keyed by label.  The level of v is the vertex count of the longest path
-    ending at v inside the subgraph, so levels properly color the allowed
-    edge set and max(levels) realizes an actual directed path.
+    ending at v inside the subgraph (``_maximal_acyclic``: one reverse
+    search per vertex with backward edges), so levels properly color the
+    allowed edge set and max(levels) realizes an actual directed path.
     """
     m = len(vertices)
-    keep = [0] * m  # maximal acyclic subgraph, starts from forward edges
-    for a in range(m):
-        forward_mask = ~((1 << (a + 1)) - 1)
-        keep[a] = adj[a] & forward_mask
-
-    def reachable(src: int, dst: int) -> bool:
-        seen = 1 << src
-        stack = [src]
-        while stack:
-            x = stack.pop()
-            if x == dst:
-                return True
-            fresh = keep[x] & ~seen
-            seen |= fresh
-            while fresh:
-                bit = fresh & -fresh
-                stack.append(bit.bit_length() - 1)
-                fresh ^= bit
-        return False
-
-    for a in range(m):
-        back = adj[a] & ((1 << a) - 1)
-        while back:
-            bit = back & -back
-            b = bit.bit_length() - 1
-            back ^= bit
-            if not reachable(b, a):
-                keep[a] |= bit
+    keep, into = _maximal_acyclic(adj)
     # Kahn topological order of the kept DAG, smallest position first
-    indeg = [0] * m
-    for a in range(m):
-        mm = keep[a]
-        while mm:
-            bit = mm & -mm
-            indeg[bit.bit_length() - 1] += 1
-            mm ^= bit
-    ready = sorted(i for i in range(m) if indeg[i] == 0)
+    indeg = [mask.bit_count() for mask in into]
+    ready = [i for i in range(m) if not indeg[i]]
     topo = []
     while ready:
-        x = ready.pop(0)
+        x = heapq.heappop(ready)
         topo.append(x)
         mm = keep[x]
-        inserts = []
         while mm:
             bit = mm & -mm
             y = bit.bit_length() - 1
             indeg[y] -= 1
-            if indeg[y] == 0:
-                inserts.append(y)
+            if not indeg[y]:
+                heapq.heappush(ready, y)
             mm ^= bit
-        ready = sorted(ready + inserts)
     level = [1] * m
     parent = [-1] * m
     for x in topo:
@@ -308,24 +318,27 @@ def merged_color_baseline(t: ColoredTournament) -> tuple[int, PathCertificate]:
 
     Scanning every singleton and pair dominates the fixed merge used by the
     pigeonhole guarantee, so the result is always at least ceil(N^(1/(q-1)))
-    on q >= 3 palettes and ceil(sqrt(N)) for q = 2.
+    on q >= 3 palettes and ceil(sqrt(N)) for q = 2.  Each edge carries one
+    color, so a pair class's adjacency is the element-wise OR of its two
+    single-color masks: q mask builds serve all q + C(q, 2) classes.
     """
     q = t.q
     verts = tuple(sorted(t.vertices))
     if q == 1:
         cert = PathCertificate("directed", PathConstraint(avoid=1), (verts[0],))
         return 1, cert
-    classes = [frozenset({c}) for c in range(1, q + 1)]
+    single = {c: t.allowed_masks(verts, frozenset({c}))[0] for c in range(1, q + 1)}
+    classes = [((c,), single[c]) for c in range(1, q + 1)]
     if q >= 3:
         classes += [
-            frozenset({a, b})
+            ((a, b), [x | y for x, y in zip(single[a], single[b])])
             for a in range(1, q + 1)
             for b in range(a + 1, q + 1)
         ]
     best: tuple[int, PathCertificate] | None = None
-    for cls in classes:
+    for cls, adj in classes:
         avoided = min(c for c in range(1, q + 1) if c not in cls)
-        levels, parents = _level_paths(t.allowed_masks(verts, cls)[0], verts)
+        levels, parents = _level_paths(adj, verts)
         top = max(levels.values())
         v = min(u for u, lv in levels.items() if lv == top)
         cert = PathCertificate(

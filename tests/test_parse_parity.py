@@ -93,19 +93,35 @@ def test_malformed_edge_list(tmp_path, capsys, key, cls, name, edges, exc, messa
 
 
 def test_true_vertex_reads_as_one(capsys, tmp_path):
-    # JSON true equals 1 as a dict key and in comparisons, so it is accepted
-    # as vertex 1; pinned so that a parser change cannot alter it unnoticed
+    # The library parsers take Python's True as 1, as a dict key and in
+    # comparisons; pinned so that a parser change cannot alter it unnoticed
     t = ColoredTournament.from_json({"N": 3, "q": 2, "edges": _replace(T, 0, [True, 2, 1])})
     assert list(t.edges()) == list(ColoredTournament(3, 2, T).edges())
     k = OrderedColoring.from_json({"N": 3, "q": 2, "colors": _replace(C, 0, [True, 2, 1])})
     assert k == OrderedColoring(3, 2, C)
+    # no input file format has a boolean field, so the CLI rejects a JSON
+    # true or false anywhere in a file that would otherwise parse
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps({"mode": "directed", "constraint": {"avoid": 1}, "vertices": [1]}))
-    for key, edges, code in (("edges", T, 0), ("colors", C, 1)):
+    for key, edges in (("edges", T), ("colors", C)):
         instance = tmp_path / f"{key}.json"
         instance.write_text(json.dumps({"N": 3, "q": 2, key: _replace(edges, 0, [True, 2, 1])}))
-        assert main(["verify", "path", str(instance), str(cert)]) == code
-    capsys.readouterr()
+        assert main(["verify", "path", str(instance), str(cert)]) == 3
+        assert capsys.readouterr().err.strip().endswith("bad instance: boolean true is not an integer")
+    instance = tmp_path / "plain.json"
+    instance.write_text(json.dumps({"N": 3, "q": 2, "edges": T}))
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps({"mode": "directed", "constraint": {"avoid": False}, "vertices": [1]}))
+    assert main(["verify", "path", str(instance), str(forged)]) == 3
+    assert capsys.readouterr().err.strip().endswith("bad certificate: boolean false is not an integer")
+    # a "true" inside a string is no boolean
+    k1 = tmp_path / "k1.json"
+    k1.write_text(json.dumps({"N": 2, "q": 2, "colors": [[1, 2, 1]], "note": "true"}))
+    assert main(["construct", "product", str(k1), str(k1), "-o", str(tmp_path / "out.json")]) == 0
+    product = tmp_path / "bool.json"
+    product.write_text('{"N": 2, "q": 2, "colors": [[1, 2, true]]}')
+    assert main(["construct", "product", str(product), str(product)]) == 3
+    assert capsys.readouterr().err.strip().endswith("bad coloring: boolean true is not an integer")
 
 
 CERTIFY_SEED_1_DIGESTS = {
