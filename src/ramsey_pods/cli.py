@@ -204,8 +204,11 @@ def cmd_construct(args) -> int:
     if args.what == "canonical":
         if len(args.args) != 2:
             raise CliError("usage: construct canonical <q> <m>", 1)
-        q, m = (int(a) for a in args.args)
-        out = canonical_coloring(q, m)
+        try:
+            q, m = (int(a) for a in args.args)
+            out = canonical_coloring(q, m)
+        except ValueError as exc:
+            raise CliError(str(exc), 1)
         stats = {
             "N": out.n_vertices,
             "single_color_longest": {

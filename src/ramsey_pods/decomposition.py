@@ -27,7 +27,6 @@ never trusted.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -218,89 +217,73 @@ def audit_pattern_path(t: ColoredTournament, cert: PathCertificate) -> str | Non
 # maximal-acyclic-subgraph levels: estimator and merged-color baseline
 
 
-def _maximal_acyclic(adj: list[int]) -> tuple[list[int], list[int]]:
-    """Maximal acyclic subgraph of ``adj`` as (out, into) bitmasks.
+def _maximal_acyclic(masks: tuple[list[int], list[int]]) -> list[int]:
+    """In-masks of a maximal acyclic subgraph of the allowed edges.
 
-    Keeps every forward edge, then each backward edge a -> b (positions a
+    ``masks`` is the (out, into) pair of ``ColoredTournament.allowed_masks``;
+    bit x of the returned ``kept[y]`` is set iff x -> y is kept.  Keeps
+    every forward edge, then each backward edge a -> b (positions a
     ascending, b ascending) that closes no cycle with the edges kept so
     far.  Keeping an edge out of a never changes the set R of vertices
     that reach a: a new path into a through a -> b would need b to reach a
     already, and then that edge was not kept.  So one reverse search over
-    the kept in-edges per vertex with backward edges gives R, and a's kept
-    backward edges are ``back & ~R``.  Cost: one search per such vertex,
-    O(m) big-int operations each, instead of one search per edge.
+    the kept in-masks per vertex with backward edges gives R, and a's kept
+    backward edges are ``back & ~R``.
     """
-    m = len(adj)
-    keep = [0] * m  # keep[x] has bit y iff x -> y is kept
-    into = [0] * m  # into[y] has bit x iff x -> y is kept
-    for a in range(m):
-        keep[a] = adj[a] & ~((1 << (a + 1)) - 1)
-        mm = keep[a]
-        while mm:
-            bit = mm & -mm
-            into[bit.bit_length() - 1] |= 1 << a
-            mm ^= bit
-    for a in range(m):
-        back = adj[a] & ((1 << a) - 1)
+    out, into = masks
+    kept = [mask & ((1 << y) - 1) for y, mask in enumerate(into)]
+    for a, adj in enumerate(out):
+        back = adj & ((1 << a) - 1)
         if not back:
             continue
         # vertices above a still have only forward edges, so R lies below a
-        reach = frontier = into[a]
+        reach = frontier = kept[a]
         while frontier:
             bit = frontier & -frontier
             frontier ^= bit
-            fresh = into[bit.bit_length() - 1] & ~reach
+            fresh = kept[bit.bit_length() - 1] & ~reach
             reach |= fresh
             frontier |= fresh
-        kept = back & ~reach
-        keep[a] |= kept
-        while kept:
-            bit = kept & -kept
-            into[bit.bit_length() - 1] |= 1 << a
-            kept ^= bit
-    return keep, into
+        back &= ~reach
+        while back:
+            bit = back & -back
+            kept[bit.bit_length() - 1] |= 1 << a
+            back ^= bit
+    return kept
 
 
-def _level_paths(adj: list[int], vertices: tuple[int, ...]):
+def _level_paths(masks: tuple[list[int], list[int]], vertices: tuple[int, ...]):
     """Longest-path levels of a maximal acyclic subgraph of allowed edges.
 
-    ``adj[a]`` has bit b set iff vertices[a] -> vertices[b] is an allowed
-    edge (``ColoredTournament.allowed_masks``).  Returns (levels, parents)
-    keyed by label.  The level of v is the vertex count of the longest path
-    ending at v inside the subgraph (``_maximal_acyclic``: one reverse
-    search per vertex with backward edges), so levels properly color the
+    ``masks`` is the (out, into) pair of ``ColoredTournament.allowed_masks``
+    over ``vertices``.  Returns (levels, parents) keyed by label.  The
+    level of v is the vertex count of the longest path ending at v inside
+    the subgraph (``_maximal_acyclic``), so levels properly color the
     allowed edge set and max(levels) realizes an actual directed path.
+    Levels are placed layer by layer: a vertex joins layer k once none of
+    its kept in-neighbours is unplaced, and its parent is the smallest of
+    those in layer k - 1.
     """
     m = len(vertices)
-    keep, into = _maximal_acyclic(adj)
-    # Kahn topological order of the kept DAG, smallest position first
-    indeg = [mask.bit_count() for mask in into]
-    ready = [i for i in range(m) if not indeg[i]]
-    topo = []
-    while ready:
-        x = heapq.heappop(ready)
-        topo.append(x)
-        mm = keep[x]
-        while mm:
-            bit = mm & -mm
-            y = bit.bit_length() - 1
-            indeg[y] -= 1
-            if not indeg[y]:
-                heapq.heappush(ready, y)
-            mm ^= bit
+    into = _maximal_acyclic(masks)
     level = [1] * m
     parent = [-1] * m
-    for x in topo:
-        mm = keep[x]
-        while mm:
-            bit = mm & -mm
-            y = bit.bit_length() - 1
-            if level[x] + 1 > level[y] or (
-                level[x] + 1 == level[y] and (parent[y] == -1 or x < parent[y])
-            ):
-                level[y] = level[x] + 1
-                parent[y] = x
-            mm ^= bit
+    pending = (1 << m) - 1  # vertices not yet in a layer
+    layer = 0  # the previous layer
+    rest = range(m)
+    k = 0
+    while rest:
+        k += 1
+        now, blocked = 0, []
+        for y in rest:
+            if into[y] & pending:
+                blocked.append(y)
+                continue
+            low = into[y] & layer  # empty in the first layer: parent -1
+            level[y], parent[y] = k, (low & -low).bit_length() - 1
+            now |= 1 << y
+        pending ^= now
+        layer, rest = now, blocked
     levels = {vertices[i]: level[i] for i in range(m)}
     parents = {vertices[i]: (vertices[parent[i]] if parent[i] >= 0 else None) for i in range(m)}
     return levels, parents
@@ -319,26 +302,26 @@ def merged_color_baseline(t: ColoredTournament) -> tuple[int, PathCertificate]:
     Scanning every singleton and pair dominates the fixed merge used by the
     pigeonhole guarantee, so the result is always at least ceil(N^(1/(q-1)))
     on q >= 3 palettes and ceil(sqrt(N)) for q = 2.  Each edge carries one
-    color, so a pair class's adjacency is the element-wise OR of its two
-    single-color masks: q mask builds serve all q + C(q, 2) classes.
+    color, so a pair class's (out, into) masks are the element-wise ORs of
+    its two single-color masks: q mask builds serve all q + C(q, 2) classes.
     """
     q = t.q
     verts = tuple(sorted(t.vertices))
     if q == 1:
         cert = PathCertificate("directed", PathConstraint(avoid=1), (verts[0],))
         return 1, cert
-    single = {c: t.allowed_masks(verts, frozenset({c}))[0] for c in range(1, q + 1)}
+    single = {c: t.allowed_masks(verts, frozenset({c})) for c in range(1, q + 1)}
     classes = [((c,), single[c]) for c in range(1, q + 1)]
     if q >= 3:
         classes += [
-            ((a, b), [x | y for x, y in zip(single[a], single[b])])
+            ((a, b), tuple([x | y for x, y in zip(*side)] for side in zip(single[a], single[b])))
             for a in range(1, q + 1)
             for b in range(a + 1, q + 1)
         ]
     best: tuple[int, PathCertificate] | None = None
-    for cls, adj in classes:
+    for cls, masks in classes:
         avoided = min(c for c in range(1, q + 1) if c not in cls)
-        levels, parents = _level_paths(adj, verts)
+        levels, parents = _level_paths(masks, verts)
         top = max(levels.values())
         v = min(u for u, lv in levels.items() if lv == top)
         cert = PathCertificate(
@@ -391,11 +374,11 @@ def _half_endpoint_data(t, allowed, half: tuple[int, ...], incoming: bool):
             return oracle.lengths_to(), oracle.path_to
         return oracle.lengths_from(), oracle.path_from
     if incoming:
-        levels, parents = _level_paths(t.allowed_masks(half, allowed)[0], half)
+        levels, parents = _level_paths(t.allowed_masks(half, allowed), half)
         return levels, lambda v: _level_path_to(levels, parents, v)
     # starting lengths: the level method on the reversed orientation and order
     rev = tuple(reversed(half))
-    levels, parents = _level_paths(t.allowed_masks(rev, allowed)[1], rev)
+    levels, parents = _level_paths(t.allowed_masks(rev, allowed)[::-1], rev)
     return levels, lambda v: tuple(reversed(_level_path_to(levels, parents, v)))
 
 
@@ -539,7 +522,7 @@ def _left_diffuse_colors(
         elif n <= EXACT_VERTEX_CAP:
             estimate = SubsetPathOracle(t, allowed).longest()
         else:
-            levels, _ = _level_paths(t.allowed_masks(verts, allowed)[0], verts)
+            levels, _ = _level_paths(t.allowed_masks(verts, allowed), verts)
             estimate = max(levels.values())
         if estimate < params.gamma * n:
             diffuse.append(i)

@@ -51,6 +51,9 @@ EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 UPPER_BOUND = "upper_bound"
 
+# F and G hold a points x points relation: 256 MB of bools at 2^14 points
+GRID_POINT_CAP = 2**14
+
 
 @dataclass(frozen=True)
 class ExtremalRecord:
@@ -106,6 +109,8 @@ def _check_params(kind: str, q: int, r: int, size: int) -> None:
 
 
 def _grid_vectors(q: int, n: int) -> list[tuple[int, ...]]:
+    if n**q > GRID_POINT_CAP:
+        raise ValueError(f"[{n}]^{q} has {n**q} grid points, above the cap of {GRID_POINT_CAP}")
     return list(itertools.product(range(1, n + 1), repeat=q))
 
 

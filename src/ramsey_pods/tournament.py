@@ -91,6 +91,8 @@ class ColoredTournament:
     """A q-edge-colored tournament on an explicit label set."""
 
     def __init__(self, n_vertices: int, q: int, edges: Iterable[tuple[int, int, int]]):
+        if n_vertices < 1:
+            raise ValueError("need at least one vertex")
         self.vertices: tuple[int, ...] = tuple(range(1, n_vertices + 1))
         self.q = q
         self._init_from_edges(edges)

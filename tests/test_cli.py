@@ -54,6 +54,16 @@ def test_search_g_above_exact_cap_exit_one(workdir, capsys):
     assert err.startswith("error:") and "22" in err
 
 
+def test_search_F_above_grid_cap_exit_one(workdir, capsys):
+    # 129^2 = 16641 grid points: the points x points relation is not built
+    code, out, err = run(
+        capsys, "search", "F", "2", "1", "129", "--budget", "10", "--no-cache"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "16384" in err
+
+
 def test_search_repeated_bound_cached_once(workdir, capsys):
     for _ in range(3):
         code, _, _ = run(
@@ -123,21 +133,44 @@ def _malformed_inputs(workdir):
     (workdir / "c.json").write_text(json.dumps(cert))
     (workdir / "k.json").write_text(json.dumps({"N": 3, "q": 2, "colors": [[1, 2, 1]]}))
     (workdir / "f.json").write_text(json.dumps({"q": 2, "n": 2, "r": 1, "vectors": [[1, 3]]}))
+    for name, n in (("t0.json", 0), ("t_neg.json", -2)):
+        (workdir / name).write_text(json.dumps({"N": n, "q": 2, "edges": []}))
     return {
         "verify_path": ["verify", "path", "t.json", "c.json"],
         "construct_product": ["construct", "product", "k.json", "k.json"],
         "construct_balance": ["construct", "balance", "k.json"],
         "construct_boost": ["construct", "boost", "f.json", "f.json"],
+        "decompose_no_vertices": ["decompose", "recursive", "t0.json"],
+        "decompose_negative_vertices": ["decompose", "recursive", "t_neg.json"],
     }
 
 
 @pytest.mark.parametrize(
-    "command", ["verify_path", "construct_product", "construct_balance", "construct_boost"]
+    "command",
+    [
+        "verify_path",
+        "construct_product",
+        "construct_balance",
+        "construct_boost",
+        "decompose_no_vertices",
+        "decompose_negative_vertices",
+    ],
 )
 def test_malformed_input_exit_three(workdir, capsys, command):
     code, _, err = run(capsys, *_malformed_inputs(workdir)[command])
     assert code == 3
     assert err.startswith("error: bad ")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [(["x", "3"], "invalid literal for int()"), (["0", "3"], "q and m must be positive")],
+)
+def test_construct_canonical_bad_arguments_exit_one(workdir, capsys, args, message):
+    code, out, err = run(capsys, "construct", "canonical", *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
 
 
 def _float_inputs(workdir):

@@ -159,7 +159,7 @@ def test_classify_flags_recomputable():
             if n <= 22:  # exact over the whole node, else the level estimate
                 whole = SubsetPathOracle(t, allowed).longest()
             else:
-                levels, _ = _level_paths(t.allowed_masks(verts, allowed)[0], verts)
+                levels, _ = _level_paths(t.allowed_masks(verts, allowed), verts)
                 whole = max(levels.values())
             long = whole >= gamma * n
             b_set = set(cls.interval_b)

@@ -1,11 +1,14 @@
-"""The level method's acyclic subgraph against a per-edge search reference.
+"""The level method against a per-edge search and relaxation reference.
 
-``_reference_level_paths`` is the per-edge version the reach-set sweep
-replaced: every backward edge a -> b runs its own depth-first search from b
-over the kept edges and is kept when that search misses a.  Both must give
-the same (levels, parents) on every input.  The property tests check the
-kept graph itself: acyclic, maximal among subgraphs of the allowed edges,
-and every level path a real allowed path of ``levels[v]`` vertices.
+``_reference_level_paths`` takes out-masks only: every backward edge a -> b
+runs its own depth-first search from b over the kept edges and is kept when
+that search misses a, then levels and parents are relaxed edge by edge in a
+smallest-first Kahn order.  ``_level_paths`` takes the (out, into) pair of
+``allowed_masks`` and places levels layer by layer over the kept in-masks;
+both must give the same (levels, parents) on every input.  The property
+tests check the kept graph itself: acyclic, maximal among subgraphs of the
+allowed edges, and every level path a real allowed path of ``levels[v]``
+vertices.
 """
 
 import random
@@ -111,39 +114,48 @@ def _flipped(t: ColoredTournament, n_flips: int, seed: int) -> ColoredTournament
 
 
 def _tournaments():
+    """(name, tournament, allowed colors, or None to draw them at random)."""
     for n in (1, 2, 7, 23, 48, 100):
-        yield f"random_{n}", random_tournament(n, 2 + n % 4, seed=n)
+        yield f"random_{n}", random_tournament(n, 2 + n % 4, seed=n), None
     for n in (30, 64, 96):
         near = _flipped(random_ordered_coloring(n, 3, seed=n).as_tournament(), n // 4, n)
-        yield f"near_{n}", near
+        yield f"near_{n}", near, None
     product = lex_product(canonical_coloring(2, 3), random_ordered_coloring(9, 2, seed=4))
-    yield "product_flip_27", _flipped(product.as_tournament(), 12, 5)
-    yield "canonical_q3_m3", canonical_coloring(3, 3).as_tournament()
-    yield "canonical_flip_q4_m2", _flipped(canonical_coloring(4, 2).as_tournament(), 10, 7)
+    yield "product_flip_27", _flipped(product.as_tournament(), 12, 5), None
+    yield "canonical_q3_m3", canonical_coloring(3, 3).as_tournament(), None
+    yield "canonical_flip_q4_m2", _flipped(canonical_coloring(4, 2).as_tournament(), 10, 7), None
+    # every edge kept, one vertex per layer: the deepest layering
+    transitive = random_ordered_coloring(100, 1, seed=0).as_tournament()
+    yield "transitive_100", transitive, frozenset({1})
+    # every edge colored 1, only color 2 allowed: one layer, no parents
+    edges = ((u, v, 1) for u, v, _ in random_tournament(40, 2, seed=40).edges())
+    yield "avoided_40", ColoredTournament(40, 2, edges), frozenset({2})
 
 
 def _cases():
-    """(name, adj, labels): both orientations on sorted, permuted and subset labels."""
+    """(name, masks, labels): the (out, into) pair and its reverse (into, out),
+    on sorted, permuted and subset labels."""
     rng = random.Random(9)
-    yield "empty", [], ()
-    for name, t in _tournaments():
+    yield "empty", ([], []), ()
+    for name, t, allowed in _tournaments():
         verts = sorted(t.vertices)
         colors = range(1, t.q + 1)
-        allowed = frozenset(rng.sample(colors, rng.randint(1, t.q)))
+        drawn = frozenset(rng.sample(colors, rng.randint(1, t.q)))
+        allowed = drawn if allowed is None else allowed
         permuted = rng.sample(verts, len(verts))
         subset = sorted(rng.sample(verts, max(1, len(verts) * 2 // 3)))
         for order, labels in (("sorted", verts), ("permuted", permuted), ("subset", subset)):
             out, into = t.allowed_masks(labels, allowed)
-            for side, adj in (("out", out), ("into", into)):
-                yield f"{name}_{order}_{side}", adj, tuple(labels)
+            for side, masks in (("out", (out, into)), ("into", (into, out))):
+                yield f"{name}_{order}_{side}", masks, tuple(labels)
 
 
 CASES = list(_cases())
 
 
-@pytest.mark.parametrize("name,adj,labels", CASES, ids=[c[0] for c in CASES])
-def test_level_paths_match_reference(name, adj, labels):
-    assert _level_paths(adj, labels) == _reference_level_paths(adj, labels)
+@pytest.mark.parametrize("name,masks,labels", CASES, ids=[c[0] for c in CASES])
+def test_level_paths_match_reference(name, masks, labels):
+    assert _level_paths(masks, labels) == _reference_level_paths(masks[0], labels)
 
 
 def _reaches(keep: list[int], src: int, dst: int) -> bool:
@@ -157,13 +169,15 @@ def _reaches(keep: list[int], src: int, dst: int) -> bool:
     return bool(seen >> dst & 1)
 
 
-@pytest.mark.parametrize("name,adj,labels", CASES, ids=[c[0] for c in CASES])
-def test_kept_graph_is_maximal_acyclic(name, adj, labels):
-    keep, into = _maximal_acyclic(adj)
+@pytest.mark.parametrize("name,masks,labels", CASES, ids=[c[0] for c in CASES])
+def test_kept_graph_is_maximal_acyclic(name, masks, labels):
+    adj = masks[0]
+    into = _maximal_acyclic(masks)
     m = len(adj)
+    keep = [sum(1 << y for y in range(m) if into[y] >> x & 1) for x in range(m)]
     for x in range(m):
         assert keep[x] & ~adj[x] == 0  # only allowed edges
-        assert into[x] == sum(1 << y for y in range(m) if keep[y] >> x & 1)
+        assert into[x] & ~masks[1][x] == 0  # in-masks, in the pair's orientation
         assert not any(_reaches(keep, y, x) for y in range(m) if keep[x] >> y & 1)
         dropped = adj[x] & ~keep[x]
         for y in range(m):
@@ -171,9 +185,10 @@ def test_kept_graph_is_maximal_acyclic(name, adj, labels):
                 assert _reaches(keep, y, x), f"dropping {x} -> {y} closes no cycle"
 
 
-@pytest.mark.parametrize("name,adj,labels", CASES, ids=[c[0] for c in CASES])
-def test_level_paths_are_allowed_paths(name, adj, labels):
-    levels, parents = _level_paths(adj, labels)
+@pytest.mark.parametrize("name,masks,labels", CASES, ids=[c[0] for c in CASES])
+def test_level_paths_are_allowed_paths(name, masks, labels):
+    adj = masks[0]
+    levels, parents = _level_paths(masks, labels)
     pos = {v: i for i, v in enumerate(labels)}
     for v in labels:
         u, steps = v, 0

@@ -155,9 +155,9 @@ def test_classify_colors_levels_only_the_halves(monkeypatch):
     calls = []
     raw = decomposition._level_paths
 
-    def counting(adj, vertices):
+    def counting(masks, vertices):
         calls.append(len(vertices))
-        return raw(adj, vertices)
+        return raw(masks, vertices)
 
     monkeypatch.setattr(decomposition, "_level_paths", counting)
     n, q = 46, 3  # halves of 23 vertices, one above the exact cap

@@ -95,6 +95,14 @@ def test_F_strict_below_G_at_two_thirds():
     assert exact_G(3, 2, 3).value == 5
 
 
+@pytest.mark.parametrize("solver", [exact_F, exact_G])
+@pytest.mark.parametrize("q,n", [(2, 129), (15, 2)])
+def test_grid_above_cap_raises(solver, q, n):
+    # refused before any grid point or the points x points relation is built
+    with pytest.raises(ValueError, match="above the cap of 16384"):
+        solver(q, 1, n, Budget(max_nodes=10))
+
+
 def test_sandwich_bounds():
     for key in PINNED_F:
         if key in PINNED_G:
