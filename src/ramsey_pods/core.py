@@ -137,18 +137,6 @@ class VectorFamily:
             raise ValueError("declared q does not match vector width")
         return fam
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(str(c) for c in v.coords) for v in self.vectors) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str, r: int, n: int | None = None) -> "VectorFamily":
-        rows = [
-            tuple(int(tok) for tok in line.split(","))
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        return cls.from_coords(rows, r, n)
-
 
 @dataclass(frozen=True)
 class ComparabilityCertificate:

@@ -646,10 +646,7 @@ def _measured_delta(back: int, n: int, floor_delta: float) -> Fraction | None:
 
 
 def recursive_color_avoiding(
-    t: ColoredTournament,
-    params: ProofParameters | None = None,
-    seed: int = 0,
-    trace: list | None = None,
+    t: ColoredTournament, seed: int = 0, trace: list | None = None
 ) -> tuple[int, PathCertificate]:
     """Best color-avoiding directed path over the proof-derived branches.
 
@@ -694,20 +691,16 @@ def recursive_color_avoiding(
     branch_lengths["baseline"] = base_cert.length
 
     order = heuristic_transitive_order(t, seed)
-    base_params = params if params is not None else _driver_params(q, n)
 
     classification = None
     degrees = backward_degrees(t, order)
-    delta = _measured_delta(sum(degrees) // 2, n, base_params.delta)
+    delta = _measured_delta(sum(degrees) // 2, n, _driver_params(q, n).delta)
     if delta is not None:
         try:
             sub_t, sub_order = clean_degrees(t, order, delta, degrees)
-            cls_params = (
-                params
-                if params is not None
-                else _driver_params(q, sub_t.n_vertices)
+            classification = classify_colors(
+                sub_t, sub_order, _driver_params(q, sub_t.n_vertices)
             )
-            classification = classify_colors(sub_t, sub_order, cls_params)
         except (DegenerateScale, ValueError):
             classification = None
 
@@ -754,7 +747,7 @@ def recursive_color_avoiding(
         if len(half_verts) < max(2, best):
             continue
         sub = t.restrict(half_verts)
-        color, cert = recursive_color_avoiding(sub, params, seed, trace)
+        color, cert = recursive_color_avoiding(sub, seed, trace)
         if validate_path(t, cert) is None:
             candidates.append((color, cert, f"recurse_{side}"))
             branch_lengths[f"recurse_{side}"] = cert.length

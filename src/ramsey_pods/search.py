@@ -251,6 +251,9 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
         status = EXACT
     except BudgetExceeded:
         status = LOWER_BOUND
+    # a budget that trips before the first leaf leaves no incumbent; any
+    # single vector is a comparable family
+    best = best or [0]
     witness = VectorFamily.from_coords([vecs[i] for i in sorted(best)], r, n)
     assert validate_comparable(witness).ok()
     return ExtremalRecord(

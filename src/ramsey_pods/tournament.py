@@ -2,7 +2,10 @@
 
 Vertices are integer labels; a freshly parsed instance uses 1..N.  Induced
 subtournaments keep the original labels so that path certificates always
-refer to the instance they were found in.
+refer to the instance they were found in.  A tournament stores one signed
+arc matrix (see ``ColoredTournament``); only this module reads it, and the
+sub-tournaments and allowed-color adjacency masks the other modules use are
+numpy gathers from it.
 """
 
 from __future__ import annotations
@@ -88,24 +91,27 @@ class OrderedColoring:
 
 
 class ColoredTournament:
-    """A q-edge-colored tournament on an explicit label set."""
+    """A q-edge-colored tournament on an explicit label set.
+
+    The only stored state is the signed arc matrix ``_arc`` over vertex
+    positions (``_idx`` maps a label to its position): ``_arc[i, j]`` is c
+    when the pair is oriented i -> j with color c, -c when j -> i, and 0 on
+    the diagonal.  Its dtype is the smallest that holds -q - 1.  ``_out``,
+    the out-neighbour bitmask of each position as a Python int, is packed
+    from it once.  Only this module reads either; everything else goes
+    through ``color``, ``has_edge``, ``edges``, ``allowed_masks`` and
+    ``restrict``.
+    """
 
     def __init__(self, n_vertices: int, q: int, edges: Iterable[tuple[int, int, int]]):
         if n_vertices < 1:
             raise ValueError("need at least one vertex")
-        self.vertices: tuple[int, ...] = tuple(range(1, n_vertices + 1))
-        self.q = q
-        self._init_from_edges(edges)
-
-    def _init_from_edges(self, edges):
-        n = len(self.vertices)
-        q = self.q
-        idx = self._idx = {v: i for i, v in enumerate(self.vertices)}
-        colmat = self._colmat = [[0] * n for _ in range(n)]
         if q < 1:
             raise ValueError("palette must be nonempty")
-        get = idx.get
-        arrows = bytearray(n * n)  # arrows[i * n + j] == 1 iff i -> j
+        n = n_vertices
+        vertices = range(1, n + 1)
+        get = {v: v - 1 for v in vertices}.get
+        arc = [[0] * n for _ in range(n)]
         seen = 0
         for edge in edges:
             try:
@@ -118,27 +124,27 @@ class ColoredTournament:
                 raise ValueError(f"edge ({u},{v}) references an unknown vertex")
             if not 1 <= c <= q:
                 raise ValueError(f"color {c} outside [1, {q}]")
-            row = colmat[i]
+            row = arc[i]
             if row[j]:
                 raise ValueError(f"pair ({u},{v}) oriented twice")
-            row[j] = colmat[j][i] = c
-            arrows[i * n + j] = 1
+            row[j] = c
+            arc[j][i] = -c
             seen += 1
         if seen != n * (n - 1) // 2:
             raise ValueError("every vertex pair needs exactly one directed edge")
-        bits = np.frombuffer(arrows, dtype=np.uint8).reshape(n, n)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        self._out = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self._set(vertices, q, np.array(arc, dtype=np.min_scalar_type(-q - 1)))
 
-    @classmethod
-    def _from_parts(cls, vertices, q, colmat, out) -> "ColoredTournament":
-        t = cls.__new__(cls)
-        t.vertices = tuple(vertices)
-        t.q = q
-        t._idx = {v: i for i, v in enumerate(t.vertices)}
-        t._colmat = colmat
-        t._out = out
-        return t
+    def _set(self, vertices: Iterable[int], q: int, arc: np.ndarray) -> None:
+        self.vertices: tuple[int, ...] = tuple(vertices)
+        self.q = q
+        self._idx = {v: i for i, v in enumerate(self.vertices)}
+        self._arc = arc
+        self._out = _rows(arc > 0)
+
+    def _gather(self, labels: Sequence[int]) -> np.ndarray:
+        """The signed arc matrix over ``labels``, in their order."""
+        idx = np.fromiter(map(self._idx.__getitem__, labels), np.intp, len(labels))
+        return self._arc.take(idx, 0).take(idx, 1)
 
     @property
     def n_vertices(self) -> int:
@@ -151,7 +157,7 @@ class ColoredTournament:
     def color(self, u: int, v: int) -> int:
         if u == v:
             raise ValueError("no loops")
-        return self._colmat[self._idx[u]][self._idx[v]]
+        return abs(self._arc.item(self._idx[u], self._idx[v]))
 
     def allowed_masks(
         self, labels: Sequence[int], allowed: frozenset[int]
@@ -162,44 +168,33 @@ class ColoredTournament:
         ``out[a]`` is set iff labels[a] -> labels[b] carries an allowed
         color, bit b of ``into[a]`` iff labels[b] -> labels[a] does.
         """
-        idx = [self._idx[v] for v in labels]
-        out = [0] * len(idx)
-        into = [0] * len(idx)
-        for a, i in enumerate(idx):
-            row, cols = self._out[i], self._colmat[i]
-            for b, j in enumerate(idx):
-                if a != b and cols[j] in allowed:
-                    if (row >> j) & 1:
-                        out[a] |= 1 << b
-                    else:
-                        into[a] |= 1 << b
-        return out, into
+        sub = self._gather(labels)
+        colors = np.abs(sub)
+        ok = np.zeros(sub.shape, dtype=bool)
+        for c in allowed:
+            ok |= colors == c
+        # the zero diagonal is neither sign, so no vertex is its own neighbour
+        return _rows(ok & (sub > 0)), _rows(ok & (sub < 0))
 
     def out_degree(self, u: int) -> int:
         return bin(self._out[self._idx[u]]).count("1")
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Each pair once, as (tail, head, color)."""
-        for a in range(len(self.vertices)):
-            for b in range(a + 1, len(self.vertices)):
-                u, v = self.vertices[a], self.vertices[b]
-                if (self._out[a] >> b) & 1:
-                    yield u, v, self._colmat[a][b]
-                else:
-                    yield v, u, self._colmat[a][b]
+        """Each pair once, as (tail, head, color), row-major over positions."""
+        a, b = np.triu_indices(len(self.vertices), 1)
+        arc = self._arc[a, b]
+        verts = np.array(self.vertices)
+        forward = arc > 0
+        tails = np.where(forward, verts[a], verts[b])
+        heads = np.where(forward, verts[b], verts[a])
+        return zip(tails.tolist(), heads.tolist(), np.abs(arc).tolist())
 
     def restrict(self, keep: Iterable[int]) -> "ColoredTournament":
         """Induced subtournament on the given labels (labels preserved)."""
         keep_sorted = sorted(keep)
-        old = [self._idx[v] for v in keep_sorted]
-        n = len(old)
-        colmat = [[self._colmat[old[a]][old[b]] for b in range(n)] for a in range(n)]
-        out = [0] * n
-        for a in range(n):
-            for b in range(n):
-                if a != b and (self._out[old[a]] >> old[b]) & 1:
-                    out[a] |= 1 << b
-        return ColoredTournament._from_parts(keep_sorted, self.q, colmat, out)
+        t = ColoredTournament.__new__(ColoredTournament)
+        t._set(keep_sorted, self.q, self._gather(keep_sorted))
+        return t
 
     def to_json(self) -> dict:
         if self.vertices != tuple(range(1, self.n_vertices + 1)):
@@ -213,6 +208,15 @@ class ColoredTournament:
     @classmethod
     def from_json(cls, data: dict) -> "ColoredTournament":
         return cls(int(data["N"]), int(data["q"]), data["edges"])
+
+
+def _rows(bits: np.ndarray) -> list[int]:
+    """Each row of a square bool matrix as an int: bit b is column b."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [
+        int.from_bytes(raw[k * width : (k + 1) * width], "little") for k in range(len(packed))
+    ]
 
 
 def backward_degrees(t: ColoredTournament, order: Sequence[int]) -> list[int]:
@@ -272,12 +276,7 @@ def exact_min_backward(t: ColoredTournament) -> tuple[int, tuple[int, ...]]:
     if n > 12:
         raise ValueError("exact reversal distance is provided only for N <= 12")
     verts = t.vertices
-    # wins[i] = bitmask of j beaten by i
-    wins = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if a != b and t.has_edge(verts[a], verts[b]):
-                wins[a] |= 1 << b
+    wins = t._out  # wins[i] = bitmask of the positions beaten by i
     size = 1 << n
     INF = float("inf")
     dp = [INF] * size

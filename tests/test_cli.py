@@ -39,6 +39,17 @@ def test_search_bound_exit_two(workdir, capsys):
     assert "lower_bound" in out
 
 
+def test_search_G_budget_before_first_leaf_exit_two(workdir, capsys):
+    # one node trips the budget before the clique search reaches a leaf
+    code, out, _ = run(
+        capsys, "search", "G", "2", "1", "10", "--budget", "1", "--no-cache", "--json"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["value"], payload["status"]) == (1, "lower_bound")
+    assert len(payload["certificate"]["vectors"]) == 1
+
+
 def test_search_invalid_exit_one(workdir, capsys):
     code, _, err = run(capsys, "search", "F", "2", "3", "2")
     assert code == 1

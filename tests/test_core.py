@@ -253,12 +253,3 @@ def test_family_json_roundtrip():
     again = VectorFamily.from_json(family.to_json())
     assert again == family
     assert again.to_json() == family.to_json()
-
-
-def test_family_csv_roundtrip():
-    family = fam([(1, 2), (2, 3)], 1, 3)
-    text = family.to_csv()
-    assert text == "1,2\n2,3\n"
-    again = VectorFamily.from_csv(text, r=1, n=3)
-    assert again == family
-    assert VectorFamily.from_csv(text, r=1).n == 3  # inferred side

@@ -3,10 +3,11 @@
 The expected exception types, messages and exit codes below are fixed
 values, not regenerated from the code under test: a faster parser has to
 reject every malformed file exactly as the per-edge reference loop always
-has, with the same check firing first.  The matrix digests pin
-``_colmat``/``_out`` and ``_color`` built from the benchmark's ``certify``
-inputs for seed 1 (written by ``bench/corpus.py``, which never calls the
-package).
+has, with the same check firing first.  The matrix digests pin the
+color matrix and out-neighbour bitmasks of each parsed tournament, and the
+color matrix of each parsed coloring, read through ``color``/``has_edge``
+from the benchmark's ``certify`` inputs for seed 1 (written by
+``bench/corpus.py``, which never calls the package).
 """
 
 import hashlib
@@ -124,6 +125,20 @@ def test_true_vertex_reads_as_one(capsys, tmp_path):
     assert capsys.readouterr().err.strip().endswith("bad coloring: boolean true is not an integer")
 
 
+def _tournament_blob(t: ColoredTournament) -> str:
+    # position-indexed color rows (0 on the diagonal) and out-neighbour masks
+    verts = t.vertices
+    colors = [[t.color(u, v) if u != v else 0 for v in verts] for u in verts]
+    out = [sum(1 << b for b, v in enumerate(verts) if t.has_edge(u, v)) for u in verts]
+    return repr((verts, colors, out))
+
+
+def _coloring_blob(k: OrderedColoring) -> str:
+    # label-indexed color rows, with an all-zero row and column 0
+    labels = range(k.n_vertices + 1)
+    return repr([[k.color(u, v) if u and v and u != v else 0 for v in labels] for u in labels])
+
+
 CERTIFY_SEED_1_DIGESTS = {
     "bal_in.json": "eccb5d60f44bb7818624fe5bca3f12930fa7dd9b32b3644a69e869020419d778",
     "base.json": "7ab658f2e251d2b4192e12ed3acd86701e1f4c8af8332e2951d6e0c0e8fcb2ba",
@@ -142,10 +157,9 @@ def test_certify_inputs_parse_to_pinned_matrices(tmp_path, monkeypatch):
     for path in sorted(tmp_path.glob("*.json")):
         data = json.loads(path.read_text())
         if "edges" in data:
-            t = ColoredTournament.from_json(data)
-            blob = repr((t.vertices, t._colmat, t._out))
+            blob = _tournament_blob(ColoredTournament.from_json(data))
         elif "colors" in data:
-            blob = repr(OrderedColoring.from_json(data)._color)
+            blob = _coloring_blob(OrderedColoring.from_json(data))
         else:
             continue
         got[path.name] = hashlib.sha256(blob.encode()).hexdigest()
