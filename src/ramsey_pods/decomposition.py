@@ -38,6 +38,7 @@ from .paths import (
     PathConstraint,
     ProofParameters,
     SubsetPathOracle,
+    longest_avoiding_directed_exact,
     proof_parameters,
     validate_path,
 )
@@ -650,30 +651,26 @@ def recursive_color_avoiding(
 ) -> tuple[int, PathCertificate]:
     """Best color-avoiding directed path over the proof-derived branches.
 
-    Branches: the exact subset DP up to ``EXACT_VERTEX_CAP`` vertices; above
-    it, the merged-color baseline, midpoint gluing of ranked endpoint paths
-    across the cleaned order ("case1"), and recursion into the two halves.
-    A half is visited only when it has at least as many vertices as the
-    longest candidate so far: a shorter half cannot hold a longer path, and
-    an equal one may still win the tie-break.  The maximum is returned and
-    always re-validated; ties prefer the smaller avoided color, then the
-    lexicographically smaller vertex sequence.  With ``trace``, every node
-    visited appends one record; skipped halves append none.
+    Branches: the exact subset DP up to ``EXACT_VERTEX_CAP`` vertices, and
+    at any size when q = 1 (a path avoiding the only color is one vertex);
+    above it, the merged-color baseline, midpoint gluing of ranked endpoint
+    paths across the cleaned order ("case1"), and recursion into the two
+    halves.  A half is visited only when it has at least as many vertices
+    as the longest candidate so far: a shorter half cannot hold a longer
+    path, and an equal one may still win the tie-break.  The maximum is
+    returned and always re-validated; ties prefer the smaller avoided
+    color, then the lexicographically smaller vertex sequence.  With
+    ``trace``, every node visited appends one record; skipped halves append
+    none.
     """
     q = t.q
     n = t.n_vertices
     branch_lengths: dict[str, int] = {}
     candidates: list[tuple[int, PathCertificate, str]] = []
 
-    if n <= EXACT_VERTEX_CAP:
+    if n <= EXACT_VERTEX_CAP or q == 1:
         for i in range(1, q + 1):
-            allowed = frozenset(c for c in range(1, q + 1) if c != i)
-            if allowed:
-                verts = SubsetPathOracle(t, allowed).lex_least_longest()
-            else:
-                verts = (min(t.vertices),)
-            cert = PathCertificate("directed", PathConstraint(avoid=i), verts)
-            candidates.append((i, cert, "exact"))
+            candidates.append((i, longest_avoiding_directed_exact(t, i), "exact"))
         chosen = _select(t, candidates)
         if trace is not None:
             trace.append(

@@ -13,19 +13,22 @@ degrade to upper_bound.  Exact records always carry a witness that
 re-validates on load; a cache read re-validates only the records of the key
 it asks for.
 
-The minimizers assign edges in prefix-clique order and update their
-objective only when a vertex's last edge is set, extending per-color-subset
-tables by that vertex instead of recomputing the prefix: ``exact_f`` one
-row of monotone path lengths, ``exact_g`` the endpoint-mask tables of
-``PrefixPathTables``.  ``SubsetPathOracle`` stays the independent check of
-every f/g witness.
+The two minimizers are one branch-and-bound over the colorings of K_N.
+It assigns edges in prefix-clique order and updates its objective only
+when a vertex's last edge is set, extending per-color-subset tables by that
+vertex instead of recomputing the prefix.  ``exact_f`` and ``exact_g``
+differ only in what an edge may be and what the tables hold: ``f`` colors
+forward edges and keeps rows of monotone path lengths
+(``PrefixMonotoneTables``); ``g`` also orients each edge and keeps
+endpoint-mask tables (``PrefixPathTables``).  ``longest_restricted_monotone``
+and ``SubsetPathOracle`` stay the independent checks of every f and g
+witness.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,7 +46,7 @@ from .core import (
     validate_increasing,
 )
 from .paths import EXACT_VERTEX_CAP, SubsetPathOracle, longest_restricted_monotone
-from .tournament import ColoredTournament, OrderedColoring
+from .tournament import ColoredTournament, OrderedColoring, _rows
 
 CACHE_ENV = "RAMSEY_PODS_CACHE"
 
@@ -114,12 +117,6 @@ def _grid_vectors(q: int, n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(1, n + 1), repeat=q))
 
 
-def _bitmask_rows(rel: np.ndarray) -> list[int]:
-    """Row i of a bool matrix as an int with bit j set iff rel[i, j]."""
-    packed = np.packbits(rel, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRecord:
     """Branch-and-bound for the longest r-increasing sequence in [n]^q.
 
@@ -133,7 +130,7 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     clock = (budget or Budget()).start()
     vecs = _grid_vectors(q, n)
     m = len(vecs)
-    greater = _bitmask_rows(_below(np.array(vecs), r))
+    greater = _rows(_below(np.array(vecs), r))
     memo: dict[int, tuple[int, int]] = {}
     best_chain: list[int] = []
 
@@ -209,7 +206,7 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     vecs = _grid_vectors(q, n)
     m = len(vecs)
     below = _below(np.array(vecs), r)
-    adj = _bitmask_rows(below | below.T)
+    adj = _rows(below | below.T)
     full = (1 << m) - 1
     # nonadj[v]: the vertices v may share a color class with, v excluded
     nonadj = [full & ~(row | 1 << v) for v, row in enumerate(adj)]
@@ -262,7 +259,7 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
 
 
 # ---------------------------------------------------------------------------
-# f: minimum over colorings of the longest <= r colored monotone path
+# f and g: one minimizer over the colorings of a complete graph
 
 
 def _restricted_value_monotone(k: OrderedColoring, r: int) -> int:
@@ -274,106 +271,6 @@ def _restricted_value_monotone(k: OrderedColoring, r: int) -> int:
     )
 
 
-def _canonical_start_coloring(q: int, n_vertices: int) -> OrderedColoring:
-    """Restriction of the balanced product coloring: a decent initial witness."""
-    m = 1
-    while m**q < n_vertices:
-        m += 1
-    big = canonical_coloring(q, m)
-    return OrderedColoring(
-        n_vertices,
-        q,
-        (
-            (u, v, big.color(u, v))
-            for u in range(1, n_vertices + 1)
-            for v in range(u + 1, n_vertices + 1)
-        ),
-    )
-
-
-def exact_f(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> ExtremalRecord:
-    """Depth-first search over colorings of the ordered complete graph.
-
-    Edges are assigned in prefix-clique order; colors obey a first-use
-    canonical rule (color c+1 may appear only after c), which fixes the color
-    of edge (1,2) to 1 and removes the palette-relabeling symmetry.  The
-    partial objective is tracked incrementally per r-subset of colors: when
-    the last edge into vertex k is colored, one pass over k's incoming colors
-    fills the longest path ending at k for every subset, reading only the
-    subsets that hold each edge's color.  A branch is pruned as soon as it
-    matches the incumbent.
-    """
-    _check_params("f", q, r, n_vertices)
-    clock = (budget or Budget()).start()
-    n = n_vertices
-    if r >= q:
-        witness = OrderedColoring(
-            n, q, ((u, v, 1) for u in range(1, n + 1) for v in range(u + 1, n + 1))
-        )
-        return ExtremalRecord(
-            "f", q, r, n, n, EXACT, witness.to_json(), 0, clock.elapsed()
-        )
-    start = _canonical_start_coloring(q, n)
-    best_val = _restricted_value_monotone(start, r)
-    best_witness = start
-    subsets = list(itertools.combinations(range(1, q + 1), r))
-    # holding[c]: indices of the subsets that contain color c
-    holding = [tuple(i for i, s in enumerate(subsets) if c in s) for c in range(q + 1)]
-    edges = [(i, k) for k in range(2, n + 1) for i in range(1, k)]
-    # into[k][j]: color of edge (j, k); read only once all of them are set
-    into = [[0] * k for k in range(n + 1)]
-    # dp[v][i]: longest monotone path ending at v colored within subsets[i],
-    # valid for every completed vertex v
-    dp = [[1] * len(subsets) for _ in range(n + 1)]
-
-    def vertex_value(k: int) -> int:
-        # called once all edges into k are colored; fills dp[k]
-        longest = [1] * len(subsets)
-        colors = into[k]
-        for j in range(1, k):
-            row = dp[j]
-            for i in holding[colors[j]]:
-                if row[i] >= longest[i]:
-                    longest[i] = row[i] + 1
-        dp[k] = longest
-        return max(longest)
-
-    def dfs(edge_idx: int, used_colors: int, prefix_val: int):
-        nonlocal best_val, best_witness
-        if prefix_val >= best_val:
-            return
-        if edge_idx == len(edges):
-            # complete coloring strictly better than the incumbent
-            best_val = prefix_val
-            best_witness = OrderedColoring(n, q, ((i, k, into[k][i]) for i, k in edges))
-            return
-        clock.tick()
-        i, k = edges[edge_idx]
-        completes = i == k - 1
-        colors = into[k]
-        for c in range(1, min(used_colors + 1, q) + 1):
-            colors[i] = c
-            new_used = max(used_colors, c)
-            if completes:
-                dfs(edge_idx + 1, new_used, max(prefix_val, vertex_value(k)))
-            else:
-                dfs(edge_idx + 1, new_used, prefix_val)
-
-    try:
-        dfs(0, 0, 1)
-        status = EXACT
-    except BudgetExceeded:
-        status = UPPER_BOUND
-    assert _restricted_value_monotone(best_witness, r) == best_val
-    return ExtremalRecord(
-        "f", q, r, n, best_val, status, best_witness.to_json(), clock.nodes, clock.elapsed()
-    )
-
-
-# ---------------------------------------------------------------------------
-# g: the same minimum over all tournaments
-
-
 def _restricted_value_directed(t: ColoredTournament, r: int) -> int:
     if r >= t.q:
         # any Hamiltonian path in a tournament realizes N, and one always exists
@@ -382,6 +279,42 @@ def _restricted_value_directed(t: ColoredTournament, r: int) -> int:
         SubsetPathOracle(t, frozenset(s)).longest()
         for s in itertools.combinations(range(1, t.q + 1), r)
     )
+
+
+class PrefixMonotoneTables:
+    """Longest monotone paths of an ordered coloring that grows one vertex at a time.
+
+    One row per vertex v, one entry per color subset: the longest monotone
+    path ending at v colored within that subset.  ``complete(k, ...)`` fills
+    k's row from the rows of 1..k-1, reading for each edge only the subsets
+    that hold its color.  Going back to a shorter prefix needs no undo: the
+    next ``complete(k, ...)`` overwrites the same row.
+    """
+
+    def __init__(self, n: int, subsets: Sequence[frozenset[int]]):
+        # _holding[c]: indices of the subsets that contain color c
+        self._holding = {
+            c: tuple(i for i, s in enumerate(subsets) if c in s) for c in set().union(*subsets)
+        }
+        self._rows = [[1] * len(subsets) for _ in range(n + 1)]
+
+    def complete(self, k: int, arcs: Sequence[tuple[int, int, int]], enough: int) -> int:
+        """Add vertex k; the longest allowed path ending at k, over all subsets.
+
+        ``arcs`` holds (j, k, color) for each edge from 1..k-1 into k.  Every
+        path of the prefix coloring on 1..k that uses k ends there, so this
+        is ``PrefixPathTables.complete``'s value; a row costs one pass over
+        the arcs, so it is filled whole whatever ``enough`` is.
+        """
+        holding, rows = self._holding, self._rows
+        longest = [1] * len(rows[k])
+        for j, _, c in arcs:
+            row = rows[j]
+            for i in holding[c]:
+                if row[i] >= longest[i]:
+                    longest[i] = row[i] + 1
+        rows[k] = longest
+        return max(longest)
 
 
 class PrefixPathTables:
@@ -457,6 +390,97 @@ class PrefixPathTables:
         return best
 
 
+# per minimizer: the witness class and its independent valuation
+_MINIMIZERS = {
+    "f": (OrderedColoring, _restricted_value_monotone),
+    "g": (ColoredTournament, _restricted_value_directed),
+}
+
+
+def _minimize(
+    kind: str, q: int, r: int, n: int, budget: Budget | None, tables: type, backward: bool
+) -> ExtremalRecord:
+    """Branch-and-bound over the colorings of K_n, one edge at a time.
+
+    Edges are assigned in prefix-clique order, (1,2), (1,3), (2,3), (1,4),
+    ...; colors obey a first-use canonical rule (color c+1 may appear only
+    after c), which fixes the color of edge (1,2) to 1 and removes the
+    palette-relabeling symmetry.  With ``backward`` an edge (i,k) may also
+    point k -> i, except edge (1,2): reversing every edge keeps the
+    objective.  When the last edge of vertex k is set, ``tables``, built
+    from (n, color subsets), extends the prefix objective by k.  A branch
+    is pruned as soon as it matches the incumbent, which starts as the
+    balanced product coloring restricted to 1..n; a tripped budget leaves
+    the incumbent as an upper bound.  ``_MINIMIZERS[kind]`` names the
+    witness class and the valuation that re-checks the witness.
+    """
+    cls, valuation = _MINIMIZERS[kind]
+    clock = (budget or Budget()).start()
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    if r >= q or n == 1:
+        # every coloring is optimal: some path visits all n vertices
+        witness = cls(n, q, [(u, v, 1) for u, v in pairs])
+        return ExtremalRecord(kind, q, r, n, n, EXACT, witness.to_json(), 0, clock.elapsed())
+    side = next(m for m in itertools.count(1) if m**q >= n)
+    big = canonical_coloring(q, side)
+    best_witness = cls(n, q, [(u, v, big.color(u, v)) for u, v in pairs])
+    best_val = valuation(best_witness, r)
+    prefix = tables(n, [frozenset(s) for s in itertools.combinations(range(1, q + 1), r)])
+    edges = [(i, k) for k in range(2, n + 1) for i in range(1, k)]
+    ways = [((i, k), (k, i)) if backward and e else ((i, k),) for e, (i, k) in enumerate(edges)]
+    arcs: list = [None] * len(edges)  # arcs[e]: (tail, head, color) chosen for edges[e]
+
+    def dfs(e: int, used_colors: int, prefix_val: int):
+        nonlocal best_val, best_witness
+        if prefix_val >= best_val:
+            return
+        if e == len(edges):
+            # complete assignment strictly better than the incumbent
+            best_val = prefix_val
+            best_witness = cls(n, q, arcs)
+            return
+        clock.tick()
+        i, k = edges[e]
+        completes = i == k - 1
+        for tail, head in ways[e]:
+            for c in range(1, min(used_colors + 1, q) + 1):
+                arcs[e] = (tail, head, c)
+                new_used = max(used_colors, c)
+                if completes:
+                    # the edges (1,k)..(k-1,k) end at this one
+                    value = prefix.complete(k, arcs[e - k + 2 : e + 1], best_val)
+                    dfs(e + 1, new_used, max(prefix_val, value))
+                else:
+                    dfs(e + 1, new_used, prefix_val)
+
+    try:
+        dfs(0, 0, 1)
+        status = EXACT
+    except BudgetExceeded:
+        status = UPPER_BOUND
+    # the witness's value, re-derived by the independent valuation
+    assert valuation(best_witness, r) == best_val
+    return ExtremalRecord(
+        kind, q, r, n, best_val, status, best_witness.to_json(), clock.nodes, clock.elapsed()
+    )
+
+
+def exact_f(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> ExtremalRecord:
+    """Depth-first search over colorings of the ordered complete graph.
+
+    Edges are assigned in prefix-clique order; colors obey a first-use
+    canonical rule (color c+1 may appear only after c), which fixes the color
+    of edge (1,2) to 1 and removes the palette-relabeling symmetry.  The
+    partial objective is tracked incrementally per r-subset of colors: when
+    the last edge into vertex k is colored, one pass over k's incoming colors
+    fills the longest path ending at k for every subset, reading only the
+    subsets that hold each edge's color.  A branch is pruned as soon as it
+    matches the incumbent.
+    """
+    _check_params("f", q, r, n_vertices)
+    return _minimize("f", q, r, n_vertices, budget, PrefixMonotoneTables, backward=False)
+
+
 def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> ExtremalRecord:
     """Minimize the longest <= r colored directed path over tournaments.
 
@@ -471,61 +495,10 @@ def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
     ``EXACT_VERTEX_CAP`` raises ValueError: no witness could be valued.
     """
     _check_params("g", q, r, n_vertices)
-    clock = (budget or Budget()).start()
-    n = n_vertices
-    if r >= q or n == 1:
-        witness = ColoredTournament(
-            n, q, ((u, v, 1) for u in range(1, n + 1) for v in range(u + 1, n + 1))
-        )
-        return ExtremalRecord(
-            "g", q, r, n, n, EXACT, witness.to_json(), 0, clock.elapsed()
-        )
-    if n > EXACT_VERTEX_CAP:
+    if r < q and n_vertices > EXACT_VERTEX_CAP:
         # the start witness and every record check value a whole tournament
-        raise ValueError(f"g needs at most {EXACT_VERTEX_CAP} vertices, got {n}")
-    start = _canonical_start_coloring(q, n).as_tournament()
-    best_val = _restricted_value_directed(start, r)
-    best_witness = start
-    subsets = [frozenset(s) for s in itertools.combinations(range(1, q + 1), r)]
-    tables = PrefixPathTables(n, subsets)
-    edges = [(i, k) for k in range(2, n + 1) for i in range(1, k)]
-    chosen: dict[tuple[int, int], tuple[int, int, int]] = {}
-
-    def dfs(edge_idx: int, used_colors: int, prefix_val: int):
-        nonlocal best_val, best_witness
-        if prefix_val >= best_val:
-            return
-        if edge_idx == len(edges):
-            best_val = prefix_val
-            best_witness = ColoredTournament(n, q, list(chosen.values()))
-            return
-        clock.tick()
-        i, k = edges[edge_idx]
-        completes = i == k - 1
-        orientations = ((i, k), (k, i)) if edge_idx > 0 else ((i, k),)
-        max_c = min(used_colors + 1, q)
-        for tail, head in orientations:
-            for c in range(1, max_c + 1):
-                chosen[(i, k)] = (tail, head, c)
-                new_used = max(used_colors, c)
-                if completes:
-                    arcs = [chosen[(j, k)] for j in range(1, k)]
-                    value = tables.complete(k, arcs, best_val)
-                    dfs(edge_idx + 1, new_used, max(prefix_val, value))
-                else:
-                    dfs(edge_idx + 1, new_used, prefix_val)
-                del chosen[(i, k)]
-
-    try:
-        dfs(0, 0, 1)
-        status = EXACT
-    except BudgetExceeded:
-        status = UPPER_BOUND
-    # the witness's value, re-derived by the independent subset oracle
-    assert _restricted_value_directed(best_witness, r) == best_val
-    return ExtremalRecord(
-        "g", q, r, n, best_val, status, best_witness.to_json(), clock.nodes, clock.elapsed()
-    )
+        raise ValueError(f"g needs at most {EXACT_VERTEX_CAP} vertices, got {n_vertices}")
+    return _minimize("g", q, r, n_vertices, budget, PrefixPathTables, backward=True)
 
 
 # ---------------------------------------------------------------------------
@@ -551,16 +524,11 @@ def validate_record(record: ExtremalRecord) -> str | None:
             if record.status == UPPER_BOUND:
                 return "maximizers cannot carry upper_bound records"
         else:
-            if record.kind == "f":
-                k = OrderedColoring.from_json(record.certificate)
-                if (k.q, k.n_vertices) != (record.q, record.size):
-                    return "witness parameters disagree with the record"
-                val = _restricted_value_monotone(k, record.r)
-            else:
-                t = ColoredTournament.from_json(record.certificate)
-                if (t.q, t.n_vertices) != (record.q, record.size):
-                    return "witness parameters disagree with the record"
-                val = _restricted_value_directed(t, record.r)
+            cls, valuation = _MINIMIZERS[record.kind]
+            witness = cls.from_json(record.certificate)
+            if (witness.q, witness.n_vertices) != (record.q, record.size):
+                return "witness parameters disagree with the record"
+            val = valuation(witness, record.r)
             if val != record.value:
                 return f"witness value {val} != recorded {record.value}"
             if record.status == LOWER_BOUND:

@@ -39,6 +39,10 @@ class OrderedColoring:
                 raise ValueError(f"edge ({u},{v}) is not an ordered pair in range")
             if not 1 <= c <= q:
                 raise ValueError(f"color {c} outside [1, {q}]")
+            try:
+                u | v | c  # defined for ints, numpy ints and bools; for no float
+            except TypeError:
+                raise ValueError(f"edge ({u},{v}) with color {c} needs integers") from None
             row = color[u]
             if row[v]:
                 raise ValueError(f"edge ({u},{v}) colored twice")
@@ -124,6 +128,10 @@ class ColoredTournament:
                 raise ValueError(f"edge ({u},{v}) references an unknown vertex")
             if not 1 <= c <= q:
                 raise ValueError(f"color {c} outside [1, {q}]")
+            try:
+                u | v | c  # defined for ints, numpy ints and bools; for no float
+            except TypeError:
+                raise ValueError(f"edge ({u},{v}) with color {c} needs integers") from None
             row = arc[i]
             if row[j]:
                 raise ValueError(f"pair ({u},{v}) oriented twice")
@@ -211,7 +219,7 @@ class ColoredTournament:
 
 
 def _rows(bits: np.ndarray) -> list[int]:
-    """Each row of a square bool matrix as an int: bit b is column b."""
+    """Each row of a bool matrix as an int: bit b is column b."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     raw, width = packed.tobytes(), packed.shape[1]
     return [

@@ -250,6 +250,18 @@ def test_decompose_monochromatic_transitive(workdir, capsys):
     assert payload["summary"] == {"length": 8, "avoided_color": 2}
 
 
+def test_decompose_recursive_one_color_above_cap(workdir, capsys):
+    # every edge has the only color, so the path avoiding it is one vertex
+    t = random_tournament(30, 1, seed=1)
+    (workdir / "t.json").write_text(json.dumps(t.to_json()))
+    code, _, _ = run(capsys, "decompose", "recursive", "t.json", "-o", "cert.json")
+    assert code == 0
+    cert = json.loads((workdir / "cert.json").read_text())
+    assert cert["constraint"] == {"avoid": 1} and len(cert["vertices"]) == 1
+    code, _, _ = run(capsys, "verify", "path", "t.json", "cert.json")
+    assert code == 0
+
+
 def test_decompose_three_color_transitive_exit_two(workdir, capsys):
     t = ColoredTournament(
         6, 2, ((u, v, 1) for u in range(1, 7) for v in range(u + 1, 7))

@@ -25,7 +25,7 @@ from ramsey_pods.core import (
     validate_increasing,
 )
 from ramsey_pods.pods import Packing, Pod, pods_disjoint_voxel
-from ramsey_pods.search import _bitmask_rows
+from ramsey_pods.tournament import _rows
 
 BLOCK_CELLS = (1, 37, 1 << 18)
 
@@ -194,8 +194,8 @@ def test_bitmask_rows_match_pair_loop():
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         rel = core._below(np.array(vecs), r)
-        assert _bitmask_rows(rel) == greater
-        assert _bitmask_rows(rel | rel.T) == adj
+        assert _rows(rel) == greater
+        assert _rows(rel | rel.T) == adj
 
 
 def test_empty_array_has_empty_relation():

@@ -4,8 +4,9 @@
 vertices, with the longest allowed path found by trying vertex orders;
 ``exact_f`` against every coloring of the ordered complete graph on N <= 5
 vertices, with the longest monotone path found by trying vertex subsets.
-The incremental prefix tables inside ``exact_g`` are checked, entry by
-entry, against a fresh ``SubsetPathOracle`` on seeded random prefixes.
+The incremental prefix tables are checked on seeded random prefixes:
+``exact_g``'s entry by entry against a fresh ``SubsetPathOracle``,
+``exact_f``'s against ``longest_restricted_monotone``.
 """
 
 import itertools
@@ -13,9 +14,15 @@ import random
 
 import pytest
 
-from ramsey_pods.paths import SubsetPathOracle
-from ramsey_pods.search import EXACT, PrefixPathTables, exact_f, exact_g
-from ramsey_pods.tournament import ColoredTournament
+from ramsey_pods.paths import SubsetPathOracle, longest_restricted_monotone
+from ramsey_pods.search import (
+    EXACT,
+    PrefixMonotoneTables,
+    PrefixPathTables,
+    exact_f,
+    exact_g,
+)
+from ramsey_pods.tournament import ColoredTournament, OrderedColoring
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -132,3 +139,33 @@ def test_prefix_tables_match_a_fresh_oracle(seed):
                 assert tables.complete(k, into, 2) <= 2
             tables.complete(k, into, k + 1)
             _check_prefix(tables, subsets, arcs, q, k)
+
+
+def _monotone_prefix_value(color: dict, q: int, k: int, subsets) -> int:
+    prefix = OrderedColoring(k, q, [(i, j, c) for (i, j), c in color.items() if j <= k])
+    return max(longest_restricted_monotone(prefix, s).length for s in subsets)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_monotone_prefix_tables_match_a_fresh_dp(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    q = rng.randint(1, 3)
+    r = rng.randint(1, q)
+    subsets = [frozenset(s) for s in itertools.combinations(range(1, q + 1), r)]
+    tables = PrefixMonotoneTables(n, subsets)
+    color = {pair: rng.randint(1, q) for pair in _pairs(n)}
+    # the running maximum over completed vertices is the prefix's value
+    longest = [1] * (n + 1)
+    for k in range(2, n + 1):
+        into = [(j, k, color[j, k]) for j in range(1, k)]
+        longest[k] = max(longest[k - 1], tables.complete(k, into, k + 1))
+        assert longest[k] == _monotone_prefix_value(color, q, k, subsets)
+    # go back to a random vertex, as the search does, and recolor the suffix
+    for _ in range(4):
+        k0 = rng.randint(2, n)
+        color.update({(i, k): rng.randint(1, q) for i, k in _pairs(n) if k >= k0})
+        for k in range(k0, n + 1):
+            into = [(j, k, color[j, k]) for j in range(1, k)]
+            longest[k] = max(longest[k - 1], tables.complete(k, into, 2))
+            assert longest[k] == _monotone_prefix_value(color, q, k, subsets)

@@ -33,6 +33,11 @@ KEYS = [
     ("g", 3, 2, 5, 3_000),
     ("G", 3, 2, 5, 400_000),
     ("G", 4, 2, 3, 200_000),
+    # the trivial cases: one vertex, and r >= q
+    ("f", 3, 2, 1, None),
+    ("g", 3, 2, 1, None),
+    ("f", 3, 3, 4, None),
+    ("g", 3, 3, 4, None),
 ]
 
 

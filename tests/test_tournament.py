@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ramsey_pods.tournament import (
@@ -254,6 +255,26 @@ def test_tournament_validation():
         ColoredTournament(3, 1, [(1, 2, 1), (2, 1, 1), (2, 3, 1), (1, 3, 1)])
     with pytest.raises(ValueError):
         ColoredTournament(2, 1, [(1, 2, 2)])  # color out of palette
+
+
+FLOAT_EDGES = [(1, 2, 1.5), (1, 2, 1.0), (1.0, 2, 1), (1, 2.0, 1), (1, 2, np.float64(2))]
+
+
+@pytest.mark.parametrize("edge", FLOAT_EDGES, ids=repr)
+def test_tournament_rejects_float_vertex_or_color(edge):
+    with pytest.raises(ValueError, match="needs integers"):
+        ColoredTournament(2, 2, [edge])
+    # numpy integers and True (read as 1) stay accepted
+    t = ColoredTournament(2, 2, [(True, np.int64(2), np.int8(2))])
+    assert t.to_json()["edges"] == [[1, 2, 2]]
+
+
+@pytest.mark.parametrize("edge", FLOAT_EDGES, ids=repr)
+def test_ordered_coloring_rejects_float_vertex_or_color(edge):
+    with pytest.raises(ValueError, match="needs integers"):
+        OrderedColoring(2, 2, [edge])
+    k = OrderedColoring(2, 2, [(True, np.int64(2), np.int8(2))])
+    assert k.color(1, 2) == 2
 
 
 def test_ordered_coloring_roundtrip_and_tournament_view():
