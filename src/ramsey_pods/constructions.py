@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from functools import reduce
 
+import numpy as np
+
 from .core import GridVector, VectorFamily, validate_increasing
 from .tournament import OrderedColoring
 
@@ -21,26 +23,22 @@ def lex_product(k1: OrderedColoring, k2: OrderedColoring) -> OrderedColoring:
     if k1.q != k2.q:
         raise ValueError(f"palette mismatch: {k1.q} vs {k2.q}")
     n1, n2 = k1.n_vertices, k2.n_vertices
-
-    def color(u: int, v: int) -> int:
-        bu, xu = divmod(u - 1, n1)
-        bv, xv = divmod(v - 1, n1)
-        if bu == bv:
-            return k1.color(xu + 1, xv + 1)
-        return k2.color(bu + 1, bv + 1)
-
+    # blocks[b, x, c, y]: the color between vertex x of block b and vertex y of block c
+    blocks = np.empty((n2, n1, n2, n1), k1.matrix.dtype)
+    blocks[...] = k2.matrix[1:, None, 1:, None]
+    same = np.arange(n2)
+    blocks[same, :, same, :] = k1.matrix[1:, 1:]
     total = n1 * n2
-    return OrderedColoring(
-        total,
-        k1.q,
-        ((u, v, color(u, v)) for u in range(1, total + 1) for v in range(u + 1, total + 1)),
-    )
+    color = np.zeros((total + 1, total + 1), blocks.dtype)
+    color[1:, 1:] = blocks.reshape(total, total)
+    return OrderedColoring.from_matrix(k1.q, color)
 
 
 def monochromatic_clique(m: int, color: int, q: int) -> OrderedColoring:
-    return OrderedColoring(
-        m, q, ((u, v, color) for u in range(1, m + 1) for v in range(u + 1, m + 1))
-    )
+    matrix = np.full((m + 1, m + 1), color)
+    matrix[0] = matrix[:, 0] = 0
+    np.fill_diagonal(matrix, 0)
+    return OrderedColoring.from_matrix(q, matrix)
 
 
 def canonical_coloring(q: int, m: int) -> OrderedColoring:

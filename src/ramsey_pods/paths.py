@@ -1,7 +1,8 @@
 """Longest color-constrained path computations.
 
 Monotone paths in ordered colorings are handled by a polynomial DP over the
-DAG of forward edges.  Directed paths in general tournaments use an exact
+DAG of forward edges, one ``itertools.compress`` pass per byte row of
+``OrderedColoring.allowed_rows``.  Directed paths in general tournaments use an exact
 subset DP over (vertex set, endpoint) states, stored as one uint32 endpoint
 mask per vertex set: 2^n words per direction, 16 MB at the 22-vertex cap.
 A table is filled by pushing from the vertex sets that carry a path, level
@@ -147,24 +148,35 @@ def longest_restricted_monotone(k: OrderedColoring, colors: Iterable[int]) -> Pa
     if not allowed:
         raise ValueError("the allowed color set must be nonempty")
     n = k.n_vertices
-    # tail[v]: longest allowed monotone path starting at v
-    tail = [1] * (n + 1)
-    for v in range(n, 0, -1):
-        for w in range(v + 1, n + 1):
-            if k.color(v, w) in allowed and tail[w] + 1 > tail[v]:
-                tail[v] = tail[w] + 1
-    best = max(tail[1:])
-    path = []
-    need = best
-    prev = 0
-    while need:
-        for v in range(prev + 1, n + 1):
-            if tail[v] >= need and (not path or k.color(path[-1], v) in allowed):
-                path.append(v)
-                prev = v
-                break
-        need -= 1
+    ok = k.allowed_rows(allowed)
+    # back[j]: longest allowed monotone path starting at n - j; row v's bytes
+    # read backwards line up with it, and compress stops at its end (w > v)
+    back: list[int] = []
+    for row in reversed(ok[1:]):
+        back.append(max(itertools.compress(back, reversed(row)), default=0) + 1)
+    tail = [0] + back[::-1]
+    best = max(back)
+    path = [tail.index(best)]
+    for need in range(best - 1, 0, -1):
+        # every allowed successor of v starts at most ``need`` vertices; the
+        # first one that starts exactly that many continues the least path
+        v = path[-1]
+        row = ok[v][v + 1 :]
+        later = list(itertools.compress(tail[v + 1 :], row))
+        path.append(list(itertools.compress(range(v + 1, n + 1), row))[later.index(need)])
     return PathCertificate("monotone", PathConstraint(allow=allowed), tuple(path))
+
+
+def monotone_lengths_ending(k: OrderedColoring, colors: Iterable[int]) -> list[int]:
+    """Per label v in 0..N, the longest monotone path ending at v using only ``colors``.
+
+    Entry 0 is 0.  Row v of ``allowed_rows`` lines up with the entries of
+    labels below v, and ``itertools.compress`` stops at their end.
+    """
+    ending = [0]
+    for row in k.allowed_rows(colors)[1:]:
+        ending.append(max(itertools.compress(ending, row), default=0) + 1)
+    return ending
 
 
 def ell_avoid_monotone(k: OrderedColoring, i: int) -> PathCertificate:

@@ -6,8 +6,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import GridVector, VectorFamily, validate_increasing
+from .paths import monotone_lengths_ending
 from .tournament import ColoredTournament, OrderedColoring
+
+# entries of the stalled-coordinate block vectors_to_coloring compares at once
+_BLOCK_ENTRIES = 1 << 22
 
 
 def coloring_to_vectors(k: OrderedColoring) -> VectorFamily:
@@ -18,22 +24,14 @@ def coloring_to_vectors(k: OrderedColoring) -> VectorFamily:
     (q-1)-increasing: an edge (a, b) of color c strictly grows every entry
     except possibly the c-th.
     """
-    n, q = k.n_vertices, k.q
+    q = k.q
     if q < 2:
         raise ValueError("the vector translation needs at least two colors")
-    # ending[i][v] = longest monotone path avoiding color i that ends at v
-    ending = [[1] * (n + 1) for _ in range(q + 1)]
-    for v in range(1, n + 1):
-        for u in range(1, v):
-            c = k.color(u, v)
-            for i in range(1, q + 1):
-                if i != c and ending[i][u] + 1 > ending[i][v]:
-                    ending[i][v] = ending[i][u] + 1
-    side = max(max(row[1:]) for row in ending[1:])
-    vectors = tuple(
-        GridVector(tuple(ending[i][v] for i in range(1, q + 1)), side)
-        for v in range(1, n + 1)
-    )
+    palette = frozenset(range(1, q + 1))
+    # ending[i - 1][v] = longest monotone path avoiding color i that ends at v
+    ending = [monotone_lengths_ending(k, palette - {i})[1:] for i in range(1, q + 1)]
+    side = max(map(max, ending))
+    vectors = tuple(GridVector(coords, side) for coords in zip(*ending))
     fam = VectorFamily(vectors, max(1, q - 1))
     cert = validate_increasing(fam)
     if not cert.ok():
@@ -54,22 +52,16 @@ def vectors_to_coloring(fam: VectorFamily) -> OrderedColoring:
         raise ValueError(f"expected threshold q-1={q - 1}, got {fam.r}")
     if not validate_increasing(fam).ok():
         raise ValueError("family is not (q-1)-increasing")
-    n_vertices = len(fam.vectors)
-
-    def edge_color(a: int, b: int) -> int:
-        xa, xb = fam.vectors[a - 1].coords, fam.vectors[b - 1].coords
-        stalled = [i + 1 for i in range(q) if xa[i] >= xb[i]]
-        return stalled[0] if stalled else 1
-
-    return OrderedColoring(
-        n_vertices,
-        q,
-        (
-            (a, b, edge_color(a, b))
-            for a in range(1, n_vertices + 1)
-            for b in range(a + 1, n_vertices + 1)
-        ),
-    )
+    x = np.array([v.coords for v in fam.vectors])
+    m = len(x)
+    color = np.zeros((m + 1, m + 1), np.min_scalar_type(q))
+    step = max(1, _BLOCK_ENTRIES // (m * q))
+    for lo in range(0, m, step):
+        stalled = x[lo : lo + step, None, :] >= x[None, :, :]
+        # argmax finds the first stalled coordinate, and 0 (color 1) when none is
+        color[lo + 1 : lo + step + 1, 1:] = stalled.argmax(axis=2) + 1
+    upper = np.triu(color, 1)
+    return OrderedColoring.from_matrix(q, upper + upper.T)
 
 
 @dataclass(frozen=True)
@@ -124,27 +116,17 @@ class ColorPartition:
 def merge_colors(instance, partition: ColorPartition):
     """Replace every edge color by its block label.
 
-    Works on both ordered colorings and tournaments.  A path using at most
-    r' block labels uses at most the sum of those blocks' sizes original
-    colors.
+    Works on both ordered colorings and tournaments, and keeps a
+    tournament's labels.  A path using at most r' block labels uses at most
+    the sum of those blocks' sizes original colors.
     """
     if partition.q_old != instance.q:
         raise ValueError(
             f"partition covers {partition.q_old} colors, instance has {instance.q}"
         )
-    if isinstance(instance, OrderedColoring):
-        return OrderedColoring(
-            instance.n_vertices,
-            partition.q_new,
-            ((u, v, partition.block_of(c)) for u, v, c in instance.edges()),
-        )
-    if isinstance(instance, ColoredTournament):
-        return ColoredTournament(
-            instance.n_vertices,
-            partition.q_new,
-            ((u, v, partition.block_of(c)) for u, v, c in instance.edges()),
-        )
-    raise TypeError(f"cannot merge colors of {type(instance).__name__}")
+    if not isinstance(instance, (OrderedColoring, ColoredTournament)):
+        raise TypeError(f"cannot merge colors of {type(instance).__name__}")
+    return instance.recolored(partition.block_of)
 
 
 def floor_reduction(q: int, r: int) -> tuple[int, ColorPartition]:

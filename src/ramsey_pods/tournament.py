@@ -2,32 +2,45 @@
 
 Vertices are integer labels; a freshly parsed instance uses 1..N.  Induced
 subtournaments keep the original labels so that path certificates always
-refer to the instance they were found in.  A tournament stores one signed
-arc matrix (see ``ColoredTournament``); only this module reads it, and the
-sub-tournaments and allowed-color adjacency masks the other modules use are
-numpy gathers from it.
+refer to the instance they were found in.  Each class stores one numpy
+matrix and only this module reads it: a tournament a signed arc matrix over
+vertex positions (see ``ColoredTournament``), an ordered coloring a
+symmetric color matrix indexed by label (see ``OrderedColoring``).  The
+sub-tournaments, recolorings and allowed-color adjacency the other modules
+use are numpy operations on those matrices.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 
 class OrderedColoring:
-    """A q-edge-colored complete graph on ordered vertices 1..N."""
+    """A q-edge-colored complete graph on ordered vertices 1..N.
+
+    The only stored state is the color matrix ``_color``, indexed by label:
+    an (N+1)x(N+1) array whose entries [u, v] and [v, u] both hold the color
+    of the pair, with zeros on the diagonal and in row and column 0.  Its
+    dtype is the smallest unsigned one that holds q.  Every instance is
+    stored by ``_set``, which checks the matrix in numpy; the edge-list
+    parser (the constructor) and ``from_matrix`` both end there.  Other
+    modules read the matrix through ``matrix``, ``color``, ``edges`` and
+    ``allowed_rows``.
+    """
 
     def __init__(self, n_vertices: int, q: int, colors: Iterable[tuple[int, int, int]]):
+        """Parse an edge list: each pair (u, v), u < v, once, as (u, v, color)."""
         if n_vertices < 1:
             raise ValueError("need at least one vertex")
         if q < 1:
             raise ValueError("palette must be nonempty")
-        self.n_vertices = n_vertices
-        self.q = q
-        color = self._color = [[0] * (n_vertices + 1) for _ in range(n_vertices + 1)]
+        width = n_vertices + 1
+        upper = [[0] * width for _ in range(width)]  # row u holds the pairs (u, v > u)
         seen = 0
         for edge in colors:
             try:
@@ -43,42 +56,101 @@ class OrderedColoring:
                 u | v | c  # defined for ints, numpy ints and bools; for no float
             except TypeError:
                 raise ValueError(f"edge ({u},{v}) with color {c} needs integers") from None
-            row = color[u]
+            row = upper[u]
             if row[v]:
                 raise ValueError(f"edge ({u},{v}) colored twice")
-            row[v] = color[v][u] = c
+            row[v] = c
             seen += 1
         if seen != n_vertices * (n_vertices - 1) // 2:
             raise ValueError("every vertex pair must be colored exactly once")
+        half = _color_rows(upper, q)
+        self._set(q, half + half.T)
+
+    @classmethod
+    def from_matrix(cls, q: int, color) -> "OrderedColoring":
+        """The coloring whose pair (u, v) has color ``color[u, v]``.
+
+        ``color`` is an (N+1)x(N+1) integer matrix in the layout of
+        ``matrix``; it is checked and copied.
+        """
+        k = cls.__new__(cls)
+        k._set(q, color)
+        return k
+
+    def _set(self, q: int, color) -> None:
+        """Check a color matrix in numpy and store a read-only copy in q's dtype."""
+        color = np.asarray(color)
+        if color.ndim != 2 or color.shape[0] != color.shape[1]:
+            raise ValueError("color matrix must be square")
+        if len(color) < 2:
+            raise ValueError("need at least one vertex")
+        if q < 1:
+            raise ValueError("palette must be nonempty")
+        if np.count_nonzero(color != color.T):
+            raise ValueError("color matrix is not symmetric")
+        # symmetric, so a zero row 0 is a zero column 0 too
+        if np.count_nonzero(color[0]) or np.count_nonzero(color.diagonal()):
+            raise ValueError("color matrix needs zeros on its diagonal and in row and column 0")
+        _check_palette(color[1:, 1:], q)
+        self.q = q
+        self._color = color.astype(_color_dtype(q))
+        self._color.flags.writeable = False
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self._color) - 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The read-only color matrix: [u, v] is the color of the pair (u, v)."""
+        return self._color
 
     def color(self, u: int, v: int) -> int:
         if u == v:
             raise ValueError("no loops")
-        return self._color[u][v]
+        return self._color.item(operator.index(u), operator.index(v))
+
+    def allowed_rows(self, allowed: Iterable[int]) -> list[bytes]:
+        """Per label u in 0..N, byte v is 1 iff the pair (u, v) has an allowed color.
+
+        Row 0, column 0 and the diagonal are all zero.
+        """
+        ok = _in_palette(self._color, allowed)
+        raw, width = ok.tobytes(), len(ok)
+        return [raw[i : i + width] for i in range(0, len(raw), width)]
+
+    def _upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each pair u < v once, row-major, as arrays of u, v and color."""
+        labels = np.arange(1, len(self._color))
+        above = labels[:, None] < labels
+        u, v = np.nonzero(above)
+        return u + 1, v + 1, self._color[1:, 1:][above]
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        for u in range(1, self.n_vertices + 1):
-            for v in range(u + 1, self.n_vertices + 1):
-                yield u, v, self._color[u][v]
+        return zip(*(a.tolist() for a in self._upper()))
 
-    def recolored(self, mapping) -> "OrderedColoring":
-        """A copy with every color c replaced by mapping(c)."""
-        new_q = max(mapping(c) for c in range(1, self.q + 1))
-        return OrderedColoring(
-            self.n_vertices, new_q, ((u, v, mapping(c)) for u, v, c in self.edges())
-        )
+    def recolored(self, mapping: Callable[[int], int]) -> "OrderedColoring":
+        """A copy with every color c replaced by mapping(c).
+
+        The new palette is 1..max(mapping(c) for c in 1..q); a mapped color
+        below 1 raises ValueError.
+        """
+        table, new_q = _recoloring(self.q, mapping)
+        return OrderedColoring.from_matrix(new_q, table[self._color])
 
     def as_tournament(self) -> "ColoredTournament":
         """The transitive tournament carrying the same colors."""
-        return ColoredTournament(
-            self.n_vertices, self.q, ((u, v, c) for u, v, c in self.edges())
-        )
+        colors = self._color[1:, 1:].astype(np.min_scalar_type(-self.q - 1))
+        t = ColoredTournament.__new__(ColoredTournament)
+        # every pair points from the smaller label to the larger
+        t._set(range(1, self.n_vertices + 1), self.q, np.triu(colors) - np.tril(colors))
+        return t
 
     def to_json(self) -> dict:
         return {
             "N": self.n_vertices,
-            "q": self.q,
-            "colors": [[u, v, c] for u, v, c in self.edges()],
+            "q": int(self.q),
+            "colors": np.stack(self._upper(), axis=1).tolist(),
         }
 
     @classmethod
@@ -88,10 +160,54 @@ class OrderedColoring:
     def __eq__(self, other):
         return (
             isinstance(other, OrderedColoring)
-            and self.n_vertices == other.n_vertices
             and self.q == other.q
-            and self._color == other._color
+            and np.array_equal(self._color, other._color)
         )
+
+
+def _color_dtype(q: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every color of 1..q."""
+    return np.min_scalar_type(int(q))
+
+
+def _color_rows(rows: list[list[int]], q: int) -> np.ndarray:
+    """A square list of rows with entries in 0..q as a matrix in q's dtype."""
+    dtype = _color_dtype(q)
+    if dtype != np.uint8:
+        return np.array(rows, dtype)
+    # every entry is in 0..255, so each row packs as bytes at C speed
+    flat = np.frombuffer(b"".join(map(bytearray, rows)), np.uint8)
+    return flat.reshape(len(rows), len(rows))
+
+
+def _check_palette(colors: np.ndarray, q: int) -> None:
+    """Raise ValueError unless every off-diagonal entry is an integer in 1..q.
+
+    ``colors`` is square with a zero diagonal.  The first offending entry
+    off the diagonal, in row-major order, is the one reported.
+    """
+    if colors.dtype.kind not in "buiO":
+        raise ValueError("color matrix needs integers")
+    bad = (colors < 1) | (colors > q)
+    if np.count_nonzero(bad) > len(bad):  # more than the zero diagonal
+        np.fill_diagonal(bad, False)
+        u, v = np.argwhere(bad)[0]
+        raise ValueError(f"color {colors[u, v]} outside [1, {q}]")
+
+
+def _in_palette(colors: np.ndarray, allowed: Iterable[int]) -> np.ndarray:
+    """Which entries of a color matrix are in ``allowed``; a zero entry never is."""
+    ok = np.zeros(colors.shape, dtype=bool)
+    for c in allowed:
+        if c != 0:
+            ok |= colors == c
+    return ok
+
+
+def _recoloring(q: int, mapping: Callable[[int], int]) -> tuple[np.ndarray, int]:
+    """The lookup table [0, mapping(1), ..., mapping(q)] and its largest color."""
+    table = [0] + [mapping(c) for c in range(1, q + 1)]
+    return np.array(table), max(table[1:])
 
 
 class ColoredTournament:
@@ -103,8 +219,8 @@ class ColoredTournament:
     the diagonal.  Its dtype is the smallest that holds -q - 1.  ``_out``,
     the out-neighbour bitmask of each position as a Python int, is packed
     from it once.  Only this module reads either; everything else goes
-    through ``color``, ``has_edge``, ``edges``, ``allowed_masks`` and
-    ``restrict``.
+    through ``color``, ``has_edge``, ``edges``, ``allowed_masks``,
+    ``restrict`` and ``recolored``.
     """
 
     def __init__(self, n_vertices: int, q: int, edges: Iterable[tuple[int, int, int]]):
@@ -115,7 +231,7 @@ class ColoredTournament:
         n = n_vertices
         vertices = range(1, n + 1)
         get = {v: v - 1 for v in vertices}.get
-        arc = [[0] * n for _ in range(n)]
+        tails = [[0] * n for _ in range(n)]  # row i holds c at j for an edge i -> j
         seen = 0
         for edge in edges:
             try:
@@ -132,15 +248,15 @@ class ColoredTournament:
                 u | v | c  # defined for ints, numpy ints and bools; for no float
             except TypeError:
                 raise ValueError(f"edge ({u},{v}) with color {c} needs integers") from None
-            row = arc[i]
-            if row[j]:
+            row = tails[i]
+            if row[j] or tails[j][i]:
                 raise ValueError(f"pair ({u},{v}) oriented twice")
             row[j] = c
-            arc[j][i] = -c
             seen += 1
         if seen != n * (n - 1) // 2:
             raise ValueError("every vertex pair needs exactly one directed edge")
-        self._set(vertices, q, np.array(arc, dtype=np.min_scalar_type(-q - 1)))
+        forward = _color_rows(tails, q).astype(np.min_scalar_type(-q - 1))
+        self._set(vertices, q, forward - forward.T)
 
     def _set(self, vertices: Iterable[int], q: int, arc: np.ndarray) -> None:
         self.vertices: tuple[int, ...] = tuple(vertices)
@@ -177,11 +293,7 @@ class ColoredTournament:
         color, bit b of ``into[a]`` iff labels[b] -> labels[a] does.
         """
         sub = self._gather(labels)
-        colors = np.abs(sub)
-        ok = np.zeros(sub.shape, dtype=bool)
-        for c in allowed:
-            ok |= colors == c
-        # the zero diagonal is neither sign, so no vertex is its own neighbour
+        ok = _in_palette(np.abs(sub), allowed)
         return _rows(ok & (sub > 0)), _rows(ok & (sub < 0))
 
     def out_degree(self, u: int) -> int:
@@ -204,12 +316,26 @@ class ColoredTournament:
         t._set(keep_sorted, self.q, self._gather(keep_sorted))
         return t
 
+    def recolored(self, mapping: Callable[[int], int]) -> "ColoredTournament":
+        """A copy, labels and orientations kept, with every color c replaced by mapping(c).
+
+        The new palette is 1..max(mapping(c) for c in 1..q); a mapped color
+        below 1 raises ValueError.
+        """
+        table, new_q = _recoloring(self.q, mapping)
+        colors = table[np.abs(self._arc)]
+        _check_palette(colors, new_q)
+        arc = np.where(self._arc > 0, colors, -colors)
+        t = ColoredTournament.__new__(ColoredTournament)
+        t._set(self.vertices, new_q, arc.astype(np.min_scalar_type(-new_q - 1)))
+        return t
+
     def to_json(self) -> dict:
         if self.vertices != tuple(range(1, self.n_vertices + 1)):
             raise ValueError("only 1..N labeled tournaments serialize")
         return {
             "N": self.n_vertices,
-            "q": self.q,
+            "q": int(self.q),
             "edges": [[u, v, c] for u, v, c in self.edges()],
         }
 

@@ -108,6 +108,18 @@ def test_merge_colors_on_ordered_coloring():
     assert all(merged.color(u, v) == part.block_of(c) for u, v, c in k.edges())
 
 
+def test_merge_colors_keeps_tournament_labels():
+    # a restricted tournament keeps labels that are not 1..N
+    t = random_tournament(8, 4, seed=1).restrict([2, 3, 5, 8])
+    part = ColorPartition(({1, 2}, {3, 4}))
+    merged = merge_colors(t, part)
+    assert merged.vertices == (2, 3, 5, 8)
+    assert merged.q == 2
+    for u, v, c in t.edges():
+        assert merged.has_edge(u, v)
+        assert merged.color(u, v) == part.block_of(c)
+
+
 def test_merge_partition_validation():
     with pytest.raises(ValueError):
         ColorPartition((frozenset({1, 2}), frozenset({2, 3})))  # overlap

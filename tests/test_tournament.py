@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -283,6 +284,75 @@ def test_ordered_coloring_roundtrip_and_tournament_view():
     t = k.as_tournament()
     assert all(t.has_edge(u, v) for u, v, _ in k.edges())
     assert all(t.color(u, v) == c for u, v, c in k.edges())
+
+
+def test_ordered_coloring_json_holds_python_ints():
+    k = OrderedColoring(np.int64(2), 2, [(1, 2, np.int64(2))])
+    assert json.dumps(k.to_json()) == '{"N": 2, "q": 2, "colors": [[1, 2, 2]]}'
+    k = OrderedColoring(np.int64(3), np.int64(2), [(1, 2, 1), (1, 3, np.uint8(2)), (2, 3, 1)])
+    assert json.loads(json.dumps(k.to_json())) == k.to_json()
+    t = ColoredTournament(np.int64(2), np.int64(2), [(2, 1, np.int64(2))])
+    assert json.dumps(t.to_json()) == '{"N": 2, "q": 2, "edges": [[2, 1, 2]]}'
+
+
+GOOD = [[0, 0, 0, 0], [0, 0, 1, 2], [0, 1, 0, 2], [0, 2, 2, 0]]
+BAD_MATRICES = {
+    "not_symmetric": ([[0, 0, 0, 0], [0, 0, 1, 2], [0, 1, 0, 2], [0, 1, 2, 0]], "not symmetric"),
+    "nonzero_diagonal": ([[0, 0, 0, 0], [0, 1, 1, 2], [0, 1, 0, 2], [0, 2, 2, 0]], "zeros on its diagonal"),
+    "nonzero_row_0": ([[0, 1, 0, 0], [1, 0, 1, 2], [0, 1, 0, 2], [0, 2, 2, 0]], "zeros on its diagonal"),
+    "color_zero": ([[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 2], [0, 2, 2, 0]], r"color 0 outside \[1, 2\]"),
+    "color_above_q": ([[0, 0, 0, 0], [0, 0, 1, 3], [0, 1, 0, 2], [0, 3, 2, 0]], r"color 3 outside \[1, 2\]"),
+    "color_negative": ([[0, 0, 0, 0], [0, 0, 1, -1], [0, 1, 0, 2], [0, -1, 2, 0]], r"color -1 outside \[1, 2\]"),
+    "float_colors": ([[0.0, 0, 0, 0], [0, 0, 1, 2], [0, 1, 0, 2], [0, 2, 2, 0]], "needs integers"),
+    "not_square": ([[0, 0, 0], [0, 0, 1]], "must be square"),
+    "no_vertex": ([[0]], "at least one vertex"),
+}
+
+
+def test_from_matrix_accepts_a_valid_matrix_and_copies_it():
+    m = np.array(GOOD)
+    k = OrderedColoring.from_matrix(2, m)
+    assert k == OrderedColoring(3, 2, [(1, 2, 1), (1, 3, 2), (2, 3, 2)])
+    m[1, 2] = m[2, 1] = 2  # the caller's array is not the stored one
+    assert k.color(1, 2) == 1
+    with pytest.raises(ValueError):
+        k.matrix[1, 2] = 2  # read-only
+
+
+@pytest.mark.parametrize("name", BAD_MATRICES)
+def test_from_matrix_rejects(name):
+    rows, message = BAD_MATRICES[name]
+    with pytest.raises(ValueError, match=message):
+        OrderedColoring.from_matrix(2, np.array(rows))
+
+
+def test_from_matrix_rejects_an_empty_palette():
+    with pytest.raises(ValueError, match="palette must be nonempty"):
+        OrderedColoring.from_matrix(0, np.array(GOOD))
+
+
+def test_recolored_rejects_colors_below_one():
+    k = OrderedColoring(3, 2, [(1, 2, 1), (1, 3, 2), (2, 3, 2)])
+    # the new palette is 1..max(mapping), so only a color below 1 can leave it
+    with pytest.raises(ValueError, match=r"color 0 outside \[1, 1\]"):
+        k.recolored(lambda c: c - 1)
+    with pytest.raises(ValueError, match="needs integers"):
+        k.recolored(lambda c: c / 2)
+    edges = [(1, 2, 1), (2, 3, 2), (3, 1, 3), (4, 1, 2), (4, 2, 3), (4, 3, 1)]
+    t = ColoredTournament(4, 3, edges).restrict([2, 3, 4])
+    with pytest.raises(ValueError, match=r"color 0 outside \[1, 2\]"):
+        t.recolored(lambda c: c - 1)
+    with pytest.raises(ValueError, match="needs integers"):
+        t.recolored(lambda c: c / 2)
+
+
+def test_tournament_recolored_keeps_labels_and_orientation():
+    t = random_tournament(9, 4, seed=6).restrict([9, 2, 7, 4])
+    shifted = t.recolored(lambda c: 5 - c)
+    assert shifted.vertices == t.vertices
+    assert shifted.q == 4
+    assert [(u, v, 5 - c) for u, v, c in t.edges()] == list(shifted.edges())
+    assert all(shifted.has_edge(u, v) for u, v, _ in t.edges())
 
 
 def test_restrict_keeps_labels():
