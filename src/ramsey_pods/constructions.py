@@ -10,7 +10,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import GridVector, VectorFamily, validate_increasing
+from .core import VectorFamily, _coord_dtype, validate_increasing
 from .tournament import OrderedColoring
 
 
@@ -82,14 +82,9 @@ def product_boost_vectors(a: VectorFamily, b: VectorFamily) -> VectorFamily:
         raise ValueError(f"threshold mismatch: {a.r} vs {b.r}")
     if not validate_increasing(a).ok() or not validate_increasing(b).ok():
         raise ValueError("both factors must be increasing families")
-    n2 = b.n
-    n_out = a.n * n2
-    vectors = []
-    for x in a.vectors:
-        for y in b.vectors:
-            coords = tuple((xc - 1) * n2 + yc for xc, yc in zip(x.coords, y.coords))
-            vectors.append(GridVector(coords, n_out))
-    out = VectorFamily(tuple(vectors), a.r)
+    n_out = a.n * b.n
+    coords = (a.coords[:, None].astype(_coord_dtype(n_out)) - 1) * b.n + b.coords[None]
+    out = VectorFamily.from_array(coords.reshape(-1, a.q), a.r, n_out)
     cert = validate_increasing(out)
     if not cert.ok():
         raise AssertionError(f"product family failed validation at {cert.pair}")

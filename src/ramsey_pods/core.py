@@ -2,13 +2,19 @@
 of increasing sequences and pairwise-comparable sets, with machine-checkable
 certificates for every verdict.
 
+A ``VectorFamily`` stores its vectors as one read-only (m, q) coordinate
+array; the validators, the reorderings and the cyclic-triple search read
+that array through one pairwise-dominance kernel (``_win_blocks``).
+``GridVector`` is the single-vector form that ``less_r``, ``compare_r`` and
+the pods use.
+
 All indices exposed by this module are 1-based: coordinate positions run over
 1..q, family positions over 1..N, and coordinate values over 1..n.
 """
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -38,7 +44,7 @@ class GridVector:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
         if not self.coords:
             raise ValueError("a grid vector needs at least one coordinate")
         if self.n < 1:
@@ -52,18 +58,12 @@ class GridVector:
         return len(self.coords)
 
 
-def _check_pair(x: GridVector, y: GridVector, r: int) -> None:
-    if x.q != y.q or x.n != y.n:
-        raise ValueError(
-            f"ambient mismatch: ({x.q},{x.n}) vs ({y.q},{y.n})"
-        )
-    if not 1 <= r <= x.q:
-        raise ValueError(f"threshold r={r} outside [1, {x.q}]")
-
-
 def less_r(x: GridVector, y: GridVector, r: int) -> bool:
     """True iff y is strictly larger than x in at least r coordinates."""
-    _check_pair(x, y, r)
+    if x.q != y.q or x.n != y.n:
+        raise ValueError(f"ambient mismatch: ({x.q},{x.n}) vs ({y.q},{y.n})")
+    if not 1 <= r <= x.q:
+        raise ValueError(f"threshold r={r} outside [1, {x.q}]")
     return sum(1 for a, b in zip(x.coords, y.coords) if a < b) >= r
 
 
@@ -73,67 +73,101 @@ def compare_r(x: GridVector, y: GridVector, r: int) -> Comparison:
     BOTH is possible only when r <= q/2; a pair related in both directions
     would need 2r strict coordinates split between the two.
     """
-    fwd = less_r(x, y, r)
-    bwd = less_r(y, x, r)
-    if fwd and bwd:
-        return Comparison.BOTH
+    fwd, bwd = less_r(x, y, r), less_r(y, x, r)
     if fwd:
-        return Comparison.FORWARD
-    if bwd:
-        return Comparison.BACKWARD
-    return Comparison.INCOMPARABLE
+        return Comparison.BOTH if bwd else Comparison.FORWARD
+    return Comparison.BACKWARD if bwd else Comparison.INCOMPARABLE
 
 
-@dataclass(frozen=True)
+def _coord_dtype(n: int):
+    """int64 when every coordinate in 1..n fits in it, else object (Python ints)."""
+    return np.int64 if n <= np.iinfo(np.int64).max else object
+
+
 class VectorFamily:
-    """An ordered list of grid vectors sharing one ambient, with a threshold r."""
+    """An ordered list of grid vectors sharing one ambient [n]^q, with a threshold r.
 
-    vectors: tuple[GridVector, ...]
-    r: int
+    The only stored state is ``coords``, a read-only (m, q) integer array
+    whose row i is vector i + 1, plus ``n`` and ``r``.  Its dtype is int64,
+    or object when n does not fit in int64.  Every instance is stored by
+    ``_set``, which checks the array in numpy; the constructor,
+    ``from_array``, ``from_coords`` and ``from_json`` all end there.
+    ``vectors`` rebuilds the members as ``GridVector`` objects.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-        if not self.vectors:
+    def __init__(self, vectors: Iterable[GridVector], r: int):
+        vectors = tuple(vectors)
+        if len({(v.q, v.n) for v in vectors}) > 1:
+            raise ValueError("all members must share the same (q, n) ambient")
+        self._set([v.coords for v in vectors], r, vectors[0].n if vectors else 1)
+
+    @classmethod
+    def from_array(cls, coords, r: int, n: int) -> "VectorFamily":
+        """The family whose vector i + 1 is row i of ``coords``; checked and copied."""
+        fam = cls.__new__(cls)
+        fam._set(coords, r, n)
+        return fam
+
+    def _set(self, coords, r: int, n: int) -> None:
+        """Check an (m, q) coordinate array in numpy and store a read-only copy."""
+        try:
+            coords = np.asarray(coords)
+        except ValueError:  # numpy's message for rows of different lengths
+            raise ValueError("all members must share the same (q, n) ambient") from None
+        if coords.ndim and not len(coords):
             raise ValueError("a family must contain at least one vector")
-        q, n = self.vectors[0].q, self.vectors[0].n
-        for v in self.vectors:
-            if v.q != q or v.n != n:
-                raise ValueError("all members must share the same (q, n) ambient")
-        if not 1 <= self.r <= q:
-            raise ValueError(f"threshold r={self.r} outside [1, {q}]")
+        if coords.ndim != 2:
+            raise ValueError("a family's coordinates form an (m, q) array")
+        if not coords.shape[1]:
+            raise ValueError("a grid vector needs at least one coordinate")
+        if coords.dtype.kind not in "buiO":
+            raise ValueError("coordinates need integers")
+        if coords.dtype == object:  # ints beyond int64; any other entry raises TypeError
+            coords = np.array(list(map(operator.index, coords.flat)), object).reshape(coords.shape)
+        n, r = operator.index(n), operator.index(r)
+        bad = (coords < 1) | (coords > n)
+        if bad.any():
+            raise ValueError(f"coordinate {coords.flat[bad.argmax()]} outside [1, {n}]")
+        if not 1 <= r <= coords.shape[1]:
+            raise ValueError(f"threshold r={r} outside [1, {coords.shape[1]}]")
+        self.coords = coords.astype(_coord_dtype(n))
+        self.coords.flags.writeable = False
+        self.n, self.r = n, r
 
     @property
     def q(self) -> int:
-        return self.vectors[0].q
+        return self.coords.shape[1]
 
     @property
-    def n(self) -> int:
-        return self.vectors[0].n
+    def vectors(self) -> tuple[GridVector, ...]:
+        return tuple(GridVector(row, self.n) for row in self.coords.tolist())
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.coords)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, VectorFamily)
+            and (self.n, self.r) == (other.n, other.r)
+            and np.array_equal(self.coords, other.coords)
+        )
 
     @classmethod
     def from_coords(cls, rows: Iterable[Sequence[int]], r: int, n: int | None = None) -> "VectorFamily":
-        rows = [tuple(row) for row in rows]
+        """The family of the given rows; n defaults to their largest entry."""
+        rows = list(rows)
         if n is None:
             n = max((max(row) for row in rows), default=1)
-        return cls(tuple(GridVector(row, n) for row in rows), r)
+        return cls.from_array(rows, r, n)
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "r": self.r,
-            "vectors": [list(v.coords) for v in self.vectors],
-        }
+        return {"q": self.q, "n": self.n, "r": self.r, "vectors": self.coords.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "VectorFamily":
-        n = int(data["n"])
-        vectors = tuple(GridVector(tuple(row), n) for row in data["vectors"])
-        fam = cls(vectors, int(data["r"]))
-        if fam.q != int(data["q"]):
+        n = operator.index(data["n"])
+        fam = cls.from_array(data["vectors"], operator.index(data["r"]), n)
+        if fam.q != operator.index(data["q"]):
             raise ValueError("declared q does not match vector width")
         return fam
 
@@ -180,11 +214,6 @@ COMPARABLE = ComparabilityCertificate(Verdict.COMPARABLE)
 # Cells of one (rows x m) count block: the block and the comparison it adds
 # per coordinate stay near 256 KB each, whatever the family size.
 _BLOCK_CELLS = 1 << 18
-
-
-def _coords(fam: VectorFamily) -> np.ndarray:
-    """The family as an (m, q) integer array, row i = vector i + 1."""
-    return np.array([v.coords for v in fam.vectors])
 
 
 def _win_blocks(coords: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -237,7 +266,7 @@ def validate_increasing(fam: VectorFamily) -> ComparabilityCertificate:
     such that vector a is not below vector b.
     """
     r = fam.r
-    pair = _first_pair((lo, up < r) for lo, up in _win_blocks(_coords(fam)))
+    pair = _first_pair((lo, up < r) for lo, up in _win_blocks(fam.coords))
     if pair is None:
         return INCREASING
     return ComparabilityCertificate(Verdict.FAIL_PAIR, pair=pair, check="increasing")
@@ -248,7 +277,7 @@ def validate_comparable(fam: VectorFamily) -> ComparabilityCertificate:
 
     Duplicate vectors always fail: an equal pair has no strict coordinate.
     """
-    r, coords = fam.r, _coords(fam)
+    r, coords = fam.r, fam.coords
     # the counts of the negated array are the coordinates where row j is smaller
     pair = _first_pair(
         (lo, (up < r) & (down < r))
@@ -259,11 +288,19 @@ def validate_comparable(fam: VectorFamily) -> ComparabilityCertificate:
     return ComparabilityCertificate(Verdict.FAIL_PAIR, pair=pair, check="comparable")
 
 
-def _witness_sets(x: GridVector, y: GridVector, z: GridVector):
-    a = frozenset(i + 1 for i, (u, v) in enumerate(zip(x.coords, y.coords)) if u < v)
-    b = frozenset(i + 1 for i, (u, v) in enumerate(zip(y.coords, z.coords)) if u < v)
-    c = frozenset(i + 1 for i, (u, v) in enumerate(zip(z.coords, x.coords)) if u < v)
-    return a, b, c
+def _witness_sets(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """The 1-based coordinates where x < y, where y < z and where z < x."""
+    return tuple(
+        frozenset((np.flatnonzero(u < v) + 1).tolist()) for u, v in ((x, y), (y, z), (z, x))
+    )
+
+
+def _comparable_below(fam: VectorFamily) -> np.ndarray:
+    """``_below`` of a comparable family; ValueError for any other family."""
+    below = _below(fam.coords, fam.r)
+    if np.triu(~(below | below.T), 1).any():
+        raise ValueError("input family is not comparable")
+    return below
 
 
 def find_cyclic_triple(fam: VectorFamily) -> ComparabilityCertificate | None:
@@ -275,9 +312,11 @@ def find_cyclic_triple(fam: VectorFamily) -> ComparabilityCertificate | None:
     Triples a < b < c are tried in lexicographic order, each as the cycle
     a -> b -> c -> a before a -> c -> b -> a.
     """
-    if not validate_comparable(fam).ok():
-        raise ValueError("input family is not comparable")
-    below = _below(_coords(fam), fam.r)
+    return _cyclic_triple(fam.coords, _comparable_below(fam))
+
+
+def _cyclic_triple(coords: np.ndarray, below: np.ndarray) -> ComparabilityCertificate | None:
+    """``find_cyclic_triple`` on the family's coordinates and ``_below`` matrix."""
     for a in range(len(below) - 2):
         later = below[a + 1 :, a + 1 :]  # [b, c]: b below c, both after a
         above_a = below[a, a + 1 :]  # b: a below b
@@ -290,8 +329,7 @@ def find_cyclic_triple(fam: VectorFamily) -> ComparabilityCertificate | None:
             continue
         b, c = divmod(idx, hit.shape[1])
         i, j, k = (a, a + 1 + b, a + 1 + c) if forward.flat[idx] else (a, a + 1 + c, a + 1 + b)
-        x, y, z = fam.vectors[i], fam.vectors[j], fam.vectors[k]
-        wa, wb, wc = _witness_sets(x, y, z)
+        wa, wb, wc = _witness_sets(coords[i], coords[j], coords[k])
         return ComparabilityCertificate(
             Verdict.CYCLIC_TRIPLE,
             triple=(i + 1, j + 1, k + 1),
@@ -311,9 +349,7 @@ def transitive_order(fam: VectorFamily):
     the higher index; the order is the only topological order of the
     resulting orientation.
     """
-    if not validate_comparable(fam).ok():
-        raise ValueError("input family is not comparable")
-    below = _below(_coords(fam), fam.r)
+    below = _comparable_below(fam)
     # precede[a, b]: a must come before b.  A pair a < b goes a -> b when a
     # is below b (also when b is below a too), and b -> a otherwise.
     precede = np.triu(below, 1) | np.tril(~below.T, -1)
@@ -323,7 +359,7 @@ def transitive_order(fam: VectorFamily):
     indeg = precede.sum(axis=0)
     order = np.argsort(indeg)
     if not np.array_equal(indeg[order], np.arange(len(below))):
-        cert = find_cyclic_triple(fam)
+        cert = _cyclic_triple(fam.coords, below)
         assert cert is not None  # a cyclic tournament has a cyclic triangle
         return cert
     return tuple(int(i) + 1 for i in order)
@@ -331,45 +367,33 @@ def transitive_order(fam: VectorFamily):
 
 def reordered(fam: VectorFamily, order: Sequence[int]) -> VectorFamily:
     """The same family read in the given 1-based index order."""
-    return VectorFamily(tuple(fam.vectors[i - 1] for i in order), fam.r)
+    return VectorFamily.from_array(fam.coords[np.asarray(order, np.intp) - 1], fam.r, fam.n)
 
 
 def certificate_is_sound(fam: VectorFamily, cert: ComparabilityCertificate) -> bool:
     """Re-check a certificate against the family it was issued for."""
-    vs, r = fam.vectors, fam.r
+    coords, r = fam.coords, fam.r
     if cert.verdict is Verdict.FAIL_PAIR:
         a, b = cert.pair
-        if not 1 <= a < b <= len(vs):
+        if not 1 <= a < b <= len(coords):
             return False
-        x, y = vs[a - 1], vs[b - 1]
+        x, y = coords[a - 1], coords[b - 1]
+        up, down = np.count_nonzero(x < y), np.count_nonzero(y < x)
         if cert.check == "increasing":
-            return not less_r(x, y, r)
+            return up < r
         if cert.check == "comparable":
-            return compare_r(x, y, r) is Comparison.INCOMPARABLE
+            return up < r and down < r
         return False
     if cert.verdict is Verdict.CYCLIC_TRIPLE:
-        if not all(1 <= i <= len(vs) for i in cert.triple):
+        if not all(1 <= i <= len(coords) for i in cert.triple):
             return False
-        x, y, z = (vs[i - 1] for i in cert.triple)
-        wa, wb, wc = _witness_sets(x, y, z)
+        wa, wb, wc = _witness_sets(*(coords[i - 1] for i in cert.triple))
+        # a witness set of size >= r is exactly a dominance step
         return (
-            wa == cert.witness_a
-            and wb == cert.witness_b
-            and wc == cert.witness_c
+            (wa, wb, wc) == (cert.witness_a, cert.witness_b, cert.witness_c)
             and min(len(wa), len(wb), len(wc)) >= r
-            and less_r(x, y, r)
-            and less_r(y, z, r)
-            and less_r(z, x, r)
         )
     # a positive verdict carries no witness: re-run the check that issues it
     if cert.verdict is Verdict.INCREASING:
         return validate_increasing(fam).ok()
     return validate_comparable(fam).ok()
-
-
-def dumps(fam: VectorFamily) -> str:
-    return json.dumps(fam.to_json())
-
-
-def loads(text: str) -> VectorFamily:
-    return VectorFamily.from_json(json.loads(text))

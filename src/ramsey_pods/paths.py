@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -46,11 +47,6 @@ class PathConstraint:
             return color != self.avoid
         return color in self.allow
 
-    def allowed_set(self, q: int) -> frozenset[int]:
-        if self.avoid is not None:
-            return frozenset(c for c in range(1, q + 1) if c != self.avoid)
-        return self.allow
-
     def to_json(self) -> dict:
         if self.avoid is not None:
             return {"avoid": self.avoid}
@@ -59,8 +55,8 @@ class PathConstraint:
     @classmethod
     def from_json(cls, data: dict) -> "PathConstraint":
         if "avoid" in data:
-            return cls(avoid=int(data["avoid"]))
-        return cls(allow=frozenset(int(c) for c in data["allow"]))
+            return cls(avoid=operator.index(data["avoid"]))
+        return cls(allow=frozenset(map(operator.index, data["allow"])))
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,7 @@ class PathCertificate:
         return cls(
             data["mode"],
             PathConstraint.from_json(data["constraint"]),
-            tuple(int(v) for v in data["vertices"]),
+            tuple(map(operator.index, data["vertices"])),
         )
 
 

@@ -11,6 +11,7 @@ vector sets.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,10 +80,6 @@ def pods_disjoint_fast(a: Pod, b: Pod) -> bool:
     return compare_r(a.apex, b.apex, a.r) is not Comparison.INCOMPARABLE
 
 
-def _apex_family(pods: tuple[Pod, ...]) -> VectorFamily:
-    return VectorFamily(tuple(p.apex for p in pods), pods[0].r)
-
-
 @dataclass(frozen=True)
 class Packing:
     """A collection of same-parameter pods; valid iff pairwise disjoint.
@@ -106,14 +103,12 @@ class Packing:
             _check_same_parameters(pods[0], p)
         if not pods:
             return cls(pods, COMPARABLE)
-        return cls(pods, validate_comparable(_apex_family(pods)))
+        apices = VectorFamily((p.apex for p in pods), pods[0].r)
+        return cls(pods, validate_comparable(apices))
 
     @classmethod
     def from_apices(cls, q: int, r: int, n: int, apices) -> "Packing":
         return cls.of(Pod(q, r, n, GridVector(tuple(a), n)) for a in apices)
-
-    def apex_family(self) -> VectorFamily:
-        return _apex_family(self.pods)
 
     def to_json(self) -> dict:
         p0 = self.pods[0]
@@ -126,9 +121,8 @@ class Packing:
 
     @classmethod
     def from_json(cls, data: dict) -> "Packing":
-        return cls.from_apices(
-            int(data["q"]), int(data["r"]), int(data["n"]), data["apices"]
-        )
+        q, r, n = (operator.index(data[key]) for key in ("q", "r", "n"))
+        return cls.from_apices(q, r, n, data["apices"])
 
 
 def packing_density(packing: Packing) -> Fraction:

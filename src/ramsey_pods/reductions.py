@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridVector, VectorFamily, validate_increasing
+from .core import VectorFamily, validate_increasing
 from .paths import monotone_lengths_ending
 from .tournament import ColoredTournament, OrderedColoring
 
@@ -29,10 +29,8 @@ def coloring_to_vectors(k: OrderedColoring) -> VectorFamily:
         raise ValueError("the vector translation needs at least two colors")
     palette = frozenset(range(1, q + 1))
     # ending[i - 1][v] = longest monotone path avoiding color i that ends at v
-    ending = [monotone_lengths_ending(k, palette - {i})[1:] for i in range(1, q + 1)]
-    side = max(map(max, ending))
-    vectors = tuple(GridVector(coords, side) for coords in zip(*ending))
-    fam = VectorFamily(vectors, max(1, q - 1))
+    ending = np.array([monotone_lengths_ending(k, palette - {i})[1:] for i in range(1, q + 1)])
+    fam = VectorFamily.from_array(ending.T, max(1, q - 1), int(ending.max()))
     cert = validate_increasing(fam)
     if not cert.ok():
         raise AssertionError(f"derived family failed validation at {cert.pair}")
@@ -52,7 +50,7 @@ def vectors_to_coloring(fam: VectorFamily) -> OrderedColoring:
         raise ValueError(f"expected threshold q-1={q - 1}, got {fam.r}")
     if not validate_increasing(fam).ok():
         raise ValueError("family is not (q-1)-increasing")
-    x = np.array([v.coords for v in fam.vectors])
+    x = fam.coords
     m = len(x)
     color = np.zeros((m + 1, m + 1), np.min_scalar_type(q))
     step = max(1, _BLOCK_ENTRIES // (m * q))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +39,6 @@ import numpy as np
 from .budget import Budget, BudgetExceeded
 from .constructions import canonical_coloring
 from .core import (
-    GridVector,
     VectorFamily,
     _below,
     validate_comparable,
@@ -71,17 +70,7 @@ class ExtremalRecord:
     wall_seconds: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "q": self.q,
-            "r": self.r,
-            "size": self.size,
-            "value": self.value,
-            "status": self.status,
-            "certificate": self.certificate,
-            "nodes_explored": self.nodes_explored,
-            "wall_seconds": self.wall_seconds,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "ExtremalRecord":
@@ -111,10 +100,11 @@ def _check_params(kind: str, q: int, r: int, size: int) -> None:
 # F: longest increasing sequence
 
 
-def _grid_vectors(q: int, n: int) -> list[tuple[int, ...]]:
+def _grid_vectors(q: int, n: int) -> np.ndarray:
+    """The points of [n]^q as an (n^q, q) array, rows in lexicographic order."""
     if n**q > GRID_POINT_CAP:
         raise ValueError(f"[{n}]^{q} has {n**q} grid points, above the cap of {GRID_POINT_CAP}")
-    return list(itertools.product(range(1, n + 1), repeat=q))
+    return np.indices((n,) * q).reshape(q, -1).T + 1
 
 
 def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRecord:
@@ -130,7 +120,7 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     clock = (budget or Budget()).start()
     vecs = _grid_vectors(q, n)
     m = len(vecs)
-    greater = _rows(_below(np.array(vecs), r))
+    greater = _rows(_below(vecs, r))
     memo: dict[int, tuple[int, int]] = {}
     best_chain: list[int] = []
 
@@ -165,9 +155,7 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
         return best_len
 
     full = (1 << m) - 1
-    canonical_starts = [
-        i for i, v in enumerate(vecs) if tuple(sorted(v)) == v
-    ]
+    canonical_starts = np.flatnonzero((np.diff(vecs) >= 0).all(axis=1)).tolist()
     try:
         best = 0
         for i in canonical_starts:
@@ -184,7 +172,7 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
         chain = list(best_chain)
         best = len(chain)
         status = LOWER_BOUND
-    witness = VectorFamily.from_coords([vecs[i] for i in chain], r, n)
+    witness = VectorFamily.from_array(vecs[chain], r, n)
     assert validate_increasing(witness).ok()
     return ExtremalRecord(
         "F", q, r, n, best, status, witness.to_json(), clock.nodes, clock.elapsed()
@@ -205,7 +193,7 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     clock = (budget or Budget()).start()
     vecs = _grid_vectors(q, n)
     m = len(vecs)
-    below = _below(np.array(vecs), r)
+    below = _below(vecs, r)
     adj = _rows(below | below.T)
     full = (1 << m) - 1
     # nonadj[v]: the vertices v may share a color class with, v excluded
@@ -251,7 +239,7 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     # a budget that trips before the first leaf leaves no incumbent; any
     # single vector is a comparable family
     best = best or [0]
-    witness = VectorFamily.from_coords([vecs[i] for i in sorted(best)], r, n)
+    witness = VectorFamily.from_array(vecs[sorted(best)], r, n)
     assert validate_comparable(witness).ok()
     return ExtremalRecord(
         "G", q, r, n, len(best), status, witness.to_json(), clock.nodes, clock.elapsed()

@@ -155,7 +155,7 @@ class OrderedColoring:
 
     @classmethod
     def from_json(cls, data: dict) -> "OrderedColoring":
-        return cls(int(data["N"]), int(data["q"]), data["colors"])
+        return cls(operator.index(data["N"]), operator.index(data["q"]), data["colors"])
 
     def __eq__(self, other):
         return (
@@ -299,15 +299,19 @@ class ColoredTournament:
     def out_degree(self, u: int) -> int:
         return bin(self._out[self._idx[u]]).count("1")
 
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Each pair once, as (tail, head, color), row-major over positions."""
+    def _triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each pair once, row-major over positions, as arrays of tail, head and color."""
         a, b = np.triu_indices(len(self.vertices), 1)
         arc = self._arc[a, b]
         verts = np.array(self.vertices)
         forward = arc > 0
         tails = np.where(forward, verts[a], verts[b])
         heads = np.where(forward, verts[b], verts[a])
-        return zip(tails.tolist(), heads.tolist(), np.abs(arc).tolist())
+        return tails, heads, np.abs(arc)
+
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """Each pair once, as (tail, head, color), row-major over positions."""
+        return zip(*(a.tolist() for a in self._triples()))
 
     def restrict(self, keep: Iterable[int]) -> "ColoredTournament":
         """Induced subtournament on the given labels (labels preserved)."""
@@ -336,12 +340,12 @@ class ColoredTournament:
         return {
             "N": self.n_vertices,
             "q": int(self.q),
-            "edges": [[u, v, c] for u, v, c in self.edges()],
+            "edges": np.stack(self._triples(), axis=1).tolist(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoredTournament":
-        return cls(int(data["N"]), int(data["q"]), data["edges"])
+        return cls(operator.index(data["N"]), operator.index(data["q"]), data["edges"])
 
 
 def _rows(bits: np.ndarray) -> list[int]:

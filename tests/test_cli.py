@@ -216,6 +216,36 @@ def test_float_literal_exit_three(workdir, capsys, kind):
     assert err.startswith("error: cannot parse ") and "non-integer number" in err
 
 
+def _string_number_inputs(workdir):
+    """One command per input file kind, each file holding a number written as a string."""
+    t = random_tournament(3, 2, seed=0).to_json()
+    (workdir / "t.json").write_text(json.dumps(t))
+    (workdir / "t_str.json").write_text(json.dumps(dict(t, N="3")))
+    cert = {"mode": "directed", "constraint": {"avoid": "2"}, "vertices": ["1", " 2 "]}
+    (workdir / "c_str.json").write_text(json.dumps(cert))
+    fam = {"q": 2, "n": 3, "r": 1, "vectors": [["1", 1], [2, " 3 "]]}
+    (workdir / "f_str.json").write_text(json.dumps(fam))
+    (workdir / "k_str.json").write_text(json.dumps({"N": 2, "q": "2", "colors": [[1, 2, 1]]}))
+    (workdir / "p_str.json").write_text(json.dumps({"q": 2, "r": 1, "n": 3, "apices": [["1", 1]]}))
+    return {
+        "certificate": ["verify", "path", "t.json", "c_str.json"],
+        "tournament": ["decompose", "recursive", "t_str.json"],
+        "family": ["verify", "sequence", "f_str.json"],
+        "coloring": ["construct", "balance", "k_str.json"],
+        "packing": ["verify", "packing", "p_str.json"],
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["certificate", "tournament", "family", "coloring", "packing"]
+)
+def test_string_number_exit_three(workdir, capsys, kind):
+    code, out, err = run(capsys, *_string_number_inputs(workdir)[kind])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: bad {kind}: ")
+
+
 def test_verify_packing_names_first_intersecting_pair(workdir, capsys):
     apices = [[1, 1, 1], [2, 2, 1], [2, 2, 2], [2, 1, 2], [1, 2, 1]]
     (workdir / "p.json").write_text(json.dumps({"q": 3, "r": 2, "n": 2, "apices": apices}))
