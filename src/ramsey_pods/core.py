@@ -108,12 +108,17 @@ class VectorFamily:
         fam._set(coords, r, n)
         return fam
 
-    def _set(self, coords, r: int, n: int) -> None:
+    def _set(self, rows, r: int, n: int) -> None:
         """Check an (m, q) coordinate array in numpy and store a read-only copy."""
         try:
-            coords = np.asarray(coords)
+            coords = np.asarray(rows)
         except ValueError:  # numpy's message for rows of different lengths
             raise ValueError("all members must share the same (q, n) ambient") from None
+        if coords.dtype.kind == "f" and not isinstance(rows, np.ndarray):
+            # numpy reads ints below 0 mixed with ints above 2^63 - 1 as float64
+            exact = np.array(rows, object)
+            if all(isinstance(x, (int, np.integer)) for x in exact.flat):
+                coords = exact
         if coords.ndim and not len(coords):
             raise ValueError("a family must contain at least one vector")
         if coords.ndim != 2:

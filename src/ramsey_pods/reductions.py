@@ -4,6 +4,7 @@ color-merging maps relating different palette sizes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,7 @@ class ColorPartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "ColorPartition":
-        return cls(tuple(frozenset(int(c) for c in b) for b in data["blocks"]))
+        return cls(tuple(frozenset(map(operator.index, b)) for b in data["blocks"]))
 
 
 def merge_colors(instance, partition: ColorPartition):

@@ -190,6 +190,8 @@ def test_transitive_order_and_cyclic_triple_reject_an_incomparable_family():
         ([1, 2], 1, 3, r"an \(m, q\) array"),
         ([[1, 2]], 0, 3, r"threshold r=0 outside \[1, 2\]"),
         ([[1, 2]], 3, 3, r"threshold r=3 outside \[1, 2\]"),
+        # a list numpy reads as float64: the object fallback names the -1
+        ([[-1, 2**63]], 1, 2**70, rf"coordinate -1 outside \[1, {2**70}\]"),
     ],
 )
 def test_set_rejections(coords, r, n, message):

@@ -130,6 +130,14 @@ def test_merge_partition_validation():
         merge_colors(random_tournament(4, 3, seed=0), part)
 
 
+def test_partition_json_reads_integers_only():
+    part = ColorPartition.from_json({"blocks": [[2, 1], [3]]})
+    assert part.to_json() == {"blocks": [[1, 2], [3]]}
+    for block in (["1", " 2 "], [1.0, 2]):
+        with pytest.raises(TypeError):
+            ColorPartition.from_json({"blocks": [block, [3]]})
+
+
 def test_merged_certificate_pulls_back():
     rng = random.Random(4)
     for trial in range(15):

@@ -267,3 +267,15 @@ def test_run_search_uses_cache(tmp_path):
 def test_record_json_roundtrip():
     rec = exact_g(2, 1, 3)
     assert ExtremalRecord.from_json(rec.to_json()) == rec
+
+
+def test_record_json_reads_integers_only(tmp_path):
+    data = exact_F(2, 1, 2).to_json()
+    for key in ("q", "r", "size", "value", "nodes_explored"):
+        for bad in (str(data[key]), float(data[key])):
+            with pytest.raises(TypeError):
+                ExtremalRecord.from_json(dict(data, **{key: bad}))
+    # the cache skips such a line instead of reading "3" as 3
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(dict(data, q="2")) + "\n")
+    assert cache_get("F", 2, 1, 2, path) is None

@@ -6,7 +6,9 @@ vertices, with the longest allowed path found by trying vertex orders;
 vertices, with the longest monotone path found by trying vertex subsets.
 The incremental prefix tables are checked on seeded random prefixes:
 ``exact_g``'s entry by entry against a fresh ``SubsetPathOracle``,
-``exact_f``'s against ``longest_restricted_monotone``.
+``exact_f``'s against ``longest_restricted_monotone``.  ``exact_G`` is
+checked against networkx's maximum clique on every small grid, and its
+budget-tripped records on ``G 3 2 5``.
 """
 
 import itertools
@@ -14,13 +16,18 @@ import random
 
 import pytest
 
+from ramsey_pods.budget import Budget
+from ramsey_pods.core import VectorFamily, _below, validate_comparable
 from ramsey_pods.paths import SubsetPathOracle, longest_restricted_monotone
 from ramsey_pods.search import (
     EXACT,
+    LOWER_BOUND,
     PrefixMonotoneTables,
     PrefixPathTables,
+    _grid_vectors,
     exact_f,
     exact_g,
+    exact_G,
 )
 from ramsey_pods.tournament import ColoredTournament, OrderedColoring
 
@@ -169,3 +176,38 @@ def test_monotone_prefix_tables_match_a_fresh_dp(seed):
             into = [(j, k, color[j, k]) for j in range(1, k)]
             longest[k] = max(longest[k - 1], tables.complete(k, into, 2))
             assert longest[k] == _monotone_prefix_value(color, q, k, subsets)
+
+
+# every grid of at most 64 points with q <= 6 and n <= 8: n = 1 would allow
+# any q, and at q = 1 every n gives a complete graph, on which networkx
+# spends about 0.2 s once n is near 64
+SMALL_GRIDS = [
+    (q, r, n) for q in range(1, 7) for r in range(1, q + 1) for n in range(1, 9) if n**q <= 64
+]
+
+
+def test_exact_G_matches_networkx_clique():
+    nx = pytest.importorskip("networkx")
+    for q, r, n in SMALL_GRIDS:
+        below = _below(_grid_vectors(q, n), r)
+        graph = nx.from_numpy_array(below | below.T)
+        rec = exact_G(q, r, n)
+        assert rec.status == EXACT
+        assert rec.value == len(nx.max_weight_clique(graph, weight=None)[0]), (q, r, n)
+        witness = VectorFamily.from_json(rec.certificate)
+        assert len(witness) == rec.value
+        assert validate_comparable(witness).ok()
+
+
+def test_exact_G_budget_keeps_a_growing_comparable_witness():
+    values = []
+    for nodes in (1, 2, 10, 100, 1000):
+        rec = exact_G(3, 2, 5, Budget(max_nodes=nodes))
+        assert rec.status == LOWER_BOUND
+        assert rec.value <= 11
+        witness = VectorFamily.from_json(rec.certificate)
+        assert len(witness) == rec.value
+        assert validate_comparable(witness).ok()
+        values.append(rec.value)
+    # one deterministic search: a larger budget only lets the incumbent grow
+    assert values == sorted(values)
