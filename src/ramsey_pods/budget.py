@@ -51,3 +51,14 @@ class BudgetClock:
 
     def elapsed(self) -> float:
         return time.monotonic() - self.t0
+
+    def remaining(self) -> Budget:
+        """What is left of the budget, for a sub-search that shares it.
+
+        The sub-search's nodes are charged back by adding them to ``nodes``.
+        """
+        b = self.budget
+        return Budget(
+            None if b.max_nodes is None else b.max_nodes - self.nodes,
+            None if b.max_seconds is None else b.max_seconds - self.elapsed(),
+        )

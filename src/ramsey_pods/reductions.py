@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VectorFamily, validate_increasing
+from .core import VectorFamily, validate_comparable, validate_increasing
 from .paths import monotone_lengths_ending
 from .tournament import ColoredTournament, OrderedColoring
 
@@ -61,6 +61,34 @@ def vectors_to_coloring(fam: VectorFamily) -> OrderedColoring:
         color[lo + 1 : lo + step + 1, 1:] = stalled.argmax(axis=2) + 1
     upper = np.triu(color, 1)
     return OrderedColoring.from_matrix(q, upper + upper.T)
+
+
+def vectors_to_tournament(fam: VectorFamily) -> ColoredTournament:
+    """Orient each pair along its dominance; color it by the coordinate that does not grow.
+
+    Requires a (q-1)-comparable family.  The pair (a, b), a < b, points
+    a -> b when vector b beats vector a in q - 1 coordinates, else b -> a;
+    at q = 2 both can hold, and then the lower index is the tail.  The
+    color is the first coordinate in which the head is not larger than the
+    tail, or 1 when every coordinate grows.  A path avoiding color c then
+    grows coordinate c at every step, so it has at most n vertices.  The
+    converse map, one vector of avoiding-path lengths per vertex, is not
+    an inverse: it sends every vertex of a monochromatic 3-cycle to (1, 3).
+    """
+    q = fam.q
+    if fam.r != q - 1:
+        raise ValueError(f"expected threshold q-1={q - 1}, got {fam.r}")
+    if not validate_comparable(fam).ok():
+        raise ValueError("family is not (q-1)-comparable")
+    x = fam.coords
+    a, b = np.triu_indices(len(x), 1)
+    forward = (x[b] > x[a]).sum(axis=1) >= q - 1
+    tails = np.where(forward, a, b)
+    heads = np.where(forward, b, a)
+    # argmax finds the first stalled coordinate, and 0 (color 1) when none is
+    colors = (x[heads] <= x[tails]).argmax(axis=1) + 1
+    edges = zip((tails + 1).tolist(), (heads + 1).tolist(), colors.tolist())
+    return ColoredTournament(len(x), q, edges)
 
 
 @dataclass(frozen=True)

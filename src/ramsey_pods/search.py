@@ -28,6 +28,20 @@ forward edges and keeps rows of monotone path lengths
 endpoint-mask tables (``PrefixPathTables``).  ``longest_restricted_monotone``
 and ``SubsetPathOracle`` stay the independent checks of every f and g
 witness.
+
+Both minimizers start their objective at a proved floor: the least v with
+v^ceil(q/r) >= N (``_value_floor``), so a search ends, exact, as soon as the
+incumbent meets it; this closes f and g at q = 2, r = 1 with no search.  At
+r = q - 1 the paper's two questions meet: n increasing vectors in [m]^q
+are a coloring whose every color-avoiding monotone path has at most m
+vertices, and back (``vectors_to_coloring``, ``coloring_to_vectors``).  So
+f(q, q-1, N) is the least m with F(q, q-1, m) >= N, found by walking m up
+from the floor on the key's one budget; it is exact because every smaller
+side closed below N, and the branch-and-bound is not entered.  The same
+walk over G gives g a start, through ``vectors_to_tournament``, but no
+proof: the converse map is unsound on tournaments with cycles (on a
+monochromatic 3-cycle every vertex ends a 3-vertex path avoiding color 2),
+so g stays proved by its search or the floor.
 """
 
 from __future__ import annotations
@@ -42,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import Budget, BudgetExceeded
+from .budget import Budget, BudgetClock, BudgetExceeded
 from .constructions import canonical_coloring
 from .core import (
     VectorFamily,
@@ -51,6 +65,7 @@ from .core import (
     validate_increasing,
 )
 from .paths import EXACT_VERTEX_CAP, SubsetPathOracle, longest_restricted_monotone
+from .reductions import vectors_to_coloring, vectors_to_tournament
 from .tournament import ColoredTournament, OrderedColoring, _rows
 
 CACHE_ENV = "RAMSEY_PODS_CACHE"
@@ -80,17 +95,27 @@ class ExtremalRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExtremalRecord":
+        seconds = data.get("wall_seconds", 0.0)
+        if type(seconds) not in (int, float):  # a string or bool is no duration
+            raise TypeError(f"wall_seconds needs a number, got {seconds!r}")
         return cls(
             kind=data["kind"],
-            q=operator.index(data["q"]),
-            r=operator.index(data["r"]),
-            size=operator.index(data["size"]),
-            value=operator.index(data["value"]),
+            q=_integer(data["q"]),
+            r=_integer(data["r"]),
+            size=_integer(data["size"]),
+            value=_integer(data["value"]),
             status=data["status"],
             certificate=data["certificate"],
-            nodes_explored=operator.index(data.get("nodes_explored", 0)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
+            nodes_explored=_integer(data.get("nodes_explored", 0)),
+            wall_seconds=float(seconds),
         )
+
+
+def _integer(x) -> int:
+    """An int read from JSON: a string, float or bool raises TypeError."""
+    if type(x) is bool:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
 
 
 def _check_params(kind: str, q: int, r: int, size: int) -> None:
@@ -394,11 +419,60 @@ class PrefixPathTables:
         return best
 
 
-# per minimizer: the witness class and its independent valuation
+# per minimizer: the witness class, its independent valuation, and the map
+# that turns an n-vector family at r = q - 1 into a witness of value <= n
 _MINIMIZERS = {
-    "f": (OrderedColoring, _restricted_value_monotone),
-    "g": (ColoredTournament, _restricted_value_directed),
+    "f": (OrderedColoring, _restricted_value_monotone, vectors_to_coloring),
+    "g": (ColoredTournament, _restricted_value_directed, vectors_to_tournament),
 }
+
+
+def _value_floor(q: int, r: int, n: int) -> int:
+    """The least v with v^ceil(q/r) >= n: no coloring on n vertices has a smaller value.
+
+    Take ceil(q/r) color subsets of size r that cover the palette, and for
+    each subset S the arcs colored in S.  If no path within S has more than
+    v vertices, Gallai and Roy's theorem colors those arcs' graph properly
+    with v colors (for an ordered coloring: the longest monotone S-path
+    ending at a vertex).  Every pair is an arc of some subset's graph, so
+    the tuple of those colors is injective on vertices, and n <= v^ceil(q/r).
+    Valid for f and g alike; r < q.
+    """
+    k = -(-q // r)
+    v = 1
+    while v**k < n:
+        v += 1
+    return v
+
+
+def _least_side(
+    kind: str, q: int, n: int, floor: int, stop: int, clock: BudgetClock
+) -> tuple[int, VectorFamily | None]:
+    """Walk the sides m = floor, floor + 1, ... below ``stop`` of F or G at r = q - 1.
+
+    Each ``kind`` record over [m]^q runs on what is left of ``clock``'s
+    budget and is charged to it.  The walk stops at the first record with
+    at least n vectors and returns the floor and that record's first n
+    vectors, or the floor and None when no side below ``stop`` has n, or
+    when the grid passes ``GRID_POINT_CAP``.  For F each side that closes
+    exactly below n raises the floor past it: ``coloring_to_vectors`` maps
+    a coloring of value m to n increasing vectors in [m]^q.  For G it does
+    not, since no such map is known on tournaments with cycles.  Raises
+    BudgetExceeded when a record's budget trips below n.
+    """
+    for m in range(floor, stop):
+        if m**q > GRID_POINT_CAP:
+            break
+        rec = _ORACLES[kind](q, q - 1, m, clock.remaining())
+        clock.nodes += rec.nodes_explored
+        if rec.value >= n:
+            coords = VectorFamily.from_json(rec.certificate).coords[:n]
+            return floor, VectorFamily.from_array(coords, q - 1, m)
+        if rec.status != EXACT:
+            raise BudgetExceeded(f"{kind} {q} {q - 1} {m} stopped below {n}")
+        if kind == "F":
+            floor = m + 1
+    return floor, None
 
 
 def _minimize(
@@ -412,19 +486,32 @@ def _minimize(
     palette-relabeling symmetry.  With ``backward`` an edge (i,k) may also
     point k -> i, except edge (1,2): reversing every edge keeps the
     objective.  When the last edge of vertex k is set, ``tables``, built
-    from (n, color subsets), extends the prefix objective by k.  A branch
-    is pruned as soon as it matches the incumbent, which starts as the
+    from (n, color subsets), extends the prefix objective by k.  The prefix
+    objective starts at ``_value_floor``, which every coloring reaches, so
+    a branch is pruned as soon as it matches the incumbent and the search
+    ends once the incumbent meets the floor.  The incumbent starts as the
     balanced product coloring restricted to 1..n; a tripped budget leaves
-    the incumbent as an upper bound.  ``_MINIMIZERS[kind]`` names the
-    witness class and the valuation that re-checks the witness.
+    it as an upper bound.
+
+    At r = q - 1 the maximizer's witnesses come first (``_least_side``):
+    n increasing vectors in [m]^q map to a coloring of value m, and n
+    comparable ones to a tournament of value at most m, so the first side
+    m whose F or G record has n vectors gives an incumbent.  For f the
+    walk also raises the floor past every side that F closes below n, so
+    f(q, q-1, n) is the least m with F(q, q-1, m) >= n and the search
+    ends before its first node.  For g only the search proves the value.
+    The walk shares the budget; ``_MINIMIZERS[kind]`` names the witness
+    class, the valuation that re-checks the witness and the map from
+    vectors.
     """
-    cls, valuation = _MINIMIZERS[kind]
+    cls, valuation, from_vectors = _MINIMIZERS[kind]
     clock = (budget or Budget()).start()
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     if r >= q or n == 1:
         # every coloring is optimal: some path visits all n vertices
         witness = cls(n, q, [(u, v, 1) for u, v in pairs])
         return ExtremalRecord(kind, q, r, n, n, EXACT, witness.to_json(), 0, clock.elapsed())
+    floor = _value_floor(q, r, n)
     side = next(m for m in itertools.count(1) if m**q >= n)
     big = canonical_coloring(q, side)
     best_witness = cls(n, q, [(u, v, big.color(u, v)) for u, v in pairs])
@@ -458,12 +545,20 @@ def _minimize(
                     dfs(e + 1, new_used, prefix_val)
 
     try:
-        dfs(0, 0, 1)
+        if r == q - 1 and best_val > floor:
+            floor, fam = _least_side(kind.upper(), q, n, floor, best_val, clock)
+            if fam is not None:
+                witness = from_vectors(fam)
+                value = valuation(witness, r)
+                if value < best_val:
+                    best_witness, best_val = witness, value
+        dfs(0, 0, floor)
         status = EXACT
     except BudgetExceeded:
         status = UPPER_BOUND
-    # the witness's value, re-derived by the independent valuation
-    assert valuation(best_witness, r) == best_val
+    # the witness's value, re-derived by the independent valuation, and the
+    # floor it may not beat
+    assert floor <= valuation(best_witness, r) == best_val
     return ExtremalRecord(
         kind, q, r, n, best_val, status, best_witness.to_json(), clock.nodes, clock.elapsed()
     )
@@ -479,7 +574,9 @@ def exact_f(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
     the last edge into vertex k is colored, one pass over k's incoming colors
     fills the longest path ending at k for every subset, reading only the
     subsets that hold each edge's color.  A branch is pruned as soon as it
-    matches the incumbent.
+    matches the incumbent.  At r = q - 1 the answer is the least m with
+    F(q, q-1, m) >= n_vertices instead, and the search is not entered
+    unless that walk passes ``GRID_POINT_CAP``.
     """
     _check_params("f", q, r, n_vertices)
     return _minimize("f", q, r, n_vertices, budget, PrefixMonotoneTables, backward=False)
@@ -495,7 +592,8 @@ def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
     ``PrefixPathTables`` extends one endpoint-mask table per r-subset of
     colors by the vertex sets that contain k.  Practical only for very
     small N: a search that reaches vertex N holds tables of 2^N entries.
-    Unless every tournament is trivially optimal (r >= q or N = 1), N above
+    At r = q - 1 it may start from the tournament of a G witness, but only
+    the search or the floor proves the value.  Unless every tournament is trivially optimal (r >= q or N = 1), N above
     ``EXACT_VERTEX_CAP`` raises ValueError: no witness could be valued.
     """
     _check_params("g", q, r, n_vertices)
@@ -528,7 +626,7 @@ def validate_record(record: ExtremalRecord) -> str | None:
             if record.status == UPPER_BOUND:
                 return "maximizers cannot carry upper_bound records"
         else:
-            cls, valuation = _MINIMIZERS[record.kind]
+            cls, valuation, _ = _MINIMIZERS[record.kind]
             witness = cls.from_json(record.certificate)
             if (witness.q, witness.n_vertices) != (record.q, record.size):
                 return "witness parameters disagree with the record"

@@ -78,11 +78,27 @@ def test_search_F_above_grid_cap_exit_one(workdir, capsys):
 def test_search_repeated_bound_cached_once(workdir, capsys):
     for _ in range(3):
         code, _, _ = run(
-            capsys, "search", "g", "3", "2", "5", "--budget", "80", "--cache", "c.jsonl"
+            capsys, "search", "f", "4", "2", "6", "--budget", "80", "--cache", "c.jsonl"
         )
         assert code == 2
     lines = [l for l in (workdir / "c.jsonl").read_text().splitlines() if l.strip()]
     assert len(lines) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        # f 2 1 10 meets the floor ceil(sqrt 10) = 4 at the start
+        (["f", "2", "1", "10", "--budget", "20000"], 4),
+        # the tournament of G 3 2 3's witness meets the floor 3
+        (["g", "3", "2", "5", "--budget", "80"], 3),
+    ],
+)
+def test_search_r_q_minus_one_closes_within_budget(workdir, capsys, argv, value):
+    code, out, _ = run(capsys, "search", *argv, "--no-cache", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["status"]) == (value, "exact")
 
 
 def test_search_hits_cache(workdir, capsys):

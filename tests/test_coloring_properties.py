@@ -9,6 +9,10 @@
   ``vectors_to_coloring`` of it keeps each edge's color c where coordinate c
   stalls and colors it 1 otherwise; avoiding color i, its longest path is at
   most k's.
+- The tournament map: ``vectors_to_tournament`` of a (q-1)-comparable family
+  in [n]^q orients each pair along its dominance (the lower index is the
+  tail when both directions hold), colors it by the first coordinate that
+  does not grow, and has no path on at most q-1 colors longer than n.
 """
 
 import itertools
@@ -17,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramsey_pods.constructions import balance_coloring, lex_product
-from ramsey_pods.core import validate_increasing
-from ramsey_pods.paths import ell_avoid_monotone, longest_restricted_monotone
-from ramsey_pods.reductions import coloring_to_vectors, vectors_to_coloring
+from ramsey_pods.core import VectorFamily, validate_increasing
+from ramsey_pods.paths import SubsetPathOracle, ell_avoid_monotone, longest_restricted_monotone
+from ramsey_pods.reductions import coloring_to_vectors, vectors_to_coloring, vectors_to_tournament
 from ramsey_pods.tournament import OrderedColoring
 
 
@@ -84,3 +88,37 @@ def test_vector_round_trip(k):
         assert back.color(u, v) == (c if stalls else 1)
     for i in range(1, q + 1):
         assert ell_avoid_monotone(back, i).length <= avoid[i - 1]
+
+
+def _beats(x, y, r) -> bool:
+    """y is larger than x in at least r coordinates."""
+    return sum(b > a for a, b in zip(x, y)) >= r
+
+
+@st.composite
+def comparable_families(draw):
+    """Grown greedily from drawn candidates, keeping each one comparable to all kept."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
+    candidates = draw(st.lists(st.tuples(*[st.integers(1, n)] * q), min_size=1, max_size=40))
+    kept: list = []
+    for v in candidates:
+        if len(kept) < 12 and all(_beats(u, v, q - 1) or _beats(v, u, q - 1) for u in kept):
+            kept.append(v)
+    return VectorFamily.from_coords(kept, q - 1, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(comparable_families())
+def test_vectors_to_tournament_orients_along_dominance(fam):
+    q, x = fam.q, fam.coords.tolist()
+    t = vectors_to_tournament(fam)
+    assert (t.n_vertices, t.q) == (len(x), q)
+    for a, b in itertools.combinations(range(1, len(x) + 1), 2):
+        up = _beats(x[a - 1], x[b - 1], q - 1)
+        tail, head = (a, b) if up else (b, a)
+        assert t.has_edge(tail, head)
+        grows = [h > s for s, h in zip(x[tail - 1], x[head - 1])]
+        assert t.color(a, b) == (grows.index(False) + 1 if False in grows else 1)
+    for s in itertools.combinations(range(1, q + 1), q - 1):
+        assert SubsetPathOracle(t, frozenset(s)).longest() <= fam.n

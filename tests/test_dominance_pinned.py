@@ -28,7 +28,7 @@ from ramsey_pods.search import exact_F, exact_G
 
 DATA = Path(__file__).parent / "data" / "dominance_pinned.json"
 SEARCH_KEYS = [(2, 1, 3), (3, 2, 3), (3, 2, 4), (2, 2, 3), (4, 3, 2), (4, 2, 2), (3, 1, 3)]
-BUDGET_KEYS = [(3, 2, 5, 300), (4, 2, 3, 300)]
+BUDGET_KEYS = [(3, 2, 5, 300), (4, 2, 3, 300), (4, 2, 3, 100)]
 
 
 def _random_family(rng: random.Random) -> VectorFamily:
@@ -103,6 +103,9 @@ def test_dominance_outputs_are_pinned():
         for i, (have, want) in enumerate(zip(got[key], pinned[key])):
             assert have == want, (key, i)
     assert got["search"] == pinned["search"]
+    # G 4 2 3 closes in 263 nodes, so its 300-node key pins an exact record;
+    # the 100-node key keeps a tripped G budget pinned
+    assert got["search"]["G_4_2_3_b100"][1] == "lower_bound"
 
 
 if __name__ == "__main__":

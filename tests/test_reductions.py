@@ -16,6 +16,7 @@ from ramsey_pods.reductions import (
     floor_reduction,
     merge_colors,
     vectors_to_coloring,
+    vectors_to_tournament,
 )
 from ramsey_pods.tournament import (
     ColoredTournament,
@@ -70,6 +71,25 @@ def test_vectors_to_coloring_requires_threshold():
     fam = VectorFamily.from_coords([(1, 1, 1), (2, 2, 2)], 1)
     with pytest.raises(ValueError):
         vectors_to_coloring(fam)
+
+
+def test_vectors_to_tournament_examples():
+    # (2,1,3) beats (1,2,1) in coordinates 1 and 3; coordinate 2 does not grow
+    t = vectors_to_tournament(VectorFamily.from_coords([(2, 1, 3), (1, 2, 1)], 2))
+    assert t.has_edge(2, 1) and t.color(1, 2) == 2
+    # every coordinate grows: color 1
+    t = vectors_to_tournament(VectorFamily.from_coords([(1, 1, 1), (2, 2, 2)], 2))
+    assert t.has_edge(1, 2) and t.color(1, 2) == 1
+    # q = 2: each vector beats the other in one coordinate; the lower index is the tail
+    t = vectors_to_tournament(VectorFamily.from_coords([(2, 1), (1, 2)], 1))
+    assert t.has_edge(1, 2) and t.color(1, 2) == 1
+
+
+def test_vectors_to_tournament_rejects_other_families():
+    with pytest.raises(ValueError, match="threshold"):
+        vectors_to_tournament(VectorFamily.from_coords([(1, 1, 1), (2, 2, 2)], 1))
+    with pytest.raises(ValueError, match="comparable"):
+        vectors_to_tournament(VectorFamily.from_coords([(1, 1, 2), (1, 2, 1)], 2))
 
 
 def test_vectors_to_coloring_blocks_long_avoiding_paths():

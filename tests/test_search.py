@@ -279,3 +279,15 @@ def test_record_json_reads_integers_only(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(dict(data, q="2")) + "\n")
     assert cache_get("F", 2, 1, 2, path) is None
+
+
+def test_record_json_reads_wall_seconds_as_a_number(tmp_path):
+    data = exact_F(2, 1, 2).to_json()
+    assert ExtremalRecord.from_json(dict(data, wall_seconds=1)).wall_seconds == 1.0
+    for key, bad in (("wall_seconds", " 0.5 "), ("wall_seconds", True), ("q", True)):
+        with pytest.raises(TypeError):
+            ExtremalRecord.from_json(dict(data, **{key: bad}))
+    # the cache skips such a line instead of reading " 0.5 " as 0.5
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(dict(data, wall_seconds=" 0.5 ")) + "\n")
+    assert cache_get("F", 2, 1, 2, path) is None

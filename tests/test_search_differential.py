@@ -9,6 +9,12 @@ The incremental prefix tables are checked on seeded random prefixes:
 ``exact_f``'s against ``longest_restricted_monotone``.  ``exact_G`` is
 checked against networkx's maximum clique on every small grid, and its
 budget-tripped records on ``G 3 2 5``.
+
+At r = q - 1 both minimizers first walk the maximizer's sides.  Their
+values are checked against ``_minimize`` run as the branch-and-bound alone
+(no walk, floor 1), and ``exact_f``'s against the least side m with
+``exact_F(q, q-1, m) >= N``, found by a walk from m = 1.  The value floor
+is checked on random and near-optimal colorings and tournaments.
 """
 
 import itertools
@@ -16,20 +22,34 @@ import random
 
 import pytest
 
+from ramsey_pods import search
 from ramsey_pods.budget import Budget
+from ramsey_pods.constructions import canonical_coloring
 from ramsey_pods.core import VectorFamily, _below, validate_comparable
 from ramsey_pods.paths import SubsetPathOracle, longest_restricted_monotone
+from ramsey_pods.reductions import vectors_to_tournament
 from ramsey_pods.search import (
     EXACT,
     LOWER_BOUND,
+    UPPER_BOUND,
     PrefixMonotoneTables,
     PrefixPathTables,
     _grid_vectors,
+    _restricted_value_directed,
+    _restricted_value_monotone,
+    _value_floor,
     exact_f,
+    exact_F,
     exact_g,
     exact_G,
+    validate_record,
 )
-from ramsey_pods.tournament import ColoredTournament, OrderedColoring
+from ramsey_pods.tournament import (
+    ColoredTournament,
+    OrderedColoring,
+    random_ordered_coloring,
+    random_tournament,
+)
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -211,3 +231,118 @@ def test_exact_G_budget_keeps_a_growing_comparable_witness():
         values.append(rec.value)
     # one deterministic search: a larger budget only lets the incumbent grow
     assert values == sorted(values)
+
+
+# r = q - 1 keys on which the walk, the floor and the plain search all close
+BRIDGE_KEYS = (
+    [(3, 2, n) for n in range(2, 9)]
+    + [(2, 1, n) for n in range(2, 10)]
+    + [(4, 3, n) for n in range(2, 6)]
+)
+BRIDGE_G_KEYS = (
+    [(3, 2, n) for n in range(2, 6)]
+    + [(2, 1, n) for n in range(2, 9)]
+    + [(4, 3, n) for n in range(2, 6)]
+)
+_MINIMIZE_ARGS = {"f": (PrefixMonotoneTables, False), "g": (PrefixPathTables, True)}
+
+
+def _plain_search(monkeypatch, kind: str, key) -> search.ExtremalRecord:
+    """``_minimize`` as the branch-and-bound alone: no maximizer walk, floor 1."""
+    monkeypatch.setattr(search, "_least_side", lambda kind, q, n, floor, stop, clock: (floor, None))
+    monkeypatch.setattr(search, "_value_floor", lambda q, r, n: 1)
+    tables, backward = _MINIMIZE_ARGS[kind]
+    return search._minimize(kind, *key, None, tables, backward)
+
+
+@pytest.mark.parametrize("kind,keys", [("f", BRIDGE_KEYS), ("g", BRIDGE_G_KEYS)])
+def test_bridge_matches_the_plain_search(monkeypatch, kind, keys):
+    oracle = exact_f if kind == "f" else exact_g
+    bridged = {key: oracle(*key) for key in keys}
+    for key, rec in bridged.items():
+        assert rec.status == EXACT, key
+        assert validate_record(rec) is None, key
+        plain = _plain_search(monkeypatch, kind, key)
+        assert plain.status == EXACT
+        assert rec.value == plain.value, key
+
+
+@pytest.mark.parametrize("key", BRIDGE_KEYS)
+def test_f_is_the_least_side_with_F_at_least_N(key):
+    q, _, n = key
+    side = next(m for m in itertools.count(1) if exact_F(q, q - 1, m).value >= n)
+    assert exact_f(*key).value == side
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)])
+def test_f_through_F_matches_every_coloring(q, n):
+    rec = exact_f(q, q - 1, n)
+    assert rec.status == EXACT
+    assert rec.value == _brute_f(q, q - 1, n)
+
+
+def test_f_walk_shares_one_budget():
+    # f 3 2 9 walks F 3 2 3 (34 nodes, 4 vectors), F 3 2 4 (407 nodes, 8) and
+    # F 3 2 5, which has 10 vectors within 100 nodes and closes at 5,247
+    whole = exact_f(3, 2, 9)
+    assert (whole.value, whole.status, whole.nodes_explored) == (5, EXACT, 5688)
+    for nodes in (3, 100):  # tripped below 9 vectors: the start stays, as a bound
+        rec = exact_f(3, 2, 9, Budget(max_nodes=nodes))
+        assert (rec.status, rec.nodes_explored) == (UPPER_BOUND, nodes + 1)
+        assert rec.value >= whole.value
+        assert validate_record(rec) is None
+    # tripped inside F 3 2 5 after 9 vectors, with both smaller sides closed
+    rec = exact_f(3, 2, 9, Budget(max_nodes=1000))
+    assert (rec.value, rec.status, rec.nodes_explored) == (5, EXACT, 1001)
+
+
+def test_g_walk_shares_one_budget():
+    # G 3 2 3 needs 9 nodes; tripped inside it, g keeps the balanced start
+    rec = exact_g(3, 2, 5, Budget(max_nodes=3))
+    assert (rec.value, rec.status, rec.nodes_explored) == (4, UPPER_BOUND, 4)
+    assert validate_record(rec) is None
+
+
+def test_f_walk_stops_at_the_grid_cap(monkeypatch):
+    # [3]^3 has 27 points: the walk stops before F 3 2 3, and the search proves f
+    monkeypatch.setattr(search, "GRID_POINT_CAP", 8)
+    rec = exact_f(3, 2, 5)
+    assert (rec.value, rec.status) == (4, EXACT)
+    assert rec.nodes_explored > 0
+
+
+@pytest.mark.parametrize("q,r,n", [(2, 1, 10), (3, 2, 5), (3, 1, 9), (4, 3, 17), (5, 2, 28)])
+def test_value_floor_is_the_least_root(q, r, n):
+    k = -(-q // r)
+    v = _value_floor(q, r, n)
+    assert v**k >= n > (v - 1) ** k
+
+
+def _near_floor_instances(rng: random.Random, q: int, n: int):
+    """A random coloring and tournament, and two built to sit near the floor."""
+    seed = rng.randrange(1 << 30)
+    yield random_ordered_coloring(n, q, seed)
+    yield random_tournament(n, q, seed)
+    side = next(m for m in itertools.count(1) if m**q >= n)
+    big = canonical_coloring(q, side)
+    keep = sorted(rng.sample(range(1, big.n_vertices + 1), n))
+    pairs = itertools.combinations(range(len(keep)), 2)
+    yield OrderedColoring(n, q, [(i + 1, j + 1, big.color(keep[i], keep[j])) for i, j in pairs])
+    fam = VectorFamily.from_json(exact_G(q, q - 1, side + 1).certificate)
+    if len(fam) >= n:
+        coords = fam.coords[rng.sample(range(len(fam)), n)]
+        yield vectors_to_tournament(VectorFamily.from_array(coords, q - 1, side + 1))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_no_small_instance_beats_the_floor(seed):
+    rng = random.Random(seed)
+    q = rng.randint(2, 4)
+    n = rng.randint(2, 10)
+    for inst in _near_floor_instances(rng, q, n):
+        for r in range(1, q):
+            floor = _value_floor(q, r, n)
+            if isinstance(inst, OrderedColoring):
+                assert _restricted_value_monotone(inst, r) >= floor
+            else:
+                assert _restricted_value_directed(inst, r) >= floor
