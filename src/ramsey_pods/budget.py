@@ -39,9 +39,9 @@ class BudgetClock:
         self.nodes = 0
         self.t0 = time.monotonic()
 
-    def tick(self, count: int = 1) -> None:
-        """Charge ``count`` nodes; raises BudgetExceeded when a limit trips."""
-        self.nodes += count
+    def tick(self) -> None:
+        """Charge one node; raises BudgetExceeded when a limit trips."""
+        self.nodes += 1
         b = self.budget
         if b.max_nodes is not None and self.nodes > b.max_nodes:
             raise BudgetExceeded(f"node budget {b.max_nodes} exceeded")

@@ -366,45 +366,38 @@ class SubsetPathOracle:
         return tuple(self.labels[c] for c in path)
 
 
-def greedy_directed_path(
-    t: ColoredTournament, allowed: frozenset[int], vertices: Sequence[int] | None = None
-) -> tuple[int, ...]:
-    """Deterministic greedy extension; a sound lower bound at any size."""
-    labels = sorted(vertices if vertices is not None else t.vertices)
-    lab_set = set(labels)
+def greedy_directed_path(t: ColoredTournament, allowed: frozenset[int]) -> tuple[int, ...]:
+    """Deterministic greedy extension; a sound lower bound at any size.
+
+    From each start, in label order, the path steps to the unused
+    allowed-colored out-neighbour with the most unused allowed-colored
+    out-neighbours of its own; the first maximum in label order wins a step,
+    and the first longest path over the starts wins overall.
+    """
+    labels = sorted(t.vertices)
+    out, _ = t.allowed_masks(labels, allowed)
 
     def extend(start: int) -> list[int]:
         path = [start]
-        used = {start}
-        while True:
-            cur = path[-1]
-            nxt = None
-            nxt_deg = -1
-            for w in labels:
-                if w in used or not t.has_edge(cur, w) or t.color(cur, w) not in allowed:
-                    continue
-                deg = sum(
-                    1
-                    for z in labels
-                    if z not in used
-                    and z != w
-                    and t.has_edge(w, z)
-                    and t.color(w, z) in allowed
-                )
+        used = 1 << start
+        while cand := out[path[-1]] & ~used:
+            nxt, nxt_deg = -1, -1
+            while cand:
+                w = (cand & -cand).bit_length() - 1
+                deg = (out[w] & ~used).bit_count()
                 if deg > nxt_deg:
                     nxt, nxt_deg = w, deg
-            if nxt is None:
-                return path
+                cand &= cand - 1
             path.append(nxt)
-            used.add(nxt)
+            used |= 1 << nxt
+        return path
 
-    best: list[int] = [labels[0]]
-    for s in labels:
+    best: list[int] = [0]
+    for s in range(len(labels)):
         cand = extend(s)
         if len(cand) > len(best):
             best = cand
-    assert set(best) <= lab_set
-    return tuple(best)
+    return tuple(labels[p] for p in best)
 
 
 def longest_directed_restricted_exact(

@@ -419,11 +419,18 @@ class PrefixPathTables:
         return best
 
 
-# per minimizer: the witness class, its independent valuation, and the map
-# that turns an n-vector family at r = q - 1 into a witness of value <= n
+# per minimizer: the witness class, its independent valuation, the map that
+# turns an n-vector family at r = q - 1 into a witness of value <= n, the
+# prefix tables of the branch-and-bound, and whether an edge may point backward
 _MINIMIZERS = {
-    "f": (OrderedColoring, _restricted_value_monotone, vectors_to_coloring),
-    "g": (ColoredTournament, _restricted_value_directed, vectors_to_tournament),
+    "f": (
+        OrderedColoring, _restricted_value_monotone, vectors_to_coloring,
+        PrefixMonotoneTables, False,
+    ),
+    "g": (
+        ColoredTournament, _restricted_value_directed, vectors_to_tournament,
+        PrefixPathTables, True,
+    ),
 }
 
 
@@ -475,9 +482,7 @@ def _least_side(
     return floor, None
 
 
-def _minimize(
-    kind: str, q: int, r: int, n: int, budget: Budget | None, tables: type, backward: bool
-) -> ExtremalRecord:
+def _minimize(kind: str, q: int, r: int, n: int, budget: Budget | None) -> ExtremalRecord:
     """Branch-and-bound over the colorings of K_n, one edge at a time.
 
     Edges are assigned in prefix-clique order, (1,2), (1,3), (2,3), (1,4),
@@ -501,10 +506,10 @@ def _minimize(
     f(q, q-1, n) is the least m with F(q, q-1, m) >= n and the search
     ends before its first node.  For g only the search proves the value.
     The walk shares the budget; ``_MINIMIZERS[kind]`` names the witness
-    class, the valuation that re-checks the witness and the map from
-    vectors.
+    class, the valuation that re-checks the witness, the map from vectors,
+    ``tables`` and ``backward``.
     """
-    cls, valuation, from_vectors = _MINIMIZERS[kind]
+    cls, valuation, from_vectors, tables, backward = _MINIMIZERS[kind]
     clock = (budget or Budget()).start()
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     if r >= q or n == 1:
@@ -579,7 +584,7 @@ def exact_f(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
     unless that walk passes ``GRID_POINT_CAP``.
     """
     _check_params("f", q, r, n_vertices)
-    return _minimize("f", q, r, n_vertices, budget, PrefixMonotoneTables, backward=False)
+    return _minimize("f", q, r, n_vertices, budget)
 
 
 def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> ExtremalRecord:
@@ -600,7 +605,7 @@ def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
     if r < q and n_vertices > EXACT_VERTEX_CAP:
         # the start witness and every record check value a whole tournament
         raise ValueError(f"g needs at most {EXACT_VERTEX_CAP} vertices, got {n_vertices}")
-    return _minimize("g", q, r, n_vertices, budget, PrefixPathTables, backward=True)
+    return _minimize("g", q, r, n_vertices, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +631,7 @@ def validate_record(record: ExtremalRecord) -> str | None:
             if record.status == UPPER_BOUND:
                 return "maximizers cannot carry upper_bound records"
         else:
-            cls, valuation, _ = _MINIMIZERS[record.kind]
+            cls, valuation, *_ = _MINIMIZERS[record.kind]
             witness = cls.from_json(record.certificate)
             if (witness.q, witness.n_vertices) != (record.q, record.size):
                 return "witness parameters disagree with the record"

@@ -216,11 +216,9 @@ class ColoredTournament:
     The only stored state is the signed arc matrix ``_arc`` over vertex
     positions (``_idx`` maps a label to its position): ``_arc[i, j]`` is c
     when the pair is oriented i -> j with color c, -c when j -> i, and 0 on
-    the diagonal.  Its dtype is the smallest that holds -q - 1.  ``_out``,
-    the out-neighbour bitmask of each position as a Python int, is packed
-    from it once.  Only this module reads either; everything else goes
-    through ``color``, ``has_edge``, ``edges``, ``allowed_masks``,
-    ``restrict`` and ``recolored``.
+    the diagonal.  Its dtype is the smallest that holds -q - 1.  Only this
+    module reads it; everything else goes through ``color``, ``has_edge``,
+    ``edges``, ``allowed_masks``, ``restrict`` and ``recolored``.
     """
 
     def __init__(self, n_vertices: int, q: int, edges: Iterable[tuple[int, int, int]]):
@@ -262,8 +260,11 @@ class ColoredTournament:
         self.vertices: tuple[int, ...] = tuple(vertices)
         self.q = q
         self._idx = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._idx) != len(self.vertices):
+            # _idx keeps a repeated label's last position
+            v = next(v for i, v in enumerate(self.vertices) if self._idx[v] != i)
+            raise ValueError(f"vertex {v} listed twice")
         self._arc = arc
-        self._out = _rows(arc > 0)
 
     def _gather(self, labels: Sequence[int]) -> np.ndarray:
         """The signed arc matrix over ``labels``, in their order."""
@@ -276,7 +277,7 @@ class ColoredTournament:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff the pair is oriented u -> v."""
-        return bool((self._out[self._idx[u]] >> self._idx[v]) & 1)
+        return self._arc.item(self._idx[u], self._idx[v]) > 0
 
     def color(self, u: int, v: int) -> int:
         if u == v:
@@ -297,7 +298,7 @@ class ColoredTournament:
         return _rows(ok & (sub > 0)), _rows(ok & (sub < 0))
 
     def out_degree(self, u: int) -> int:
-        return bin(self._out[self._idx[u]]).count("1")
+        return int(np.count_nonzero(self._arc[self._idx[u]] > 0))
 
     def _triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each pair once, row-major over positions, as arrays of tail, head and color."""
@@ -314,7 +315,10 @@ class ColoredTournament:
         return zip(*(a.tolist() for a in self._triples()))
 
     def restrict(self, keep: Iterable[int]) -> "ColoredTournament":
-        """Induced subtournament on the given labels (labels preserved)."""
+        """Induced subtournament on the given labels (labels preserved).
+
+        A label listed twice raises ValueError.
+        """
         keep_sorted = sorted(keep)
         t = ColoredTournament.__new__(ColoredTournament)
         t._set(keep_sorted, self.q, self._gather(keep_sorted))
@@ -360,23 +364,15 @@ def _rows(bits: np.ndarray) -> list[int]:
 def backward_degrees(t: ColoredTournament, order: Sequence[int]) -> list[int]:
     """Per vertex of ``order``, its pairs placed forward but oriented backward.
 
-    One pass over the order: a vertex's backward pairs are the later
-    vertices that beat it and the earlier ones it beats.  The degrees sum to
-    twice the backward edge count.
+    Entry [a, b], a < b, of the upper triangle below is set when order[b]
+    beats order[a]; a vertex's degree is its column sum (earlier vertices it
+    beats) plus its row sum (later vertices that beat it).  The degrees sum
+    to twice the backward edge count.
     """
     if sorted(order) != sorted(t.vertices):
         raise ValueError("order must be a permutation of the vertex set")
-    full = (1 << t.n_vertices) - 1
-    later = full
-    degrees = []
-    for u in order:
-        i = t._idx[u]
-        bit = 1 << i
-        later ^= bit
-        earlier = full ^ later ^ bit
-        out = t._out[i]
-        degrees.append((later & ~out).bit_count() + (earlier & out).bit_count())
-    return degrees
+    back = np.triu(t._gather(order) < 0, 1)
+    return (back.sum(0) + back.sum(1)).tolist()
 
 
 def backward_edge_count(t: ColoredTournament, order: Sequence[int]) -> int:
@@ -393,7 +389,8 @@ def heuristic_transitive_order(t: ColoredTournament, seed: int = 0) -> tuple[int
     rng = random.Random(seed)
     verts = list(t.vertices)
     rng.shuffle(verts)
-    verts.sort(key=lambda v: -t.out_degree(v))
+    wins = dict(zip(t.vertices, np.count_nonzero(t._arc > 0, axis=1).tolist()))
+    verts.sort(key=lambda v: -wins[v])
     improved = True
     while improved:
         improved = False
@@ -414,7 +411,7 @@ def exact_min_backward(t: ColoredTournament) -> tuple[int, tuple[int, ...]]:
     if n > 12:
         raise ValueError("exact reversal distance is provided only for N <= 12")
     verts = t.vertices
-    wins = t._out  # wins[i] = bitmask of the positions beaten by i
+    wins = _rows(t._arc > 0)  # wins[i] = bitmask of the positions beaten by i
     size = 1 << n
     INF = float("inf")
     dp = [INF] * size
@@ -448,35 +445,28 @@ def exact_min_backward(t: ColoredTournament) -> tuple[int, tuple[int, ...]]:
 def cyclic_triangles(t: ColoredTournament):
     """Count of 3-sets inducing a directed cycle, plus an iterator over them.
 
-    Triangles are yielded once each, in cyclic vertex order starting from the
-    smallest label.
+    The count is trace(A^3) / 3 for the 0/1 adjacency matrix A: each cyclic
+    triangle is a closed walk of length 3 from each of its vertices.  A is
+    held in float64, whose sums of integers are exact far past any N that
+    fits in memory.  Triangles are yielded once each, in cyclic vertex order
+    starting from the smallest position, ordered by the positions (i, j, k),
+    i < j < k, of the 3-set: one numpy pass per i reads the pairs j < k
+    after it with i -> j -> k -> i or i -> k -> j -> i.
     """
-    n = t.n_vertices
-    full = (1 << n) - 1
-    total = 0
-    for a in range(n):
-        out_a = t._out[a]
-        in_a = full & ~out_a & ~(1 << a)
-        m = out_a
-        while m:
-            b_bit = m & -m
-            b = b_bit.bit_length() - 1
-            total += bin(t._out[b] & in_a).count("1")
-            m ^= b_bit
-    count = total // 3
+    out = t._arc > 0
+    adj = out.astype(np.float64)
+    count = int((adj @ adj * adj.T).sum()) // 3
 
     def gen():
         verts = t.vertices
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    u, v, w = verts[i], verts[j], verts[k]
-                    if t.has_edge(u, v):
-                        if t.has_edge(v, w) and t.has_edge(w, u):
-                            yield (u, v, w)
-                    else:
-                        if t.has_edge(w, v) and t.has_edge(v, u) and t.has_edge(u, w):
-                            yield (u, w, v)
+        for i in range(len(verts) - 2):
+            beats = out[i, i + 1 :]
+            fwd = out[i + 1 :, i + 1 :]
+            # [j, k]: i -> j -> k -> i when i beats j, else i -> k -> j -> i
+            hits = np.where(beats[:, None], fwd & ~beats, fwd.T & beats)
+            for j, k in zip(*(a.tolist() for a in np.nonzero(np.triu(hits, 1)))):
+                v, w = verts[i + 1 + j], verts[i + 1 + k]
+                yield (verts[i], v, w) if beats[j] else (verts[i], w, v)
 
     return count, gen()
 

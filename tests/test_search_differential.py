@@ -244,15 +244,13 @@ BRIDGE_G_KEYS = (
     + [(2, 1, n) for n in range(2, 9)]
     + [(4, 3, n) for n in range(2, 6)]
 )
-_MINIMIZE_ARGS = {"f": (PrefixMonotoneTables, False), "g": (PrefixPathTables, True)}
 
 
 def _plain_search(monkeypatch, kind: str, key) -> search.ExtremalRecord:
     """``_minimize`` as the branch-and-bound alone: no maximizer walk, floor 1."""
     monkeypatch.setattr(search, "_least_side", lambda kind, q, n, floor, stop, clock: (floor, None))
     monkeypatch.setattr(search, "_value_floor", lambda q, r, n: 1)
-    tables, backward = _MINIMIZE_ARGS[kind]
-    return search._minimize(kind, *key, None, tables, backward)
+    return search._minimize(kind, *key, None)
 
 
 @pytest.mark.parametrize("kind,keys", [("f", BRIDGE_KEYS), ("g", BRIDGE_G_KEYS)])
