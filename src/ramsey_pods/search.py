@@ -19,19 +19,25 @@ once and branches only on the vertices whose color class could still beat
 the incumbent.
 
 The two minimizers are one branch-and-bound over the colorings of K_N.
-It assigns edges in prefix-clique order and updates its objective only
-when a vertex's last edge is set, extending per-color-subset tables by that
-vertex instead of recomputing the prefix.  ``exact_f`` and ``exact_g``
-differ only in what an edge may be and what the tables hold: ``f`` colors
-forward edges and keeps rows of monotone path lengths
-(``PrefixMonotoneTables``); ``g`` also orients each edge and keeps
-endpoint-mask tables (``PrefixPathTables``).  ``longest_restricted_monotone``
+It assigns edges in prefix-clique order and hands each one to per-color-
+subset tables that extend the prefix objective instead of recomputing it.
+``exact_f`` and ``exact_g`` differ only in what an edge may be and what the
+tables hold: ``f`` colors forward edges and keeps rows of monotone path
+lengths (``PrefixMonotoneTables``), updated at every edge; ``g`` also
+orients each edge and keeps endpoint-mask tables (``PrefixPathTables``),
+extended when a vertex's last edge is set.  ``longest_restricted_monotone``
 and ``SubsetPathOracle`` stay the independent checks of every f and g
 witness.
 
 Both minimizers start their objective at a proved floor: the least v with
 v^ceil(q/r) >= N (``_value_floor``), so a search ends, exact, as soon as the
-incumbent meets it; this closes f and g at q = 2, r = 1 with no search.  At
+incumbent meets it; this closes f and g at q = 2, r = 1 with no search.
+For ``f`` the same Gallai-Roy covering argument prunes inside the search:
+when vertex k is complete, the room bound asks whether the points of
+[v]^ceil(q/r) that no earlier vertex's path lengths dominate still leave
+one for each of the N - k later vertices (v one below the incumbent).  It
+closes ``f 4 2 6`` = 4 in 7,255 nodes, where pruning on complete vertices
+alone needed 180,107.  At
 r = q - 1 the paper's two questions meet: n increasing vectors in [m]^q
 are a coloring whose every color-avoiding monotone path has at most m
 vertices, and back (``vectors_to_coloring``, ``coloring_to_vectors``).  So
@@ -310,40 +316,124 @@ def _restricted_value_directed(t: ColoredTournament, r: int) -> int:
     )
 
 
-class PrefixMonotoneTables:
-    """Longest monotone paths of an ordered coloring that grows one vertex at a time.
+# the room bound's grid [v]^t holds at most this many points; a search whose
+# incumbent leaves a larger grid runs without the bound until it shrinks
+ROOM_GRID_CAP = 2**12
 
-    One row per vertex v, one entry per color subset: the longest monotone
-    path ending at v colored within that subset.  ``complete(k, ...)`` fills
-    k's row from the rows of 1..k-1, reading for each edge only the subsets
-    that hold its color.  Going back to a shorter prefix needs no undo: the
-    next ``complete(k, ...)`` overwrites the same row.
+
+class PrefixMonotoneTables:
+    """Longest monotone paths of an ordered coloring that grows one edge at a time.
+
+    Row (k, j) holds, per color subset, the longest monotone path ending at
+    k colored within that subset, over the edges (1,k)..(j,k) set so far;
+    (k, 0) is all ones and (k, k-1) is k's final row.  ``add(j, k, ...)``
+    fills (k, j) from (k, j-1) and j's final row, reading only the subsets
+    that hold the edge's color, so a search can prune on the partial
+    maximum at every edge.  Rows are keyed by the edge, not by k alone:
+    going back to an earlier edge needs no undo, because every row ``add``
+    reads was written for an edge set before the one it fills.
+
+    When k's last edge is set, the room bound runs (Gallai 1968; Roy 1967,
+    as in ``_value_floor``).  Take t = ceil(q/r) subsets S_1..S_t that cover
+    the palette, and the point P(j) = (L_S1(j), ..., L_St(j)) of each
+    vertex j, L_S(j) being j's final row entry for S.  A later vertex w has
+    L_S(w) > L_S(j) for the subset S that holds the color of (j, w), so
+    P(w) lies outside the down-closure D_k of P(1..k), and the n - k later
+    vertices need n - k distinct such points.  A coloring of value at most
+    v therefore leaves at least n - k points of [v]^t outside D_k for every
+    covering family.  At k = 0 this is ``_value_floor``.  A final row never
+    changes once k is complete, which is why the bound needs monotone
+    paths: a tournament's prefix path lengths are not final.
     """
 
     def __init__(self, n: int, subsets: Sequence[frozenset[int]]):
+        palette = set().union(*subsets)
         # _holding[c]: indices of the subsets that contain color c
-        self._holding = {
-            c: tuple(i for i, s in enumerate(subsets) if c in s) for c in set().union(*subsets)
-        }
-        self._rows = [[1] * len(subsets) for _ in range(n + 1)]
+        self._holding = {c: tuple(i for i, s in enumerate(subsets) if c in s) for c in palette}
+        self._n = n
+        ones = [1] * len(subsets)
+        # _rows[k][j]: row (k, j); rows[1][0] is vertex 1's final row
+        self._rows = [[ones] * k for k in range(n + 1)]
+        # _peak[k]: the largest entry of the final rows of 1..k
+        self._peak = [1] * (n + 1)
+        t = -(-len(palette) // max(map(len, subsets)))
+        self._families = [
+            fam
+            for fam in itertools.combinations(range(len(subsets)), t)
+            if set().union(*(subsets[i] for i in fam)) == palette
+        ]
+        self._t = t
+        # the grid [side]^t: _down[p] is the bitmask of the points <= point p;
+        # _covered[k] holds D_k per family; side 0 means no grid yet
+        self._side = 0
+        self._down: list[int] = []
+        self._covered = [[0] * len(self._families) for _ in range(n + 1)]
 
-    def complete(self, k: int, arcs: Sequence[tuple[int, int, int]], enough: int) -> int:
-        """Add vertex k; the longest allowed path ending at k, over all subsets.
+    def add(self, j: int, k: int, arc: tuple[int, int, int], enough: int) -> int:
+        """Set edge (j, k) to ``arc`` = (j, k, color); a value every completion reaches.
 
-        ``arcs`` holds (j, k, color) for each edge from 1..k-1 into k.  Every
-        path of the prefix coloring on 1..k that uses k ends there, so this
-        is ``PrefixPathTables.complete``'s value; a row costs one pass over
-        the arcs, so it is filled whole whatever ``enough`` is.
+        The value is the longest path found so far that ends at k, or
+        ``enough`` when k is complete and the room bound for value
+        ``enough - 1`` fails.  Edges are added in prefix-clique order, and
+        the next edge only while every value returned for the prefix stays
+        below ``enough``: a search that prunes there keeps that order.
         """
-        holding, rows = self._holding, self._rows
-        longest = [1] * len(rows[k])
-        for j, _, c in arcs:
-            row = rows[j]
-            for i in holding[c]:
-                if row[i] >= longest[i]:
-                    longest[i] = row[i] + 1
-        rows[k] = longest
-        return max(longest)
+        rows = self._rows[k]
+        src = self._rows[j][j - 1]
+        row = rows[j - 1][:]
+        for i in self._holding[arc[2]]:
+            if src[i] >= row[i]:
+                row[i] = src[i] + 1
+        rows[j] = row
+        value = max(row)
+        if j < k - 1:
+            return value
+        self._peak[k] = peak = max(self._peak[k - 1], value)
+        if peak >= enough or k == self._n:
+            return value
+        v = enough - 1
+        if v > self._side and not self._fit(v, k):
+            return value
+        down, prev = self._down, self._covered[k - 1]
+        self._covered[k] = [d | down[self._point(row, fam)] for d, fam in zip(prev, self._families)]
+        return enough if self.room(k, v) < self._n - k else value
+
+    def room(self, k: int, v: int) -> int:
+        """The fewest points of [v]^t outside D_k, over the covering families.
+
+        Valid after k's last ``add`` with ``enough = v + 1`` returned below it.
+        """
+        box = self._down[self._point([v] * self._t, range(self._t))]
+        return min((box & ~d).bit_count() for d in self._covered[k])
+
+    def _point(self, row: Sequence[int], fam: Sequence[int]) -> int:
+        p = 0
+        for i in fam:
+            p = p * self._side + row[i] - 1
+        return p
+
+    def _fit(self, v: int, k: int) -> bool:
+        """Build the grid [v]^t and D_1..D_(k-1); False when it passes the cap."""
+        t = self._t
+        if v**t > ROOM_GRID_CAP:
+            self._side = 0
+            return False
+        self._side = v
+        down = self._down = [0] * v**t
+        for p in range(v**t):
+            mask, stride = 1 << p, 1
+            for _ in range(t):
+                if p // stride % v:  # this coordinate is above 1
+                    mask |= down[p - stride]
+                stride *= v
+            down[p] = mask
+        for j in range(1, k):
+            final = self._rows[j][j - 1]
+            self._covered[j] = [
+                d | down[self._point(final, fam)]
+                for d, fam in zip(self._covered[j - 1], self._families)
+            ]
+        return True
 
 
 class PrefixPathTables:
@@ -367,6 +457,20 @@ class PrefixPathTables:
         self._colors = [sum(1 << c for c in s) for s in subsets]
         self._adj = [[0] * n for _ in subsets]  # _adj[i][v]: allowed out-neighbours
         self._h = [[0, 1] for _ in subsets]  # the empty set and vertex 1 alone
+        # _into[k][j - 1]: the arc set on edge (j, k)
+        self._into: list[list] = [[None] * (k - 1) for k in range(n + 1)]
+
+    def add(self, j: int, k: int, arc: tuple[int, int, int], enough: int) -> int:
+        """Set edge (j, k) to ``arc``; a value every completion reaches.
+
+        Edges are added in prefix-clique order.  Until k's last edge this is
+        1: a prefix path through k may still grow, so only ``complete`` on
+        all of k's arcs gives a value.
+        """
+        self._into[k][j - 1] = arc
+        if j < k - 1:
+            return 1
+        return self.complete(k, self._into[k], enough)
 
     def complete(self, k: int, arcs: Sequence[tuple[int, int, int]], enough: int) -> int:
         """Add vertex k; the longest allowed path through it, over all subsets.
@@ -490,11 +594,12 @@ def _minimize(kind: str, q: int, r: int, n: int, budget: Budget | None) -> Extre
     after c), which fixes the color of edge (1,2) to 1 and removes the
     palette-relabeling symmetry.  With ``backward`` an edge (i,k) may also
     point k -> i, except edge (1,2): reversing every edge keeps the
-    objective.  When the last edge of vertex k is set, ``tables``, built
-    from (n, color subsets), extends the prefix objective by k.  The prefix
-    objective starts at ``_value_floor``, which every coloring reaches, so
-    a branch is pruned as soon as it matches the incumbent and the search
-    ends once the incumbent meets the floor.  The incumbent starts as the
+    objective.  ``tables``, built from (n, color subsets), takes every edge
+    through ``add`` and returns a value every completion of the prefix
+    reaches; the prefix objective is the largest so far.  It starts at
+    ``_value_floor``, which every coloring reaches, so a branch is pruned
+    as soon as it matches the incumbent and the search ends once the
+    incumbent meets the floor.  The incumbent starts as the
     balanced product coloring restricted to 1..n; a tripped budget leaves
     it as an upper bound.
 
@@ -537,17 +642,11 @@ def _minimize(kind: str, q: int, r: int, n: int, budget: Budget | None) -> Extre
             return
         clock.tick()
         i, k = edges[e]
-        completes = i == k - 1
         for tail, head in ways[e]:
             for c in range(1, min(used_colors + 1, q) + 1):
-                arcs[e] = (tail, head, c)
-                new_used = max(used_colors, c)
-                if completes:
-                    # the edges (1,k)..(k-1,k) end at this one
-                    value = prefix.complete(k, arcs[e - k + 2 : e + 1], best_val)
-                    dfs(e + 1, new_used, max(prefix_val, value))
-                else:
-                    dfs(e + 1, new_used, prefix_val)
+                arc = arcs[e] = (tail, head, c)
+                value = prefix.add(i, k, arc, best_val)
+                dfs(e + 1, max(used_colors, c), max(prefix_val, value))
 
     try:
         if r == q - 1 and best_val > floor:
@@ -575,11 +674,15 @@ def exact_f(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
     Edges are assigned in prefix-clique order; colors obey a first-use
     canonical rule (color c+1 may appear only after c), which fixes the color
     of edge (1,2) to 1 and removes the palette-relabeling symmetry.  The
-    partial objective is tracked incrementally per r-subset of colors: when
-    the last edge into vertex k is colored, one pass over k's incoming colors
-    fills the longest path ending at k for every subset, reading only the
-    subsets that hold each edge's color.  A branch is pruned as soon as it
-    matches the incumbent.  At r = q - 1 the answer is the least m with
+    partial objective is tracked incrementally per r-subset of colors: each
+    edge (j, k) raises the longest path ending at k for the subsets that
+    hold its color, and a branch is pruned as soon as any prefix path
+    matches the incumbent.  When k's last edge is set, the room bound
+    (``PrefixMonotoneTables``) also prunes a prefix whose path-length points
+    leave fewer free points of [v]^ceil(q/r) than there are later vertices,
+    v being one below the incumbent: ``f 4 2 6`` = 4 closes in 7,255 nodes
+    and ``f 5 3 6`` = 4 in 19,642 (180,107 and 124,066 without it and the
+    per-edge rows).  At r = q - 1 the answer is the least m with
     F(q, q-1, m) >= n_vertices instead, and the search is not entered
     unless that walk passes ``GRID_POINT_CAP``.
     """

@@ -12,6 +12,7 @@ use are numpy operations on those matrices.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -478,12 +479,32 @@ def canonical_pattern(colors: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 def pattern_buckets(t: ColoredTournament) -> dict[tuple[int, int, int], list[tuple[int, int, int]]]:
-    """Cyclic triangles grouped by the canonical pattern of their edge colors."""
+    """Cyclic triangles grouped by the canonical pattern of their edge colors.
+
+    The colors of (a, b), (b, c) and (c, a) of every triangle (a, b, c) are
+    read in one gather from the arc matrix.
+    """
     buckets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    _, tris = cyclic_triangles(t)
-    for (a, b, c) in tris:
-        pat = canonical_pattern((t.color(a, b), t.color(b, c), t.color(c, a)))
-        buckets.setdefault(pat, []).append((a, b, c))
+    _, gen = cyclic_triangles(t)
+    tris = list(gen)
+    if not tris:
+        return buckets
+    flat = itertools.chain.from_iterable(tris)
+    pos = np.fromiter(map(t._idx.__getitem__, flat), np.intp, 3 * len(tris)).reshape(-1, 3)
+    colors = np.abs(t._arc[pos, np.roll(pos, -1, axis=1)])
+    # colors ranked among the m that occur, so one int64 per triple holds
+    # any palette (m^3 < 2^63 below 2^21 colors in use); each distinct
+    # triple is rotated once
+    values, rank = np.unique(colors, return_inverse=True)
+    a, b, c = rank.reshape(-1, 3).astype(np.int64).T
+    m, values = len(values), values.tolist()
+    codes, which = np.unique((a * m + b) * m + c, return_inverse=True)
+    patterns = [
+        canonical_pattern((values[x // m**2], values[x // m % m], values[x % m]))
+        for x in codes.tolist()
+    ]
+    for tri, i in zip(tris, which.reshape(-1).tolist()):
+        buckets.setdefault(patterns[i], []).append(tri)
     return buckets
 
 

@@ -6,9 +6,13 @@ vertices, with the longest allowed path found by trying vertex orders;
 vertices, with the longest monotone path found by trying vertex subsets.
 The incremental prefix tables are checked on seeded random prefixes:
 ``exact_g``'s entry by entry against a fresh ``SubsetPathOracle``,
-``exact_f``'s against ``longest_restricted_monotone``.  ``exact_G`` is
-checked against networkx's maximum clique on every small grid, and its
-budget-tripped records on ``G 3 2 5``.
+``exact_f``'s edge by edge, with jumps back to earlier edges, against
+``monotone_lengths_ending``.  ``exact_f``'s room bound is checked against
+a count of free grid points from scratch, on random colorings and on
+optimal ones, none of which it may prune, and ``exact_f`` keeps the values
+it had before the bound.  ``exact_G`` is checked against networkx's
+maximum clique on every small grid, and its budget-tripped records on
+``G 3 2 5``.
 
 At r = q - 1 both minimizers first walk the maximizer's sides.  Their
 values are checked against ``_minimize`` run as the branch-and-bound alone
@@ -26,7 +30,7 @@ from ramsey_pods import search
 from ramsey_pods.budget import Budget
 from ramsey_pods.constructions import canonical_coloring
 from ramsey_pods.core import VectorFamily, _below, validate_comparable
-from ramsey_pods.paths import SubsetPathOracle, longest_restricted_monotone
+from ramsey_pods.paths import SubsetPathOracle, monotone_lengths_ending
 from ramsey_pods.reductions import vectors_to_tournament
 from ramsey_pods.search import (
     EXACT,
@@ -168,34 +172,123 @@ def test_prefix_tables_match_a_fresh_oracle(seed):
             _check_prefix(tables, subsets, arcs, q, k)
 
 
-def _monotone_prefix_value(color: dict, q: int, k: int, subsets) -> int:
-    prefix = OrderedColoring(k, q, [(i, j, c) for (i, j), c in color.items() if j <= k])
-    return max(longest_restricted_monotone(prefix, s).length for s in subsets)
+def _partial_coloring(color: dict, q: int, j: int, k: int) -> OrderedColoring:
+    """The coloring on 1..k with edges (1,k)..(j,k) set: the later edges into
+    k get color q + 1, which no subset of 1..q holds."""
+    return OrderedColoring(
+        k, q + 1, [(a, b, c if b < k or a <= j else q + 1) for (a, b), c in color.items() if b <= k]
+    )
+
+
+def _clique_order(n: int) -> list[tuple[int, int]]:
+    return [(j, k) for k in range(2, n + 1) for j in range(1, k)]
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_monotone_prefix_tables_match_a_fresh_dp(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 8)
-    q = rng.randint(1, 3)
+    q = rng.randint(1, 4)
     r = rng.randint(1, q)
     subsets = [frozenset(s) for s in itertools.combinations(range(1, q + 1), r)]
     tables = PrefixMonotoneTables(n, subsets)
-    color = {pair: rng.randint(1, q) for pair in _pairs(n)}
-    # the running maximum over completed vertices is the prefix's value
-    longest = [1] * (n + 1)
-    for k in range(2, n + 1):
-        into = [(j, k, color[j, k]) for j in range(1, k)]
-        longest[k] = max(longest[k - 1], tables.complete(k, into, k + 1))
-        assert longest[k] == _monotone_prefix_value(color, q, k, subsets)
-    # go back to a random vertex, as the search does, and recolor the suffix
-    for _ in range(4):
-        k0 = rng.randint(2, n)
-        color.update({(i, k): rng.randint(1, q) for i, k in _pairs(n) if k >= k0})
-        for k in range(k0, n + 1):
-            into = [(j, k, color[j, k]) for j in range(1, k)]
-            longest[k] = max(longest[k - 1], tables.complete(k, into, 2))
-            assert longest[k] == _monotone_prefix_value(color, q, k, subsets)
+    order = _clique_order(n)
+    color = {pair: rng.randint(1, q) for pair in order}
+
+    def add_from(e0: int) -> None:
+        # with enough = n + 1 the room bound never prunes, so each call
+        # returns the longest path found so far that ends at k
+        for j, k in order[e0:]:
+            got = tables.add(j, k, (j, k, color[j, k]), n + 1)
+            partial = _partial_coloring(color, q, j, k)
+            assert got == max(monotone_lengths_ending(partial, s)[k] for s in subsets), (j, k)
+
+    add_from(0)
+    # go back to a random earlier edge, as the search does, and recolor from
+    # there: each row is keyed by its edge (j, k), so a jump into the middle
+    # of k's edges keeps (k, j - 1) and the final rows of 1..k-1
+    for _ in range(6):
+        e0 = rng.randrange(len(order))
+        color.update({pair: rng.randint(1, q) for pair in order[e0:]})
+        add_from(e0)
+
+
+def _covering_families(q: int, r: int) -> list[tuple[frozenset[int], ...]]:
+    t = -(-q // r)
+    subsets = [frozenset(s) for s in itertools.combinations(range(1, q + 1), r)]
+    palette = set(range(1, q + 1))
+    return [f for f in itertools.combinations(subsets, t) if frozenset().union(*f) == palette]
+
+
+def _free_points(col: OrderedColoring, k: int, v: int, family) -> int:
+    """Points of [v]^t that no point P(j), j <= k, of the family dominates."""
+    ending = [monotone_lengths_ending(col, s) for s in family]
+    points = [tuple(e[j] for e in ending) for j in range(1, k + 1)]
+    return sum(
+        not any(all(x <= p for x, p in zip(grid, pt)) for pt in points)
+        for grid in itertools.product(range(1, v + 1), repeat=len(family))
+    )
+
+
+def _assert_room(col: OrderedColoring, r: int) -> None:
+    """Drive the tables over ``col`` at its own value v: no add prunes it,
+    and every completed prefix leaves at least N - k free points per family."""
+    n, q = col.n_vertices, col.q
+    v = _restricted_value_monotone(col, r)
+    subsets = [frozenset(s) for s in itertools.combinations(range(1, q + 1), r)]
+    families = _covering_families(q, r)
+    tables = PrefixMonotoneTables(n, subsets)
+    for j, k in _clique_order(n):
+        assert tables.add(j, k, (j, k, col.color(j, k)), v + 1) <= v
+        if j == k - 1 and k < n:
+            free = min(_free_points(col, k, v, fam) for fam in families)
+            # each of the n - k later vertices needs a free point of its own
+            assert free >= n - k
+            assert tables.room(k, v) == free
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_room_bound_keeps_room_on_random_colorings(seed):
+    rng = random.Random(seed)
+    q = rng.randint(2, 5)
+    r = rng.randint(1, q - 1)
+    n = rng.randint(2, 8)
+    _assert_room(random_ordered_coloring(n, q, rng.randrange(1 << 30)), r)
+
+
+def test_room_bound_skips_a_prefix_already_at_enough():
+    # n = 9, t = 4: the grid [9]^4 passes ROOM_GRID_CAP, so vertices 2 and 3
+    # complete with no room bound, and vertex 3 ends a 3-vertex path of color 1
+    tables = PrefixMonotoneTables(9, [frozenset({c}) for c in range(1, 5)])
+    tables.add(1, 2, (1, 2, 1), 10)
+    tables.add(1, 3, (1, 3, 1), 10)
+    assert tables.add(2, 3, (2, 3, 1), 10) == 3
+    # the incumbent drops to 3, as when a sibling branch closes: vertex 4's
+    # own paths stay at 2, and vertex 3's path already reaches enough, so
+    # the search prunes and the tables may not build a grid of [2]^4 from it
+    assert tables.add(1, 4, (1, 4, 2), 3) == 2
+    assert tables.add(2, 4, (2, 4, 3), 3) == 2
+    assert tables.add(3, 4, (3, 4, 4), 3) == 2
+
+
+# f at r < q - 1 as the search found it when it pruned only on complete
+# vertices, with no room bound: f 4 2 7, f 5 3 6 and f 6 4 5 took 25 k to
+# 180 k nodes that way
+F_VALUES = {
+    (4, 2, 5): 3, (4, 2, 6): 4, (4, 2, 7): 4,
+    (5, 2, 5): 3, (5, 2, 6): 3,
+    (5, 3, 5): 4, (5, 3, 6): 4,
+    (6, 3, 5): 4, (6, 4, 5): 5,
+}
+
+
+@pytest.mark.parametrize("key", sorted(F_VALUES))
+def test_f_keeps_its_values_under_the_room_bound(key):
+    rec = exact_f(*key)
+    assert (rec.value, rec.status) == (F_VALUES[key], EXACT)
+    assert validate_record(rec) is None
+    # an optimal coloring leaves the least room
+    _assert_room(OrderedColoring.from_json(rec.certificate), key[1])
 
 
 # every grid of at most 64 points with q <= 6 and n <= 8: n = 1 would allow

@@ -23,6 +23,7 @@ ORACLES = {"f": exact_f, "g": exact_g, "G": exact_G}
 KEYS = [
     ("f", 3, 2, 5, 100_000),
     ("f", 2, 1, 6, 100_000),
+    ("f", 4, 2, 6, 2_000),
     ("f", 4, 2, 6, 8_000),
     ("f", 4, 2, 6, 30_000),
     ("f", 2, 1, 10, 20_000),

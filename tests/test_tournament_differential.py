@@ -6,6 +6,8 @@ out-neighbour bitmask of each position as a Python int, and ``has_edge``,
 ``cyclic_triangles`` and ``greedy_directed_path`` read those masks.  The
 references below are those routines, run on masks packed here from
 ``edges()``, so they share no code with the numpy reductions they check.
+``pattern_buckets`` is checked against its per-triangle loop of three
+``color`` calls over the reference triangles.
 They are compared on random tournaments, restrictions with labels that are
 not 1..N, q = 1, N <= 3 and the transitive tournaments of ordered colorings.
 """
@@ -19,8 +21,10 @@ from ramsey_pods.paths import greedy_directed_path
 from ramsey_pods.tournament import (
     ColoredTournament,
     backward_degrees,
+    canonical_pattern,
     cyclic_triangles,
     heuristic_transitive_order,
+    pattern_buckets,
     random_ordered_coloring,
     random_tournament,
 )
@@ -94,6 +98,14 @@ class Ref:
                             yield (u, v, w)
                     elif self.has_edge(w, v) and self.has_edge(v, u) and self.has_edge(u, w):
                         yield (u, w, v)
+
+    def pattern_buckets(self):
+        t = self.t
+        buckets = {}
+        for a, b, c in self.triangles():
+            pat = canonical_pattern((t.color(a, b), t.color(b, c), t.color(c, a)))
+            buckets.setdefault(pat, []).append((a, b, c))
+        return buckets
 
     def greedy(self, allowed):
         t = self.t
@@ -188,6 +200,12 @@ def test_triangles_match_the_masks(name, t):
 
 
 @pytest.mark.parametrize("name,t", INSTANCES, ids=[name for name, _ in INSTANCES])
+def test_pattern_buckets_match_the_color_reads(name, t):
+    # the same buckets, first seen first, each in triangle order
+    assert list(pattern_buckets(t).items()) == list(Ref(t).pattern_buckets().items())
+
+
+@pytest.mark.parametrize("name,t", INSTANCES, ids=[name for name, _ in INSTANCES])
 def test_greedy_matches_the_mask_scan_on_every_palette(name, t):
     ref = Ref(t)
     colors = range(1, t.q + 1)
@@ -204,6 +222,9 @@ def test_triangles_match_the_masks_at_larger_n():
         listed = list(tris)
         assert count == ref.triangle_count() == len(listed)
         assert listed == list(ref.triangles())
+    # wide palettes: many distinct color triples, and colors past int64
+    for t in (_restricted(30, 9, 5), random_tournament(14, 2**70, seed=5)):
+        assert list(pattern_buckets(t).items()) == list(Ref(t).pattern_buckets().items())
 
 
 def test_restrict_rejects_a_repeated_label():
