@@ -339,7 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_decompose = sub.add_parser("decompose", parents=[common], help="find long color-avoiding paths")
     p_decompose.add_argument("mode", choices=["three-color", "recursive"])
     p_decompose.add_argument("tournament")
-    p_decompose.add_argument("--min-support", type=int, default=None)
+    p_decompose.add_argument(
+        "--min-support",
+        type=int,
+        default=None,
+        help="three-color: keep the cyclic triangles whose edges each lie in at least "
+        "this many kept triangles of the chosen pattern (default: the largest "
+        "threshold that keeps any)",
+    )
     p_decompose.add_argument(
         "--trace",
         help="write one JSON object per recursion node visited; "

@@ -3,9 +3,11 @@
 Two families of algorithms live here.  The triangle-pattern builder extracts
 a long directed path using at most three colors from any tournament with
 cyclic triangles, by bucketing cyclic triangles by their rotated color
-pattern, peeling weakly supported edges, and growing the path greedily; its
-output is the square of a path (consecutive edges forward, distance-two
-edges backward) with colors periodic with period three.
+pattern, keeping those of the largest bucket that survive a support peel
+(one pass gives every triangle the largest threshold it survives), and
+growing the path greedily; its output is the square of a path (consecutive
+edges forward, distance-two edges backward) with colors periodic with
+period three.
 
 The recursive finder realizes the interval decomposition: order the
 vertices, clean high-backward-degree vertices, rank top in/out path
@@ -83,39 +85,45 @@ class PatternPathResult:
     pattern: tuple[int, int, int]
 
 
-def _peel(
-    triangles: list[tuple[int, int, int]], min_support: int
-) -> tuple[list[int], set[tuple[int, int]]]:
-    """Drop edges lying in fewer than min_support triangles, cascading."""
+def _triangle_edges(tri: tuple[int, int, int]):
+    a, b, c = tri
+    return ((a, b), (b, c), (c, a))
+
+
+def _support_levels(triangles: list[tuple[int, int, int]]) -> list[int]:
+    """Per triangle, the largest m whose support peel keeps it (at least 1).
+
+    The peel at m drops every edge lying in fewer than m live triangles,
+    with the triangles through it, until none is left; the result does not
+    depend on the drop order, and the peel at m + 1 of the peel at m is the
+    peel at m + 1.  So each threshold's cascade starts from the survivors
+    of the last, and one pass over rising m levels every triangle (the core
+    decomposition of Batagelj and Zaversnik, on edges).
+    """
     edge_tris: dict[tuple[int, int], list[int]] = {}
-    tri_edges = []
-    for idx, (a, b, c) in enumerate(triangles):
-        es = [(a, b), (b, c), (c, a)]
-        tri_edges.append(es)
-        for e in es:
+    for idx, tri in enumerate(triangles):
+        for e in _triangle_edges(tri):
             edge_tris.setdefault(e, []).append(idx)
-    alive_tri = [True] * len(triangles)
-    support = {e: len(ts) for e, ts in edge_tris.items()}
-    dead_edges: set[tuple[int, int]] = set()
-    queue = [e for e, s in support.items() if s < min_support]
-    while queue:
-        e = queue.pop()
-        if e in dead_edges:
-            continue
-        dead_edges.add(e)
-        for idx in edge_tris[e]:
-            if not alive_tri[idx]:
+    support = {e: len(ts) for e, ts in edge_tris.items()}  # live edges only
+    level = [0] * len(triangles)  # 0 while the triangle is alive
+    m = 1
+    while support:
+        m += 1
+        queue = [e for e, s in support.items() if s < m]
+        while queue:
+            e = queue.pop()
+            if support.pop(e, None) is None:
                 continue
-            alive_tri[idx] = False
-            for other in tri_edges[idx]:
-                if other == e or other in dead_edges:
+            for idx in edge_tris[e]:
+                if level[idx]:
                     continue
-                support[other] -= 1
-                if support[other] < min_support:
-                    queue.append(other)
-    alive = [i for i, ok in enumerate(alive_tri) if ok]
-    alive_edges = {e for e in edge_tris if e not in dead_edges}
-    return alive, alive_edges
+                level[idx] = m - 1
+                for other in _triangle_edges(triangles[idx]):
+                    if other in support:
+                        support[other] -= 1
+                        if support[other] < m:
+                            queue.append(other)
+    return level
 
 
 def three_color_path(
@@ -123,42 +131,35 @@ def three_color_path(
 ) -> PatternPathResult:
     """Grow a period-3 patterned path through well-supported cyclic triangles.
 
-    Picks the largest canonical-pattern bucket, peels edges lying in fewer
-    than min_support triangles of that pattern (min_support=None binary
-    searches the largest threshold that leaves any triangle), then greedily
-    appends vertices completing a pattern triangle with the last two.
+    Picks the largest canonical-pattern bucket and keeps its triangles that
+    survive the peel at min_support (``_support_levels``): edges lying in
+    fewer than min_support kept triangles of that pattern are dropped,
+    cascading.  min_support=None takes the largest threshold that keeps any
+    triangle.  From the least pattern rotation of a kept triangle, greedily
+    appends vertices completing a kept pattern triangle with the last two.
     """
     buckets = pattern_buckets(t)
     if not buckets:
         raise NoCyclicTriangles("the tournament is transitive")
     pattern = min(buckets, key=lambda p: (-len(buckets[p]), p))
     triangles = buckets[pattern]
+    levels = _support_levels(triangles)
     if min_support is None:
-        lo, hi = 1, max(len(triangles), 1)
-        # largest m whose peel is nonempty
-        best = 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            alive, _ = _peel(triangles, mid)
-            if alive:
-                best = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        min_support = best
-    alive_idx, alive_edges = _peel(triangles, min_support)
-    if not alive_idx:
+        min_support = max(levels)
+    alive = [tri for tri, lv in zip(triangles, levels) if lv >= min_support]
+    if not alive:
         raise SupportTooHigh(
             f"support threshold {min_support} deletes every edge"
         )
+    alive_edges = {e for tri in alive for e in _triangle_edges(tri)}
 
     def rotations(tri):
         a, b, c = tri
         return ((a, b, c), (b, c, a), (c, a, b))
 
     start = None
-    for idx in alive_idx:
-        for rot in rotations(triangles[idx]):
+    for tri in alive:
+        for rot in rotations(tri):
             x, y, z = rot
             colors = (t.color(x, y), t.color(y, z), t.color(z, x))
             if colors == pattern and (start is None or rot < start):
@@ -665,27 +666,15 @@ def recursive_color_avoiding(
     """
     q = t.q
     n = t.n_vertices
-    branch_lengths: dict[str, int] = {}
     candidates: list[tuple[int, PathCertificate, str]] = []
 
     if n <= EXACT_VERTEX_CAP or q == 1:
         for i in range(1, q + 1):
             candidates.append((i, longest_avoiding_directed_exact(t, i), "exact"))
-        chosen = _select(t, candidates)
-        if trace is not None:
-            trace.append(
-                {
-                    "case": "exact",
-                    "N": n,
-                    "chosen_color": chosen[0],
-                    "branch_lengths": {"exact": chosen[1].length},
-                }
-            )
-        return chosen
+        return _select(t, candidates, trace)
 
     base_color, base_cert = merged_color_baseline(t)
     candidates.append((base_color, base_cert, "baseline"))
-    branch_lengths["baseline"] = base_cert.length
 
     order = heuristic_transitive_order(t, seed)
 
@@ -730,9 +719,6 @@ def recursive_color_avoiding(
                 expected = classification.ell_in[i][v] + classification.ell_out[i][w]
                 assert cert.length == expected
                 candidates.append((i, cert, "case1"))
-                branch_lengths["case1"] = max(
-                    branch_lengths.get("case1", 0), cert.length
-                )
     else:
         half = len(order) // 2
         halves = (order[:half], order[half:])
@@ -747,20 +733,8 @@ def recursive_color_avoiding(
         color, cert = recursive_color_avoiding(sub, seed, trace)
         if validate_path(t, cert) is None:
             candidates.append((color, cert, f"recurse_{side}"))
-            branch_lengths[f"recurse_{side}"] = cert.length
 
-    chosen = _select(t, candidates)
-    if trace is not None:
-        case = next(src for c, cert, src in candidates if (c, cert) == chosen)
-        trace.append(
-            {
-                "case": case,
-                "N": n,
-                "chosen_color": chosen[0],
-                "branch_lengths": branch_lengths,
-            }
-        )
-    return chosen
+    return _select(t, candidates, trace)
 
 
 def _preference(color: int, cert: PathCertificate):
@@ -772,11 +746,30 @@ def _preference(color: int, cert: PathCertificate):
     return (-cert.length, color, cert.vertices)
 
 
-def _select(t, candidates) -> tuple[int, PathCertificate]:
-    color, cert, _ = min(candidates, key=lambda item: _preference(item[0], item[1]))
+def _select(t, candidates, trace: list | None) -> tuple[int, PathCertificate]:
+    """The preferred (color, certificate) of ``candidates``, re-validated.
+
+    ``candidates`` holds (color, certificate, source) triples.  With
+    ``trace``, appends the node's record: the chosen candidate's source as
+    its case, and per source, in first-appearance order, the longest path
+    among that source's candidates.
+    """
+    color, cert, case = min(candidates, key=lambda item: _preference(item[0], item[1]))
     problem = validate_path(t, cert)
     if problem is not None:
         raise AuditFailed(f"selected certificate failed validation: {problem}")
+    if trace is not None:
+        branch_lengths: dict[str, int] = {}
+        for _, other, source in candidates:
+            branch_lengths[source] = max(branch_lengths.get(source, 0), other.length)
+        trace.append(
+            {
+                "case": case,
+                "N": t.n_vertices,
+                "chosen_color": color,
+                "branch_lengths": branch_lengths,
+            }
+        )
     return color, cert
 
 

@@ -617,8 +617,9 @@ def _minimize(kind: str, q: int, r: int, n: int, budget: Budget | None) -> Extre
     cls, valuation, from_vectors, tables, backward = _MINIMIZERS[kind]
     clock = (budget or Budget()).start()
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    if r >= q or n == 1:
-        # every coloring is optimal: some path visits all n vertices
+    if r >= min(q, n - 1):
+        # every coloring is optimal: a path through all n vertices (one
+        # exists) has n - 1 edges, so its colors fit in one r-subset
         witness = cls(n, q, [(u, v, 1) for u, v in pairs])
         return ExtremalRecord(kind, q, r, n, n, EXACT, witness.to_json(), 0, clock.elapsed())
     floor = _value_floor(q, r, n)

@@ -8,17 +8,20 @@ and a relabeling, and an N = 81 ``canonical_flip`` instance drawn by the
 benchmark's generator, stored as an edge list (on it, the half-recursion is
 what wins).  Any change
 that prunes branches of the finder must reproduce these byte for byte.
-Regenerate (only after an intended output change) with
+``TRACE_SHA256`` pins the bytes of its recursion traces on the same corpus,
+seeds 0 and 1.  Regenerate (only after an intended output change) with
 ``PYTHONPATH=src python tests/test_decomposition_pinned.py``; that reads the
-``canonical_flip`` instance from ``bench/corpus.py``.
+``canonical_flip`` instance from ``bench/corpus.py`` and prints the trace
+digest.
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
 
 from ramsey_pods.constructions import balance_coloring, canonical_coloring
-from ramsey_pods.decomposition import recursive_color_avoiding
+from ramsey_pods.decomposition import recursive_color_avoiding, trace_to_jsonl
 from ramsey_pods.tournament import (
     ColoredTournament,
     OrderedColoring,
@@ -29,6 +32,8 @@ from ramsey_pods.tournament import (
 DATA = Path(__file__).parent / "data" / "decomposition_pinned.json"
 SIZES = (24, 64, 80)
 PALETTES = (2, 3, 4)
+# sha256 of trace_to_jsonl per instance and seed, concatenated in corpus order
+TRACE_SHA256 = "6534ba1a1a1947f37cf073dfada08c327bead1eae99e9b0d49c6d7bc582176cf"
 
 
 def _criterion_10_medium() -> list[tuple[str, ColoredTournament]]:
@@ -93,12 +98,27 @@ def _record(flip_instance: dict) -> dict:
     return out
 
 
+def _trace_digest(flip_instance: dict) -> str:
+    digest = hashlib.sha256()
+    for _, t in _corpus(flip_instance):
+        for seed in (0, 1):
+            trace: list = []
+            recursive_color_avoiding(t, seed=seed, trace=trace)
+            digest.update(trace_to_jsonl(trace).encode())
+    return digest.hexdigest()
+
+
 def test_recursive_certificates_are_pinned():
     pinned = json.loads(DATA.read_text())
     got = _record(pinned["canonical_flip_instance"])
     assert got.keys() == pinned["certificates"].keys()
     for name, rec in pinned["certificates"].items():
         assert got[name] == rec, name
+
+
+def test_recursive_traces_are_pinned():
+    pinned = json.loads(DATA.read_text())
+    assert _trace_digest(pinned["canonical_flip_instance"]) == TRACE_SHA256
 
 
 if __name__ == "__main__":
@@ -115,3 +135,4 @@ if __name__ == "__main__":
         json.dumps({"canonical_flip_instance": flip, "certificates": _record(flip)}, sort_keys=True)
         + "\n"
     )
+    print(f"TRACE_SHA256 = {_trace_digest(flip)!r}")

@@ -79,6 +79,15 @@ def test_diagonal_families():
     assert exact_g(3, 1, 1).value == 1
 
 
+@pytest.mark.parametrize("solver,q,r,n", [(exact_f, 6, 4, 5), (exact_g, 4, 3, 4)])
+def test_r_at_least_n_minus_one_needs_no_search(solver, q, r, n):
+    # a path through all n vertices has n - 1 edges, whose colors fit in
+    # one r-subset, so every coloring or tournament has value n
+    rec = solver(q, r, n)
+    assert (rec.value, rec.status, rec.nodes_explored) == (n, EXACT, 0)
+    assert validate_record(rec) is None
+
+
 def test_g_equals_f_at_n_five():
     # the only desk-scale probe of whether non-transitive instances can be
     # strictly worse: they are not at this size (g is pinned by the
