@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .paths import (
     EXACT_VERTEX_CAP,
     PathCertificate,
@@ -153,19 +155,14 @@ def three_color_path(
         )
     alive_edges = {e for tri in alive for e in _triangle_edges(tri)}
 
-    def rotations(tri):
-        a, b, c = tri
-        return ((a, b, c), (b, c, a), (c, a, b))
-
-    start = None
-    for tri in alive:
-        for rot in rotations(tri):
-            x, y, z = rot
-            colors = (t.color(x, y), t.color(y, z), t.color(z, x))
-            if colors == pattern and (start is None or rot < start):
-                start = rot
-    assert start is not None
-    path = list(start)
+    # the least rotation (x, y, z) of a kept triangle whose edges (x, y),
+    # (y, z), (z, x) carry the pattern; rotating a triangle rotates its colors
+    tris, colors = np.array(alive), t.cycle_colors(alive)
+    rotations = []
+    for k in range(3):
+        hit = (np.roll(colors, -k, axis=1) == pattern).all(axis=1)
+        rotations += np.roll(tris, -k, axis=1)[hit].tolist()
+    path = min(rotations)
     used = set(path)
     while True:
         prev, cur = path[-2], path[-1]
@@ -653,16 +650,16 @@ def recursive_color_avoiding(
     """Best color-avoiding directed path over the proof-derived branches.
 
     Branches: the exact subset DP up to ``EXACT_VERTEX_CAP`` vertices, and
-    at any size when q = 1 (a path avoiding the only color is one vertex);
-    above it, the merged-color baseline, midpoint gluing of ranked endpoint
-    paths across the cleaned order ("case1"), and recursion into the two
-    halves.  A half is visited only when it has at least as many vertices
-    as the longest candidate so far: a shorter half cannot hold a longer
-    path, and an equal one may still win the tie-break.  The maximum is
-    returned and always re-validated; ties prefer the smaller avoided
-    color, then the lexicographically smaller vertex sequence.  With
-    ``trace``, every node visited appends one record; skipped halves append
-    none.
+    at any size when q = 1 (a path avoiding the only color is one vertex),
+    color by color until one path covers every vertex; above it, the
+    merged-color baseline, midpoint gluing of ranked endpoint paths across
+    the cleaned order ("case1"), and recursion into the two halves.  A half
+    is visited only when it has at least as many vertices as the longest
+    candidate so far: a shorter half cannot hold a longer path, and an
+    equal one may still win the tie-break.  The maximum is returned and
+    always re-validated; ties prefer the smaller avoided color, then the
+    lexicographically smaller vertex sequence.  With ``trace``, every node
+    visited appends one record; skipped halves append none.
     """
     q = t.q
     n = t.n_vertices
@@ -670,7 +667,10 @@ def recursive_color_avoiding(
 
     if n <= EXACT_VERTEX_CAP or q == 1:
         for i in range(1, q + 1):
-            candidates.append((i, longest_avoiding_directed_exact(t, i), "exact"))
+            cert = longest_avoiding_directed_exact(t, i)
+            candidates.append((i, cert, "exact"))
+            if cert.length == n:
+                break  # a later color can only tie, and ties go to the smaller
         return _select(t, candidates, trace)
 
     base_color, base_cert = merged_color_baseline(t)

@@ -152,6 +152,13 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     dominating the whole prefix; results are memoized on that mask.  The
     first element is canonicalized to sorted coordinates, which is harmless
     because coordinate permutations preserve the relation.
+
+    Each child is settled before any call: one whose mask has fewer bits
+    than the node's best so far is skipped, since no chain in it can beat
+    that best and the first strict maximum stays the witness; one whose
+    mask is in the memo is read in place.  Only a memo miss recurses, so a
+    node is one ``solve`` call that misses the memo, and each charges the
+    budget once.
     """
     _check_params("F", q, r, n)
     clock = (budget or Budget()).start()
@@ -183,11 +190,20 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
             bit = mm & -mm
             i = bit.bit_length() - 1
             mm ^= bit
-            prefix.append(i)
-            sub = solve(mask & greater[i], prefix)
-            prefix.pop()
-            if sub + 1 > best_len:
-                best_len, best_first = sub + 1, i
+            sub = mask & greater[i]
+            if sub.bit_count() < best_len:
+                continue  # no chain in sub reaches best_len
+            hit = memo.get(sub)
+            if hit is None:
+                prefix.append(i)
+                length = solve(sub, prefix)
+                prefix.pop()
+            else:
+                length = hit[0]
+                if len(prefix) >= len(best_chain):
+                    best_chain[:] = prefix + [i]
+            if length + 1 > best_len:
+                best_len, best_first = length + 1, i
         memo[mask] = (best_len, best_first)
         return best_len
 
@@ -599,7 +615,9 @@ def _minimize(kind: str, q: int, r: int, n: int, budget: Budget | None) -> Extre
     reaches; the prefix objective is the largest so far.  It starts at
     ``_value_floor``, which every coloring reaches, so a branch is pruned
     as soon as it matches the incumbent and the search ends once the
-    incumbent meets the floor.  The incumbent starts as the
+    incumbent meets the floor.  The loop over a node's choices makes that
+    test before it recurses, so a pruned choice costs no call; ``dfs``
+    repeats it on entry for the root call.  The incumbent starts as the
     balanced product coloring restricted to 1..n; a tripped budget leaves
     it as an upper bound.
 
@@ -646,8 +664,9 @@ def _minimize(kind: str, q: int, r: int, n: int, budget: Budget | None) -> Extre
         for tail, head in ways[e]:
             for c in range(1, min(used_colors + 1, q) + 1):
                 arc = arcs[e] = (tail, head, c)
-                value = prefix.add(i, k, arc, best_val)
-                dfs(e + 1, max(used_colors, c), max(prefix_val, value))
+                value = max(prefix_val, prefix.add(i, k, arc, best_val))
+                if value < best_val:
+                    dfs(e + 1, max(used_colors, c), value)
 
     try:
         if r == q - 1 and best_val > floor:

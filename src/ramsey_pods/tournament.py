@@ -285,6 +285,16 @@ class ColoredTournament:
             raise ValueError("no loops")
         return abs(self._arc.item(self._idx[u], self._idx[v]))
 
+    def cycle_colors(self, triangles: Sequence[tuple[int, int, int]]) -> np.ndarray:
+        """The colors of (a, b), (b, c) and (c, a) per triangle (a, b, c), in one gather.
+
+        Returns an int array of shape (len(triangles), 3).
+        """
+        flat = itertools.chain.from_iterable(triangles)
+        pos = np.fromiter(map(self._idx.__getitem__, flat), np.intp, 3 * len(triangles))
+        pos = pos.reshape(-1, 3)
+        return np.abs(self._arc[pos, np.roll(pos, -1, axis=1)])
+
     def allowed_masks(
         self, labels: Sequence[int], allowed: frozenset[int]
     ) -> tuple[list[int], list[int]]:
@@ -482,16 +492,14 @@ def pattern_buckets(t: ColoredTournament) -> dict[tuple[int, int, int], list[tup
     """Cyclic triangles grouped by the canonical pattern of their edge colors.
 
     The colors of (a, b), (b, c) and (c, a) of every triangle (a, b, c) are
-    read in one gather from the arc matrix.
+    read in one gather (``ColoredTournament.cycle_colors``).
     """
     buckets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     _, gen = cyclic_triangles(t)
     tris = list(gen)
     if not tris:
         return buckets
-    flat = itertools.chain.from_iterable(tris)
-    pos = np.fromiter(map(t._idx.__getitem__, flat), np.intp, 3 * len(tris)).reshape(-1, 3)
-    colors = np.abs(t._arc[pos, np.roll(pos, -1, axis=1)])
+    colors = t.cycle_colors(tris)
     # colors ranked among the m that occur, so one int64 per triple holds
     # any palette (m^3 < 2^63 below 2^21 colors in use); each distinct
     # triple is rotated once

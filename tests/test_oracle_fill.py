@@ -183,6 +183,16 @@ def test_exact_node_builds_one_table(builds):
 
 
 def test_exact_recursion_node_builds_one_table_per_color(builds):
-    t = random_tournament(13, 3, seed=5)
-    decomposition.recursive_color_avoiding(t)
-    assert builds[0] == 3
+    """One table per color, up to the first color whose path covers every vertex."""
+    cases = [
+        # avoiding-path lengths [13, 13, 13]: color 1 covers every vertex
+        (random_tournament(13, 3, seed=5), 1),
+        # [12, 13, 13]: color 2 covers every vertex, color 3 is not built
+        (random_tournament(13, 3, seed=3), 2),
+        # [4, 4, 4] on 8 vertices: no color covers them, all three are built
+        (canonical_coloring(3, 2).as_tournament(), 3),
+    ]
+    for t, expected in cases:
+        builds[0] = 0
+        decomposition.recursive_color_avoiding(t)
+        assert builds[0] == expected

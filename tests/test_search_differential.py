@@ -19,15 +19,22 @@ values are checked against ``_minimize`` run as the branch-and-bound alone
 (no walk, floor 1), and ``exact_f``'s against the least side m with
 ``exact_F(q, q-1, m) >= N``, found by a walk from m = 1.  The value floor
 is checked on random and near-optimal colorings and tournaments.
+
+``exact_F`` is checked against a subset DP over every set of grid points
+on every grid of at most 16 points, and against its own unpruned form
+(every child a call) on every grid of at most 125 points: the same value,
+status and witness, never more nodes, and the same records, node counts
+included, on tripped budgets at r = 2.
 """
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ramsey_pods import search
-from ramsey_pods.budget import Budget
+from ramsey_pods.budget import Budget, BudgetExceeded
 from ramsey_pods.constructions import canonical_coloring
 from ramsey_pods.core import VectorFamily, _below, validate_comparable
 from ramsey_pods.paths import SubsetPathOracle, monotone_lengths_ending
@@ -51,6 +58,7 @@ from ramsey_pods.search import (
 from ramsey_pods.tournament import (
     ColoredTournament,
     OrderedColoring,
+    _rows,
     random_ordered_coloring,
     random_tournament,
 )
@@ -437,3 +445,141 @@ def test_no_small_instance_beats_the_floor(seed):
                 assert _restricted_value_monotone(inst, r) >= floor
             else:
                 assert _restricted_value_directed(inst, r) >= floor
+
+
+# every grid of at most 16 points: n = 1 would allow any q, so q stops at 6
+TINY_GRIDS = [
+    (q, r, n) for q in range(1, 7) for r in range(1, q + 1) for n in range(1, 17) if n**q <= 16
+]
+
+
+def _brute_F(q: int, r: int, n: int) -> int:
+    """The largest r-increasing chain in [n]^q, by a DP over every subset of the grid.
+
+    A set S is a chain iff some x in S beats every other point of S in at
+    least r coordinates and S - {x} is a chain: x is the chain's last point.
+    """
+    points = list(itertools.product(range(1, n + 1), repeat=q))
+    # beaten[x]: the points that x beats in at least r coordinates
+    beaten = [
+        sum(1 << j for j, y in enumerate(points) if sum(a > b for a, b in zip(x, y)) >= r)
+        for x in points
+    ]
+    chain = bytearray(1 << len(points))
+    chain[0] = 1
+    best = 0
+    for s in range(1, len(chain)):
+        rest = s
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            x = bit.bit_length() - 1
+            if not (s ^ bit) & ~beaten[x] and chain[s ^ bit]:
+                chain[s] = 1
+                best = max(best, s.bit_count())
+                break
+    return best
+
+
+@pytest.mark.parametrize("q,r,n", TINY_GRIDS)
+def test_exact_F_matches_every_chain(q, r, n):
+    rec = exact_F(q, r, n)
+    assert rec.status == EXACT
+    assert rec.value == _brute_F(q, r, n)
+    assert validate_record(rec) is None
+
+
+def _unpruned_F(q: int, r: int, n: int, budget: Budget | None = None) -> search.ExtremalRecord:
+    """``exact_F`` as it was before a child was settled in the loop.
+
+    Every child is a call, memo hits and children too small to win
+    included; the memo check and the incumbent chain sit at the call's
+    entry.  It is the reference for the values, witnesses and node counts
+    of the pruned loop.
+    """
+    clock = (budget or Budget()).start()
+    vecs = _grid_vectors(q, n)
+    greater = _rows(_below(vecs, r))
+    memo: dict[int, tuple[int, int]] = {}
+    best_chain: list[int] = []
+
+    def walk(mask: int) -> list[int]:
+        chain = []
+        while mask:
+            length, first = memo[mask]
+            if length == 0:
+                break
+            chain.append(first)
+            mask &= greater[first]
+        return chain
+
+    def solve(mask: int, prefix: list[int]) -> int:
+        if len(prefix) > len(best_chain):
+            best_chain[:] = prefix
+        if mask in memo:
+            return memo[mask][0]
+        clock.tick()
+        best_len, best_first = 0, -1
+        mm = mask
+        while mm:
+            bit = mm & -mm
+            i = bit.bit_length() - 1
+            mm ^= bit
+            prefix.append(i)
+            sub = solve(mask & greater[i], prefix)
+            prefix.pop()
+            if sub + 1 > best_len:
+                best_len, best_first = sub + 1, i
+        memo[mask] = (best_len, best_first)
+        return best_len
+
+    full = (1 << len(vecs)) - 1
+    canonical_starts = np.flatnonzero((np.diff(vecs) >= 0).all(axis=1)).tolist()
+    try:
+        best = 0
+        for i in canonical_starts:
+            best = max(best, solve(full & greater[i], [i]) + 1)
+        chain: list[int] = []
+        for i in canonical_starts:
+            if memo[full & greater[i]][0] + 1 == best:
+                chain = [i] + walk(full & greater[i])
+                break
+        status = EXACT
+    except BudgetExceeded:
+        chain = list(best_chain)
+        best = len(chain)
+        status = LOWER_BOUND
+    witness = VectorFamily.from_array(vecs[chain], r, n)
+    return search.ExtremalRecord("F", q, r, n, best, status, witness.to_json(), clock.nodes)
+
+
+# every grid of at most 125 points; the unpruned search gets this many nodes
+REFERENCE_GRIDS = [
+    (q, r, n) for q in range(1, 7) for r in range(1, q + 1) for n in range(2, 126) if n**q <= 125
+]
+REFERENCE_NODES = 20_000
+
+
+@pytest.mark.parametrize("q,r,n", REFERENCE_GRIDS)
+def test_exact_F_keeps_the_unpruned_records(q, r, n):
+    ref = _unpruned_F(q, r, n, Budget(max_nodes=REFERENCE_NODES))
+    rec = exact_F(q, r, n, Budget(max_nodes=REFERENCE_NODES))
+    if ref.status == EXACT:
+        assert (rec.value, rec.status, rec.certificate) == (ref.value, EXACT, ref.certificate)
+        assert rec.nodes_explored <= ref.nodes_explored
+    else:
+        # only r = 1 on 64 or more points: the lexicographic order is a chain
+        # through the whole grid, which the pruned search closes on
+        assert r == 1
+        assert (rec.value, rec.status) == (n**q, EXACT)
+
+
+# the dominance pins' budget keys: at r = 2 no child too small to win is a
+# memo miss, so the budget trips at the same node with the same incumbent
+@pytest.mark.parametrize("q,r,n,nodes", [(3, 2, 5, 300), (4, 2, 3, 300), (4, 2, 3, 100)])
+def test_exact_F_budget_records_match_the_unpruned_search(q, r, n, nodes):
+    ref = _unpruned_F(q, r, n, Budget(max_nodes=nodes))
+    rec = exact_F(q, r, n, Budget(max_nodes=nodes))
+    assert ref.status == LOWER_BOUND
+    fields = ("value", "status", "nodes_explored", "certificate")
+    assert [getattr(rec, f) for f in fields] == [getattr(ref, f) for f in fields]
