@@ -18,11 +18,9 @@ from .core import (
     validate_increasing,
 )
 from .paths import (
-    AvoidanceProfile,
     PathCertificate,
     PathConstraint,
     ProofParameters,
-    avoidance_profile,
     ell_avoid_monotone,
     longest_avoiding_directed_exact,
     longest_restricted_monotone,
@@ -45,11 +43,9 @@ __all__ = [
     "transitive_order",
     "validate_comparable",
     "validate_increasing",
-    "AvoidanceProfile",
     "PathCertificate",
     "PathConstraint",
     "ProofParameters",
-    "avoidance_profile",
     "ell_avoid_monotone",
     "longest_avoiding_directed_exact",
     "longest_restricted_monotone",

@@ -140,12 +140,14 @@ def _write_json(path: str | None, payload: dict) -> None:
 def _parse_budget(text: str | None) -> Budget | None:
     if text is None:
         return None
+    seconds = text.endswith("s")
     try:
-        if text.endswith("s"):
-            return Budget(max_seconds=float(text[:-1]))
-        return Budget(max_nodes=int(text))
+        limit = float(text[:-1]) if seconds else int(text)
     except ValueError:
+        limit = -1
+    if not limit >= 0:  # false for a NaN too, which no limit ever exceeds
         raise CliError(f"bad budget {text!r}: use a node count or '<seconds>s'", 1)
+    return Budget(max_seconds=limit) if seconds else Budget(max_nodes=limit)
 
 
 def cmd_search(args) -> int:

@@ -374,31 +374,3 @@ def reordered(fam: VectorFamily, order: Sequence[int]) -> VectorFamily:
     """The same family read in the given 1-based index order."""
     return VectorFamily.from_array(fam.coords[np.asarray(order, np.intp) - 1], fam.r, fam.n)
 
-
-def certificate_is_sound(fam: VectorFamily, cert: ComparabilityCertificate) -> bool:
-    """Re-check a certificate against the family it was issued for."""
-    coords, r = fam.coords, fam.r
-    if cert.verdict is Verdict.FAIL_PAIR:
-        a, b = cert.pair
-        if not 1 <= a < b <= len(coords):
-            return False
-        x, y = coords[a - 1], coords[b - 1]
-        up, down = np.count_nonzero(x < y), np.count_nonzero(y < x)
-        if cert.check == "increasing":
-            return up < r
-        if cert.check == "comparable":
-            return up < r and down < r
-        return False
-    if cert.verdict is Verdict.CYCLIC_TRIPLE:
-        if not all(1 <= i <= len(coords) for i in cert.triple):
-            return False
-        wa, wb, wc = _witness_sets(*(coords[i - 1] for i in cert.triple))
-        # a witness set of size >= r is exactly a dominance step
-        return (
-            (wa, wb, wc) == (cert.witness_a, cert.witness_b, cert.witness_c)
-            and min(len(wa), len(wb), len(wc)) >= r
-        )
-    # a positive verdict carries no witness: re-run the check that issues it
-    if cert.verdict is Verdict.INCREASING:
-        return validate_increasing(fam).ok()
-    return validate_comparable(fam).ok()

@@ -139,6 +139,7 @@ def three_color_path(
     cascading.  min_support=None takes the largest threshold that keeps any
     triangle.  From the least pattern rotation of a kept triangle, greedily
     appends vertices completing a kept pattern triangle with the last two.
+    The path is checked by ``audit_pattern_path`` before it is returned.
     """
     buckets = pattern_buckets(t)
     if not buckets:
@@ -188,9 +189,9 @@ def three_color_path(
     cert = PathCertificate(
         "directed", PathConstraint(allow=frozenset(pattern)), tuple(path)
     )
-    problem = validate_path(t, cert)
+    problem = audit_pattern_path(t, cert)
     if problem is not None:
-        raise AuditFailed(f"pattern path failed validation: {problem}")
+        raise AuditFailed(f"pattern path failed its audit: {problem}")
     return PatternPathResult(cert, pattern)
 
 

@@ -18,12 +18,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budget import Budget, BudgetExceeded
+from .budget import BudgetExceeded
 from .tournament import ColoredTournament, OrderedColoring
 
 EXACT_VERTEX_CAP = 22
@@ -54,9 +53,9 @@ class PathConstraint:
 
     @classmethod
     def from_json(cls, data: dict) -> "PathConstraint":
-        if "avoid" in data:
-            return cls(avoid=operator.index(data["avoid"]))
-        return cls(allow=frozenset(map(operator.index, data["allow"])))
+        avoid = operator.index(data["avoid"]) if "avoid" in data else None
+        allow = frozenset(map(operator.index, data["allow"])) if "allow" in data else None
+        return cls(avoid=avoid, allow=allow)
 
 
 @dataclass(frozen=True)
@@ -401,7 +400,7 @@ def greedy_directed_path(t: ColoredTournament, allowed: frozenset[int]) -> tuple
 
 
 def longest_directed_restricted_exact(
-    t: ColoredTournament, colors: Iterable[int], budget: Budget | None = None
+    t: ColoredTournament, colors: Iterable[int]
 ) -> PathCertificate:
     """Longest directed path using only the given colors, exactly.
 
@@ -409,15 +408,10 @@ def longest_directed_restricted_exact(
     as the best-found lower bound.
     """
     allowed = frozenset(colors)
-    cap = EXACT_VERTEX_CAP
-    if budget is not None and budget.max_nodes is not None:
-        # a node here is one DP state; 2^n * n states must fit
-        while cap > 1 and (1 << cap) * cap > budget.max_nodes:
-            cap -= 1
-    if t.n_vertices > cap:
+    if t.n_vertices > EXACT_VERTEX_CAP:
         fallback = greedy_directed_path(t, allowed)
         raise BudgetExceeded(
-            f"{t.n_vertices} vertices exceed the exact cap {cap}",
+            f"{t.n_vertices} vertices exceed the exact cap {EXACT_VERTEX_CAP}",
             best=PathCertificate("directed", PathConstraint(allow=allowed), fallback),
         )
     oracle = SubsetPathOracle(t, allowed)
@@ -426,9 +420,7 @@ def longest_directed_restricted_exact(
     )
 
 
-def longest_avoiding_directed_exact(
-    t: ColoredTournament, i: int, budget: Budget | None = None
-) -> PathCertificate:
+def longest_avoiding_directed_exact(t: ColoredTournament, i: int) -> PathCertificate:
     """Longest directed path whose edges avoid color i, exactly."""
     if not 1 <= i <= t.q:
         raise ValueError(f"color {i} outside [1, {t.q}]")
@@ -436,58 +428,15 @@ def longest_avoiding_directed_exact(
     if not allowed:
         return PathCertificate("directed", PathConstraint(avoid=i), (min(t.vertices),))
     try:
-        cert = longest_directed_restricted_exact(t, allowed, budget)
+        cert = longest_directed_restricted_exact(t, allowed)
     except BudgetExceeded as exc:
-        if exc.best is not None:
-            exc.best = PathCertificate(
-                "directed", PathConstraint(avoid=i), exc.best.vertices
-            )
+        exc.best = PathCertificate("directed", PathConstraint(avoid=i), exc.best.vertices)
         raise
     return PathCertificate("directed", PathConstraint(avoid=i), cert.vertices)
 
 
 # ---------------------------------------------------------------------------
-# avoidance profiles and proof parameters
-
-
-@dataclass(frozen=True)
-class AvoidanceProfile:
-    """Per-color longest-avoiding lengths, their truncations, and the product.
-
-    ``m[i]`` is min(ell[i], gamma * N); with a Fraction gamma everything stays
-    exact, with a float gamma the truncations are floats.
-    """
-
-    ell: tuple[int, ...]
-    gamma: Fraction | float
-    n_vertices: int
-    m: tuple
-    product: Fraction | float
-
-    @property
-    def q(self) -> int:
-        return len(self.ell)
-
-
-def avoidance_profile(instance, gamma, budget: Budget | None = None) -> AvoidanceProfile:
-    """Compute every ell_i, truncate at gamma*N, and take the product."""
-    if isinstance(instance, OrderedColoring):
-        ells = [
-            ell_avoid_monotone(instance, i).length for i in range(1, instance.q + 1)
-        ]
-        n = instance.n_vertices
-    else:
-        ells = [
-            longest_avoiding_directed_exact(instance, i, budget).length
-            for i in range(1, instance.q + 1)
-        ]
-        n = instance.n_vertices
-    cap = gamma * n
-    ms = tuple(ell if ell <= cap else cap for ell in ells)
-    product = ms[0]
-    for m in ms[1:]:
-        product = product * m
-    return AvoidanceProfile(tuple(ells), gamma, n, ms, product)
+# proof parameters
 
 
 @dataclass(frozen=True)
@@ -505,10 +454,6 @@ class ProofParameters:
     p: int
     s: int
     delta: float
-
-    @property
-    def raw_s(self) -> float:
-        return 2.0 * self.gamma * self.n_vertices
 
 
 def proof_parameters(q: int, n_vertices: int) -> ProofParameters:

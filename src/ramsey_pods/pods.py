@@ -18,10 +18,8 @@ from fractions import Fraction
 from .core import (
     COMPARABLE,
     ComparabilityCertificate,
-    Comparison,
     GridVector,
     VectorFamily,
-    compare_r,
     validate_comparable,
 )
 
@@ -61,23 +59,6 @@ def pod_voxels(p: Pod) -> frozenset[tuple[int, ...]]:
 def _check_same_parameters(a: Pod, b: Pod) -> None:
     if (a.q, a.r, a.n) != (b.q, b.r, b.n):
         raise ValueError("pods have different parameters")
-
-
-def pods_disjoint_voxel(a: Pod, b: Pod) -> bool:
-    """Brute-force disjointness oracle over the explicit voxel sets."""
-    _check_same_parameters(a, b)
-    return not (pod_voxels(a) & pod_voxels(b))
-
-
-def pods_disjoint_fast(a: Pod, b: Pod) -> bool:
-    """Disjointness via apex comparability; equals the voxel oracle.
-
-    When the apices are incomparable, the coordinatewise maximum lies in both
-    pods; when comparable, the r strictly-larger coordinates of the upper
-    apex separate the two.
-    """
-    _check_same_parameters(a, b)
-    return compare_r(a.apex, b.apex, a.r) is not Comparison.INCOMPARABLE
 
 
 @dataclass(frozen=True)

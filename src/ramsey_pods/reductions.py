@@ -125,13 +125,6 @@ class ColorPartition:
                 return label
         raise ValueError(f"color {color} not covered")
 
-    def pull_back(self, new_colors) -> frozenset[int]:
-        """Original colors represented by a set of block labels."""
-        out: set[int] = set()
-        for label in new_colors:
-            out |= self.blocks[label - 1]
-        return frozenset(out)
-
     def to_json(self) -> dict:
         return {"blocks": [sorted(b) for b in self.blocks]}
 
@@ -155,27 +148,3 @@ def merge_colors(instance, partition: ColorPartition):
         raise TypeError(f"cannot merge colors of {type(instance).__name__}")
     return instance.recolored(partition.block_of)
 
-
-def floor_reduction(q: int, r: int) -> tuple[int, ColorPartition]:
-    """The palette-shrinking partition behind the floor(q/(q-r)) bound.
-
-    With p = floor(q/(q-r)) and t = q - p(q-r), the last t+1 colors are first
-    merged into one, and the q-t resulting pseudo-colors are grouped into p
-    consecutive blocks of size q-r; the merged pseudo-color sits inside the
-    last block.  Requires q > r >= 1 and p >= 2.
-    """
-    if not q > r >= 1:
-        raise ValueError("need q > r >= 1")
-    p = q // (q - r)
-    if p < 2:
-        raise ValueError(f"p = {p} < 2: the reduction needs r > q/2")
-    t = q - p * (q - r)
-    width = q - r
-    blocks = []
-    cursor = 1
-    for _ in range(p - 1):
-        blocks.append(frozenset(range(cursor, cursor + width)))
-        cursor += width
-    blocks.append(frozenset(range(cursor, q + 1)))  # absorbs the merged t+1 tail
-    assert len(blocks[-1]) == width + t
-    return p, ColorPartition(tuple(blocks))

@@ -778,12 +778,11 @@ def _record_key(rec: ExtremalRecord) -> tuple[str, int, int, int]:
     return (rec.kind, rec.q, rec.r, rec.size)
 
 
-def _load_records(path: Path, key: tuple | None = None) -> list[ExtremalRecord]:
-    """The file's records whose witnesses re-validate, in file order.
+def _load_records(path: Path, key: tuple) -> list[ExtremalRecord]:
+    """The file's records for ``key`` whose witnesses re-validate, in file order.
 
-    With ``key``, only that key's records are validated and returned: a
-    witness check can build subset oracles, so other keys' records are
-    skipped unchecked.
+    Only that key's records are validated: a witness check can build subset
+    oracles, so other keys' records are skipped unchecked.
     """
     records = []
     if not path.exists():
@@ -796,7 +795,7 @@ def _load_records(path: Path, key: tuple | None = None) -> list[ExtremalRecord]:
             rec = ExtremalRecord.from_json(json.loads(line))
         except (json.JSONDecodeError, KeyError, ValueError, TypeError):
             continue
-        if key is not None and _record_key(rec) != key:
+        if _record_key(rec) != key:
             continue
         if validate_record(rec) is None:
             records.append(rec)
@@ -846,19 +845,6 @@ def cache_put(record: ExtremalRecord, path: str | os.PathLike | None = None) -> 
     with open(target, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record.to_json()) + "\n")
     return True
-
-
-def cache_compact(path: str | os.PathLike | None = None) -> int:
-    """Rewrite the cache keeping only the best record per key."""
-    target = cache_path(path)
-    by_key: dict[tuple, list[ExtremalRecord]] = {}
-    for rec in _load_records(target):
-        by_key.setdefault(_record_key(rec), []).append(rec)
-    kept = [_best(key[0], by_key[key]) for key in sorted(by_key)]
-    with open(target, "w", encoding="utf-8") as fh:
-        for rec in kept:
-            fh.write(json.dumps(rec.to_json()) + "\n")
-    return len(kept)
 
 
 _ORACLES = {"F": exact_F, "G": exact_G, "f": exact_f, "g": exact_g}

@@ -412,47 +412,6 @@ def heuristic_transitive_order(t: ColoredTournament, seed: int = 0) -> tuple[int
     return tuple(verts)
 
 
-def exact_min_backward(t: ColoredTournament) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum reversal distance to transitivity, by prefix-set DP.
-
-    Memory is 2^N, so this is limited to N <= 12; beyond that only the
-    heuristic order's backward count is available, as an upper bound.
-    """
-    n = t.n_vertices
-    if n > 12:
-        raise ValueError("exact reversal distance is provided only for N <= 12")
-    verts = t.vertices
-    wins = _rows(t._arc > 0)  # wins[i] = bitmask of the positions beaten by i
-    size = 1 << n
-    INF = float("inf")
-    dp = [INF] * size
-    choice = [-1] * size
-    dp[0] = 0
-    for mask in range(size):
-        if dp[mask] == INF:
-            continue
-        rest = ((size - 1) ^ mask)
-        m = rest
-        while m:
-            v_bit = m & -m
-            v = v_bit.bit_length() - 1
-            # placing v next: later vertices that beat v become backward edges
-            cost = bin(rest & ~v_bit & ~wins[v]).count("1")
-            new = dp[mask] + cost
-            if new < dp[mask | v_bit]:
-                dp[mask | v_bit] = new
-                choice[mask | v_bit] = v
-            m ^= v_bit
-    order = []
-    mask = size - 1
-    while mask:
-        v = choice[mask]
-        order.append(verts[v])
-        mask ^= 1 << v
-    order.reverse()
-    return int(dp[size - 1]), tuple(order)
-
-
 def cyclic_triangles(t: ColoredTournament):
     """Count of 3-sets inducing a directed cycle, plus an iterator over them.
 

@@ -34,7 +34,7 @@ from ramsey_pods.paths import (
     longest_restricted_monotone,
     validate_path,
 )
-from ramsey_pods.pods import Pod, pod_voxels, pods_disjoint_fast, pods_disjoint_voxel
+from ramsey_pods.pods import Packing, Pod, pod_voxels
 from ramsey_pods.search import EXACT, exact_F, exact_G, exact_f
 from ramsey_pods.tournament import (
     ColoredTournament,
@@ -43,6 +43,8 @@ from ramsey_pods.tournament import (
     random_ordered_coloring,
     random_tournament,
 )
+
+from reference import pods_disjoint_voxel
 
 
 @contextmanager
@@ -154,9 +156,9 @@ def test_criterion_05_pod_equivalence():
                 pods = [Pod(q, r, n, GridVector(a, n)) for a in apices]
                 for i in range(len(pods)):
                     for j in range(i, len(pods)):
-                        assert pods_disjoint_fast(
+                        assert Packing.of((pods[i], pods[j])).valid == pods_disjoint_voxel(
                             pods[i], pods[j]
-                        ) == pods_disjoint_voxel(pods[i], pods[j])
+                        )
 
 
 def test_criterion_06_vector_coloring_round_trip():

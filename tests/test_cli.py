@@ -56,6 +56,25 @@ def test_search_invalid_exit_one(workdir, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("budget", ["nans", "nan", "-5", "-1s", "-0.5s", "5x", "1.5"])
+def test_search_bad_budget_exit_one(workdir, capsys, budget):
+    # a NaN seconds limit never trips, so it would run with no limit at all;
+    # the "=" form lets argparse take a value that starts with "-"
+    code, out, err = run(capsys, "search", "F", "3", "2", "5", f"--budget={budget}", "--no-cache")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: bad budget {budget!r}: use a node count or '<seconds>s'\n"
+
+
+@pytest.mark.parametrize("budget,code", [("0", 2), ("0s", 0), ("0.0s", 0)])
+def test_search_zero_budget_is_accepted(workdir, capsys, budget, code):
+    # the first node trips a zero node budget; the clock is read every 256
+    # nodes, and F(2, 1, 3) closes before that
+    got, out, _ = run(capsys, "search", "F", "2", "1", "3", "--budget", budget, "--no-cache")
+    assert got == code
+    assert json.loads(out.splitlines()[0])["status"] == ("exact" if code == 0 else "lower_bound")
+
+
 def test_search_g_above_exact_cap_exit_one(workdir, capsys):
     code, out, err = run(
         capsys, "search", "g", "2", "1", "23", "--budget", "10", "--no-cache"
@@ -149,6 +168,19 @@ def test_verify_parse_error_exit_three(workdir, capsys):
     (workdir / "junk.json").write_text("{not json")
     code, _, err = run(capsys, "verify", "sequence", "junk.json")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "constraint", [{"avoid": 1, "allow": [2]}, {}], ids=["avoid_and_allow", "neither"]
+)
+def test_verify_path_constraint_needs_exactly_one_key(workdir, capsys, constraint):
+    (workdir / "t.json").write_text(json.dumps(random_tournament(3, 2, seed=0).to_json()))
+    cert = {"mode": "directed", "constraint": constraint, "vertices": [1]}
+    (workdir / "c.json").write_text(json.dumps(cert))
+    code, out, err = run(capsys, "verify", "path", "t.json", "c.json")
+    assert code == 3
+    assert out == ""
+    assert err == "error: bad certificate: exactly one of avoid/allow must be given\n"
 
 
 def _malformed_inputs(workdir):

@@ -11,7 +11,6 @@ from ramsey_pods.core import (
     GridVector,
     VectorFamily,
     Verdict,
-    certificate_is_sound,
     compare_r,
     find_cyclic_triple,
     less_r,
@@ -20,6 +19,8 @@ from ramsey_pods.core import (
     validate_comparable,
     validate_increasing,
 )
+
+from reference import certificate_is_sound
 
 
 def gv(coords, n):

@@ -18,14 +18,15 @@ from ramsey_pods.core import (
     GridVector,
     VectorFamily,
     Verdict,
-    certificate_is_sound,
     find_cyclic_triple,
     transitive_order,
     validate_comparable,
     validate_increasing,
 )
-from ramsey_pods.pods import Packing, Pod, pods_disjoint_voxel
+from ramsey_pods.pods import Packing, Pod
 from ramsey_pods.tournament import _rows
+
+from reference import certificate_is_sound, pods_disjoint_voxel
 
 BLOCK_CELLS = (1, 37, 1 << 18)
 

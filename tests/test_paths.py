@@ -1,15 +1,13 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from ramsey_pods.budget import Budget, BudgetExceeded
+from ramsey_pods.budget import BudgetExceeded
 from ramsey_pods.paths import (
     PathCertificate,
     PathConstraint,
     SubsetPathOracle,
-    avoidance_profile,
     ell_avoid_monotone,
     longest_avoiding_directed_exact,
     longest_directed_restricted_exact,
@@ -123,29 +121,6 @@ def test_monochromatic_floor_over_singletons():
         assert best >= math.ceil(n ** (1.0 / q) - 1e-9)
 
 
-def test_avoidance_profile_examples():
-    cyc = ColoredTournament(3, 2, [(1, 2, 1), (2, 3, 1), (3, 1, 1)])
-    prof = avoidance_profile(cyc, Fraction(1, 2))
-    assert prof.ell == (1, 3)
-    assert prof.m == (1, Fraction(3, 2))
-    assert prof.product == Fraction(3, 2)
-
-    k = random_ordered_coloring(5, 2, seed=3)
-    prof = avoidance_profile(k, Fraction(2))
-    assert prof.m == prof.ell  # truncation inactive for gamma >= 1
-    assert prof.product == prof.ell[0] * prof.ell[1]
-
-
-def test_profile_sanity_invariants():
-    for seed in range(8):
-        t = random_tournament(7, 3, seed=seed)
-        gamma = Fraction(1, 2)
-        prof = avoidance_profile(t, gamma)
-        assert prof.product >= 1
-        for m in prof.m:
-            assert m <= gamma * t.n_vertices
-
-
 def test_proof_parameters_pinned_values():
     pp = proof_parameters(16, 1280)
     assert pp.gamma == pytest.approx(1 / 128)
@@ -161,7 +136,7 @@ def test_proof_parameter_identity_before_rounding():
     for q in (2, 4, 7, 16):
         for n in (10, 100, 999):
             pp = proof_parameters(q, n)
-            assert 4 * pp.delta * n == pytest.approx(pp.raw_s / 4)
+            assert 4 * pp.delta * n == pytest.approx(2 * pp.gamma * n / 4)
 
 
 def test_gamma_matches_profile_example():
@@ -196,12 +171,6 @@ def test_budget_cap_raises_with_fallback():
     assert best is not None
     assert validate_path(t, best) is None
     assert best.constraint.avoid == 1
-
-
-def test_budget_node_cap_shrinks_limit():
-    t = random_tournament(8, 2, seed=5)
-    with pytest.raises(BudgetExceeded):
-        longest_avoiding_directed_exact(t, 1, Budget(max_nodes=10))
 
 
 def test_certificate_json_roundtrip():

@@ -2,17 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_pods.core import GridVector
-from ramsey_pods.pods import (
-    Packing,
-    Pod,
-    packing_density,
-    pod_voxels,
-    pods_disjoint_fast,
-    pods_disjoint_voxel,
-)
+from ramsey_pods.pods import Packing, Pod, packing_density, pod_voxels
 from ramsey_pods.search import exact_G
+
+from reference import pods_disjoint_voxel
 
 
 def pod(q, r, n, apex):
@@ -48,15 +45,19 @@ def test_degenerate_pods():
     assert len(full_corner) == 7  # the three corner squares, not the cube
 
 
+def disjoint(a, b):
+    return Packing.of((a, b)).valid
+
+
 def test_disjointness_examples():
     a = pod(3, 2, 3, (1, 1, 1))
-    assert pods_disjoint_fast(a, pod(3, 2, 3, (2, 2, 1)))
+    assert disjoint(a, pod(3, 2, 3, (2, 2, 1)))
     b = pod(3, 2, 3, (2, 1, 1))
-    assert not pods_disjoint_fast(a, b)
+    assert not disjoint(a, b)
     assert (2, 1, 1) in (pod_voxels(a) & pod_voxels(b))  # coordinatewise max
-    assert not pods_disjoint_fast(a, a)
+    assert not disjoint(a, a)
     with pytest.raises(ValueError):
-        pods_disjoint_fast(a, pod(3, 2, 4, (1, 1, 1)))
+        disjoint(a, pod(3, 2, 4, (1, 1, 1)))
 
 
 @pytest.mark.parametrize(
@@ -69,9 +70,27 @@ def test_voxel_and_comparability_oracles_agree(q, r, sides):
         pods = [pod(q, r, n, a) for a in apices]
         for i in range(len(pods)):
             for j in range(i, len(pods)):
-                assert pods_disjoint_fast(pods[i], pods[j]) == pods_disjoint_voxel(
-                    pods[i], pods[j]
-                )
+                assert disjoint(pods[i], pods[j]) == pods_disjoint_voxel(pods[i], pods[j])
+
+
+@st.composite
+def pod_pairs(draw):
+    q = draw(st.integers(1, 5))
+    r = draw(st.integers(1, q))
+    n = draw(st.integers(1, 6))
+    apex = st.lists(st.integers(1, n), min_size=q, max_size=q)
+    return pod(q, r, n, draw(apex)), pod(q, r, n, draw(apex))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pod_pairs())
+def test_pods_disjoint_iff_packing_valid(pair):
+    # the exhaustive sweep above covers every apex pair of a few small grids;
+    # this samples grids up to [6]^5, where the pods hold thousands of voxels
+    a, b = pair
+    packing = Packing.of(pair)
+    assert packing.valid == pods_disjoint_voxel(a, b)
+    assert packing.certificate.pair == (None if packing.valid else (1, 2))
 
 
 def test_packing_validity_is_comparability():

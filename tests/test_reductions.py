@@ -7,19 +7,16 @@ from ramsey_pods.paths import (
     PathCertificate,
     PathConstraint,
     ell_avoid_monotone,
-    longest_restricted_monotone,
     validate_path,
 )
 from ramsey_pods.reductions import (
     ColorPartition,
     coloring_to_vectors,
-    floor_reduction,
     merge_colors,
     vectors_to_coloring,
     vectors_to_tournament,
 )
 from ramsey_pods.tournament import (
-    ColoredTournament,
     OrderedColoring,
     random_ordered_coloring,
     random_tournament,
@@ -181,37 +178,11 @@ def test_merged_certificate_pulls_back():
                 if nxt is None:
                     break
                 verts.append(nxt)
+            # block ``label`` holds the original colors the label stands for
             cert = PathCertificate(
-                "directed",
-                PathConstraint(allow=part.pull_back({label})),
-                tuple(verts),
+                "directed", PathConstraint(allow=part.blocks[label - 1]), tuple(verts)
             )
             assert validate_path(t, cert) is None
-
-
-def test_floor_reduction_examples():
-    p, part = floor_reduction(7, 5)
-    assert p == 3
-    assert part.blocks == (
-        frozenset({1, 2}),
-        frozenset({3, 4}),
-        frozenset({5, 6, 7}),
-    )
-
-    p, part = floor_reduction(5, 4)
-    assert p == 5
-    assert all(len(b) == 1 for b in part.blocks)
-
-    p, part = floor_reduction(4, 2)
-    assert p == 2
-    assert part.blocks == (frozenset({1, 2}), frozenset({3, 4}))
-
-
-def test_floor_reduction_inapplicable():
-    with pytest.raises(ValueError):
-        floor_reduction(3, 1)  # p = 1
-    with pytest.raises(ValueError):
-        floor_reduction(3, 3)
 
 
 def test_round_trip_on_restricted_value():

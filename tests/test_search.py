@@ -10,7 +10,6 @@ from ramsey_pods.search import (
     LOWER_BOUND,
     UPPER_BOUND,
     ExtremalRecord,
-    cache_compact,
     cache_get,
     cache_put,
     exact_F,
@@ -222,17 +221,6 @@ def test_cache_skips_bounds_no_stronger_than_cached(tmp_path):
     assert len(lines) == 1
 
 
-def test_cache_compaction(tmp_path):
-    path = tmp_path / "c.jsonl"
-    cache_put(exact_F(2, 1, 2), path)
-    cache_put(exact_F(2, 2, 2), path)
-    cache_put(exact_F(2, 1, 2, Budget(max_nodes=1)), path)  # rejected anyway
-    kept = cache_compact(path)
-    assert kept == 2
-    lines = [l for l in path.read_text().splitlines() if l.strip()]
-    assert len(lines) == 2
-
-
 def test_cache_validates_only_the_key_it_reads(tmp_path, monkeypatch):
     path = tmp_path / "c.jsonl"
     for rec in (exact_F(2, 1, 2), exact_F(2, 2, 2), exact_g(2, 1, 3), exact_f(2, 1, 4)):
@@ -249,11 +237,6 @@ def test_cache_validates_only_the_key_it_reads(tmp_path, monkeypatch):
     seen.clear()
     assert cache_put(exact_F(2, 1, 2, Budget(max_nodes=1)), path) is False
     assert seen == [("F", 2, 1, 2)] * 2  # the new record, then the cached one
-    seen.clear()
-    assert cache_compact(path) == 4
-    assert sorted(seen) == sorted(
-        [("F", 2, 1, 2), ("F", 2, 2, 2), ("g", 2, 1, 3), ("f", 2, 1, 4)]
-    )
 
 
 def test_cache_env_default(tmp_path, monkeypatch):

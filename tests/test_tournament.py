@@ -14,7 +14,6 @@ from ramsey_pods.tournament import (
     canonical_pattern,
     clean_degrees,
     cyclic_triangles,
-    exact_min_backward,
     heuristic_transitive_order,
     pattern_buckets,
     random_tournament,
@@ -96,27 +95,6 @@ def test_heuristic_order_on_three_cycle():
 def test_heuristic_order_seed_reproducible():
     t = random_tournament(12, 2, seed=5)
     assert heuristic_transitive_order(t, seed=3) == heuristic_transitive_order(t, seed=3)
-
-
-def test_exact_min_backward_matches_bruteforce():
-    for seed in range(12):
-        t = random_tournament(6, 2, seed=seed)
-        value, order = exact_min_backward(t)
-        assert value == brute_min_backward(t)
-        assert backward_edge_count(t, order) == value
-
-
-def test_heuristic_never_beats_exact():
-    for seed in range(12):
-        t = random_tournament(10, 3, seed=100 + seed)
-        exact_value, _ = exact_min_backward(t)
-        heur = backward_edge_count(t, heuristic_transitive_order(t))
-        assert heur >= exact_value
-
-
-def test_exact_min_backward_size_cap():
-    with pytest.raises(ValueError):
-        exact_min_backward(transitive(13))
 
 
 def test_cyclic_triangles_examples():
