@@ -30,9 +30,11 @@ class Budget:
 
 
 class BudgetClock:
-    """Mutable tracker for one run against a Budget."""
+    """Mutable tracker for one run against a Budget.
 
-    _CHECK_EVERY = 256
+    Both limits are checked at every node, so a zero budget of either kind
+    stops at the first one.
+    """
 
     def __init__(self, budget: Budget):
         self.budget = budget
@@ -45,9 +47,8 @@ class BudgetClock:
         b = self.budget
         if b.max_nodes is not None and self.nodes > b.max_nodes:
             raise BudgetExceeded(f"node budget {b.max_nodes} exceeded")
-        if b.max_seconds is not None and self.nodes % self._CHECK_EVERY == 0:
-            if time.monotonic() - self.t0 > b.max_seconds:
-                raise BudgetExceeded(f"wall budget {b.max_seconds}s exceeded")
+        if b.max_seconds is not None and time.monotonic() - self.t0 >= b.max_seconds:
+            raise BudgetExceeded(f"wall budget {b.max_seconds}s exceeded")
 
     def elapsed(self) -> float:
         return time.monotonic() - self.t0

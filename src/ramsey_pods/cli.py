@@ -298,8 +298,21 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections exit 1, like any invalid input.
+
+    argparse exits 2 on a usage error, the code of a bound-only search
+    result.  Subcommand parsers are made with the parent's class, so they
+    reject the same way.  ``--help`` still exits 0.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise CliError(message, 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramsey-pods",
         description=(
             "search, construct, verify, and decompose extremal vector families, "
@@ -360,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

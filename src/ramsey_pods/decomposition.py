@@ -415,13 +415,8 @@ def classify_colors(
     out_paths: dict[int, dict[int, tuple[int, ...]]] = {}
     for i in range(1, q + 1):
         allowed = frozenset(c for c in range(1, q + 1) if c != i)
-        if allowed:
-            lengths_in, path_in = _half_endpoint_data(t, allowed, left, True)
-            lengths_out, path_out = _half_endpoint_data(t, allowed, right, False)
-        else:
-            lengths_in = {v: 1 for v in left}
-            lengths_out = {v: 1 for v in right}
-            path_in = path_out = lambda v: (v,)
+        lengths_in, path_in = _half_endpoint_data(t, allowed, left, True)
+        lengths_out, path_out = _half_endpoint_data(t, allowed, right, False)
         ranked_left = sorted(left, key=lambda v: (-lengths_in[v], v))
         ranked_right = sorted(right, key=lambda v: (-lengths_out[v], v))
         x_sets[i] = tuple(ranked_left[:s])
@@ -688,7 +683,7 @@ def recursive_color_avoiding(
             classification = classify_colors(
                 sub_t, sub_order, _driver_params(q, sub_t.n_vertices)
             )
-        except (DegenerateScale, ValueError):
+        except DegenerateScale:
             classification = None
 
     if classification is not None:
@@ -716,10 +711,8 @@ def recursive_color_avoiding(
             v, w = hit
             verts = classification.in_paths[i][v] + classification.out_paths[i][w]
             cert = PathCertificate("directed", PathConstraint(avoid=i), verts)
-            if validate_path(t, cert) is None:
-                expected = classification.ell_in[i][v] + classification.ell_out[i][w]
-                assert cert.length == expected
-                candidates.append((i, cert, "case1"))
+            assert cert.length == classification.ell_in[i][v] + classification.ell_out[i][w]
+            candidates.append((i, cert, "case1"))
     else:
         half = len(order) // 2
         halves = (order[:half], order[half:])
@@ -732,8 +725,7 @@ def recursive_color_avoiding(
             continue
         sub = t.restrict(half_verts)
         color, cert = recursive_color_avoiding(sub, seed, trace)
-        if validate_path(t, cert) is None:
-            candidates.append((color, cert, f"recurse_{side}"))
+        candidates.append((color, cert, f"recurse_{side}"))
 
     return _select(t, candidates, trace)
 

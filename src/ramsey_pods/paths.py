@@ -399,40 +399,26 @@ def greedy_directed_path(t: ColoredTournament, allowed: frozenset[int]) -> tuple
     return tuple(labels[p] for p in best)
 
 
-def longest_directed_restricted_exact(
-    t: ColoredTournament, colors: Iterable[int]
-) -> PathCertificate:
-    """Longest directed path using only the given colors, exactly.
-
-    Raises BudgetExceeded above the vertex cap, carrying a greedy certificate
-    as the best-found lower bound.
-    """
-    allowed = frozenset(colors)
-    if t.n_vertices > EXACT_VERTEX_CAP:
-        fallback = greedy_directed_path(t, allowed)
-        raise BudgetExceeded(
-            f"{t.n_vertices} vertices exceed the exact cap {EXACT_VERTEX_CAP}",
-            best=PathCertificate("directed", PathConstraint(allow=allowed), fallback),
-        )
-    oracle = SubsetPathOracle(t, allowed)
-    return PathCertificate(
-        "directed", PathConstraint(allow=allowed), oracle.lex_least_longest()
-    )
-
-
 def longest_avoiding_directed_exact(t: ColoredTournament, i: int) -> PathCertificate:
-    """Longest directed path whose edges avoid color i, exactly."""
+    """The lexicographically least longest directed path avoiding color i.
+
+    Above ``EXACT_VERTEX_CAP`` vertices raises BudgetExceeded, carrying a
+    greedy certificate as the best-found lower bound.
+    """
     if not 1 <= i <= t.q:
         raise ValueError(f"color {i} outside [1, {t.q}]")
     allowed = frozenset(c for c in range(1, t.q + 1) if c != i)
     if not allowed:
         return PathCertificate("directed", PathConstraint(avoid=i), (min(t.vertices),))
-    try:
-        cert = longest_directed_restricted_exact(t, allowed)
-    except BudgetExceeded as exc:
-        exc.best = PathCertificate("directed", PathConstraint(avoid=i), exc.best.vertices)
-        raise
-    return PathCertificate("directed", PathConstraint(avoid=i), cert.vertices)
+    if t.n_vertices > EXACT_VERTEX_CAP:
+        fallback = greedy_directed_path(t, allowed)
+        raise BudgetExceeded(
+            f"{t.n_vertices} vertices exceed the exact cap {EXACT_VERTEX_CAP}",
+            best=PathCertificate("directed", PathConstraint(avoid=i), fallback),
+        )
+    return PathCertificate(
+        "directed", PathConstraint(avoid=i), SubsetPathOracle(t, allowed).lex_least_longest()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,43 @@ def test_search_bad_budget_exit_one(workdir, capsys, budget):
     assert err == f"error: bad budget {budget!r}: use a node count or '<seconds>s'\n"
 
 
-@pytest.mark.parametrize("budget,code", [("0", 2), ("0s", 0), ("0.0s", 0)])
+@pytest.mark.parametrize("budget,code", [("0", 2), ("0s", 2), ("0.0s", 2)])
 def test_search_zero_budget_is_accepted(workdir, capsys, budget, code):
-    # the first node trips a zero node budget; the clock is read every 256
-    # nodes, and F(2, 1, 3) closes before that
+    # both limits are checked at every node, so a zero budget of either kind
+    # trips at the first one, before F(2, 1, 3) can close
     got, out, _ = run(capsys, "search", "F", "2", "1", "3", "--budget", budget, "--no-cache")
     assert got == code
     assert json.loads(out.splitlines()[0])["status"] == ("exact" if code == 0 else "lower_bound")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["search", "F", "3", "2", "5", "--budget", "-1s"],
+        ["search", "F", "3", "2", "x"],
+        ["verify", "nope", "x.json"],
+        ["construct", "cube"],
+        ["decompose", "recursive"],
+        ["decompose", "three-color", "t.json", "--min-support", "x"],
+    ],
+)
+def test_usage_error_exit_one(workdir, capsys, argv):
+    # exit 2 is a bound-only search result, so a usage error exits 1
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: ramsey-pods")
+    assert "\nerror: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])
+def test_help_exit_zero(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ramsey-pods")
 
 
 def test_search_g_above_exact_cap_exit_one(workdir, capsys):

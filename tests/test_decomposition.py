@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from ramsey_pods import decomposition
+from ramsey_pods.constructions import canonical_coloring
 from ramsey_pods.decomposition import (
     AuditFailed,
     ColorClassification,
@@ -228,6 +230,20 @@ def test_classify_engineered_condensed():
     assert _left_diffuse_colors(t, spread) == [1]
 
 
+def test_classify_empty_palette_strands_every_vertex():
+    # with one color there is nothing to allow: every vertex ends and starts
+    # only its one-vertex path, with halves at the exact cap and above it
+    for n in (32, 48):
+        t = transitive(n, 1)
+        params = ProofParameters(q=1, n_vertices=n, gamma=0.1, p=1, s=2, delta=0.01)
+        cls = classify_colors(t, tuple(range(1, n + 1)), params)
+        assert set(cls.ell_in[1].values()) == set(cls.ell_out[1].values()) == {1}
+        assert cls.x_sets[1] == (1, 2)
+        assert cls.y_sets[1] == (n // 2 + 1, n // 2 + 2)
+        assert cls.in_paths[1] == {1: (1,), 2: (2,)}
+        assert cls.out_paths[1] == {v: (v,) for v in cls.y_sets[1]}
+
+
 def test_classify_degenerate_scale():
     t = transitive(10, 2)
     params = ProofParameters(q=2, n_vertices=10, gamma=0.1, p=1, s=1, delta=0.01)
@@ -396,6 +412,42 @@ def test_recursive_case1_fires_on_near_transitive():
     assert root["N"] == 48
     assert set(root) == {"case", "N", "chosen_color", "branch_lengths"}
     assert "case1" in root["branch_lengths"]
+
+
+def _patch_classify(monkeypatch, exc):
+    calls = []
+
+    def fail(*args):
+        calls.append(args[0].n_vertices)
+        raise exc("classification failed")
+
+    monkeypatch.setattr(decomposition, "classify_colors", fail)
+    return calls
+
+
+def test_recursive_raises_a_classification_error(monkeypatch):
+    # a ValueError from the classification is a bug, not a reason to fall
+    # back to the midpoint halves
+    t = canonical_coloring(5, 2).as_tournament()
+    calls = _patch_classify(monkeypatch, ValueError)
+    with pytest.raises(ValueError, match="classification failed"):
+        recursive_color_avoiding(t)
+    assert calls == [32]
+
+
+def test_recursive_degenerate_scale_recurses_into_midpoint_halves(monkeypatch):
+    # unpatched, case1 wins at the root with 16 vertices; with no
+    # classification the halves of the uncleaned order carry the answer
+    t = canonical_coloring(5, 2).as_tournament()
+    calls = _patch_classify(monkeypatch, DegenerateScale)
+    trace = []
+    color, cert = recursive_color_avoiding(t, trace=trace)
+    assert calls == [32]
+    assert validate_path(t, cert) is None
+    assert (color, cert.length) == (5, 16)
+    assert [node["N"] for node in trace] == [16, 16, 32]
+    assert trace[-1]["case"] == "recurse_left"
+    assert set(trace[-1]["branch_lengths"]) == {"baseline", "recurse_left", "recurse_right"}
 
 
 def test_recursive_deterministic():

@@ -10,7 +10,6 @@ from ramsey_pods.paths import (
     SubsetPathOracle,
     ell_avoid_monotone,
     longest_avoiding_directed_exact,
-    longest_directed_restricted_exact,
     longest_restricted_monotone,
     proof_parameters,
     validate_path,
@@ -115,7 +114,7 @@ def test_monochromatic_floor_over_singletons():
         q = random.Random(seed + 50).randint(2, 3)
         t = random_tournament(n, q, seed=seed)
         best = max(
-            longest_directed_restricted_exact(t, {c}).length
+            SubsetPathOracle(t, {c}).longest()
             for c in range(1, q + 1)
         )
         assert best >= math.ceil(n ** (1.0 / q) - 1e-9)
