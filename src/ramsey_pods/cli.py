@@ -218,7 +218,6 @@ def cmd_construct(args) -> int:
                 for c in range(1, q + 1)
             },
         }
-        payload = out.to_json()
     elif args.what == "product":
         if len(args.args) != 2:
             raise CliError("usage: construct product <K1.json> <K2.json>", 1)
@@ -228,7 +227,6 @@ def cmd_construct(args) -> int:
             out = lex_product(k1, k2)
         except ValueError as exc:
             raise CliError(str(exc), 1)
-        payload = out.to_json()
         stats = {"N": out.n_vertices}
     elif args.what == "balance":
         if len(args.args) != 1:
@@ -242,7 +240,6 @@ def cmd_construct(args) -> int:
                 for c in range(1, out.q + 1)
             },
         }
-        payload = out.to_json()
     else:  # boost
         if len(args.args) != 2:
             raise CliError("usage: construct boost <A.json> <B.json>", 1)
@@ -252,9 +249,9 @@ def cmd_construct(args) -> int:
             out = product_boost_vectors(a, b)
         except ValueError as exc:
             raise CliError(str(exc), 1)
-        payload = out.to_json()
         stats = {"size": len(out), "n": out.n}
-    _write_json(args.output, payload)
+    if args.output:
+        _write_json(args.output, out.to_json())
     if args.json:
         print(json.dumps({"stats": stats, "written": args.output}))
     else:

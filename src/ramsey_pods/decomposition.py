@@ -50,8 +50,9 @@ from .tournament import (
     ColoredTournament,
     backward_degrees,
     clean_degrees,
+    cycle_patterns,
+    cyclic_positions,
     heuristic_transitive_order,
-    pattern_buckets,
 )
 
 
@@ -133,62 +134,46 @@ def three_color_path(
 ) -> PatternPathResult:
     """Grow a period-3 patterned path through well-supported cyclic triangles.
 
-    Picks the largest canonical-pattern bucket and keeps its triangles that
-    survive the peel at min_support (``_support_levels``): edges lying in
-    fewer than min_support kept triangles of that pattern are dropped,
-    cascading.  min_support=None takes the largest threshold that keeps any
-    triangle.  From the least pattern rotation of a kept triangle, greedily
-    appends vertices completing a kept pattern triangle with the last two.
-    The path is checked by ``audit_pattern_path`` before it is returned.
+    Works on the position rows of ``cyclic_positions``; positions ascend
+    with labels, so every tie-break lands on the vertex the labels would
+    pick.  Takes the pattern with the most rows (``cycle_patterns``) and
+    keeps its rows that survive the peel at min_support (``_support_levels``):
+    edges lying in fewer than min_support kept triangles of that pattern
+    are dropped, cascading.  min_support=None takes the largest threshold
+    that keeps any triangle.  From the least pattern rotation of a kept
+    triangle, greedily appends the first vertex completing a kept pattern
+    triangle with the last two.  The path is checked by
+    ``audit_pattern_path`` before it is returned.
     """
-    buckets = pattern_buckets(t)
-    if not buckets:
+    rows = cyclic_positions(t)
+    if not len(rows):
         raise NoCyclicTriangles("the tournament is transitive")
-    pattern = min(buckets, key=lambda p: (-len(buckets[p]), p))
-    triangles = buckets[pattern]
-    levels = _support_levels(triangles)
-    if min_support is None:
-        min_support = max(levels)
-    alive = [tri for tri, lv in zip(triangles, levels) if lv >= min_support]
-    if not alive:
-        raise SupportTooHigh(
-            f"support threshold {min_support} deletes every edge"
-        )
-    alive_edges = {e for tri in alive for e in _triangle_edges(tri)}
-
+    colors, patterns, which = cycle_patterns(t, rows)
+    best = np.bincount(which).argmax()  # patterns ascend: the least on a tie
+    pattern = patterns[best]
+    rows, colors = rows[which == best], colors[which == best]
+    levels = np.array(_support_levels(rows.tolist()))
+    keep = levels >= (levels.max() if min_support is None else min_support)
+    if not keep.any():
+        raise SupportTooHigh(f"support threshold {min_support} deletes every edge")
+    rows, colors = rows[keep], colors[keep]
     # the least rotation (x, y, z) of a kept triangle whose edges (x, y),
     # (y, z), (z, x) carry the pattern; rotating a triangle rotates its colors
-    tris, colors = np.array(alive), t.cycle_colors(alive)
-    rotations = []
-    for k in range(3):
-        hit = (np.roll(colors, -k, axis=1) == pattern).all(axis=1)
-        rotations += np.roll(tris, -k, axis=1)[hit].tolist()
-    path = min(rotations)
-    used = set(path)
+    starts = [np.roll(rows, -k, 1)[(np.roll(colors, -k, 1) == pattern).all(1)] for k in range(3)]
+    path = min(np.concatenate(starts).tolist())
+    # [x, y]: the color of x -> y where that edge lies in a kept triangle, else 0
+    kept = np.zeros((t.n_vertices,) * 2, colors.dtype)
+    kept[rows, rows[:, [1, 2, 0]]] = colors
     while True:
-        prev, cur = path[-2], path[-1]
-        k = len(path)  # next edge color index: pattern[(k - 1) % 3]
-        c_next = pattern[(k - 1) % 3]
-        c_back = pattern[k % 3]
-        found = None
-        for w in t.vertices:
-            if w in used:
-                continue
-            if (
-                (cur, w) in alive_edges
-                and (w, prev) in alive_edges
-                and t.color(cur, w) == c_next
-                and t.color(w, prev) == c_back
-            ):
-                found = w
-                break
-        if found is None:
+        # the first unused w with cur -> w and w -> prev in the pattern's next colors
+        k = len(path)
+        hit = (kept[path[-1]] == pattern[(k - 1) % 3]) & (kept[:, path[-2]] == pattern[k % 3])
+        hit[path] = False
+        if not hit.any():
             break
-        path.append(found)
-        used.add(found)
-    cert = PathCertificate(
-        "directed", PathConstraint(allow=frozenset(pattern)), tuple(path)
-    )
+        path.append(int(hit.argmax()))
+    vertices = tuple(t.vertices[i] for i in path)
+    cert = PathCertificate("directed", PathConstraint(allow=frozenset(pattern)), vertices)
     problem = audit_pattern_path(t, cert)
     if problem is not None:
         raise AuditFailed(f"pattern path failed its audit: {problem}")
@@ -289,7 +274,7 @@ def _level_paths(masks: tuple[list[int], list[int]], vertices: tuple[int, ...]):
     return levels, parents
 
 
-def _level_path_to(levels, parents, v) -> tuple[int, ...]:
+def _level_path_to(parents, v) -> tuple[int, ...]:
     seq = [v]
     while parents[seq[-1]] is not None:
         seq.append(parents[seq[-1]])
@@ -325,7 +310,7 @@ def merged_color_baseline(t: ColoredTournament) -> tuple[int, PathCertificate]:
         top = max(levels.values())
         v = min(u for u, lv in levels.items() if lv == top)
         cert = PathCertificate(
-            "directed", PathConstraint(avoid=avoided), _level_path_to(levels, parents, v)
+            "directed", PathConstraint(avoid=avoided), _level_path_to(parents, v)
         )
         if best is None or _preference(avoided, cert) < _preference(*best):
             best = (avoided, cert)
@@ -375,11 +360,11 @@ def _half_endpoint_data(t, allowed, half: tuple[int, ...], incoming: bool):
         return oracle.lengths_from(), oracle.path_from
     if incoming:
         levels, parents = _level_paths(t.allowed_masks(half, allowed), half)
-        return levels, lambda v: _level_path_to(levels, parents, v)
+        return levels, lambda v: _level_path_to(parents, v)
     # starting lengths: the level method on the reversed orientation and order
     rev = tuple(reversed(half))
     levels, parents = _level_paths(t.allowed_masks(rev, allowed)[::-1], rev)
-    return levels, lambda v: tuple(reversed(_level_path_to(levels, parents, v)))
+    return levels, lambda v: tuple(reversed(_level_path_to(parents, v)))
 
 
 def classify_colors(

@@ -25,7 +25,7 @@ subset tables that extend the prefix objective instead of recomputing it.
 tables hold: ``f`` colors forward edges and keeps rows of monotone path
 lengths (``PrefixMonotoneTables``), updated at every edge; ``g`` also
 orients each edge and keeps endpoint-mask tables (``PrefixPathTables``),
-extended when a vertex's last edge is set.  ``longest_restricted_monotone``
+extended when a vertex's last edge is set.  ``monotone_lengths_ending``
 and ``SubsetPathOracle`` stay the independent checks of every f and g
 witness.
 
@@ -70,7 +70,7 @@ from .core import (
     validate_comparable,
     validate_increasing,
 )
-from .paths import EXACT_VERTEX_CAP, SubsetPathOracle, longest_restricted_monotone
+from .paths import EXACT_VERTEX_CAP, SubsetPathOracle, monotone_lengths_ending
 from .reductions import vectors_to_coloring, vectors_to_tournament
 from .tournament import ColoredTournament, OrderedColoring, _rows
 
@@ -317,7 +317,7 @@ def _restricted_value_monotone(k: OrderedColoring, r: int) -> int:
     if r >= k.q:
         return k.n_vertices
     return max(
-        longest_restricted_monotone(k, s).length
+        max(monotone_lengths_ending(k, s))
         for s in itertools.combinations(range(1, k.q + 1), r)
     )
 

@@ -12,7 +12,6 @@ use are numpy operations on those matrices.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import random
 from fractions import Fraction
@@ -40,9 +39,13 @@ class OrderedColoring:
             raise ValueError("need at least one vertex")
         if q < 1:
             raise ValueError("palette must be nonempty")
+        colors = list(colors)
+        if len(colors) < n_vertices * (n_vertices - 1) // 2:
+            # before the table is built; a list this long bounds it, and has
+            # every pair if none is colored twice
+            raise ValueError("every vertex pair must be colored exactly once")
         width = n_vertices + 1
         upper = [[0] * width for _ in range(width)]  # row u holds the pairs (u, v > u)
-        seen = 0
         for edge in colors:
             try:
                 u, v, c = edge
@@ -61,9 +64,6 @@ class OrderedColoring:
             if row[v]:
                 raise ValueError(f"edge ({u},{v}) colored twice")
             row[v] = c
-            seen += 1
-        if seen != n_vertices * (n_vertices - 1) // 2:
-            raise ValueError("every vertex pair must be colored exactly once")
         half = _color_rows(upper, q)
         self._set(q, half + half.T)
 
@@ -228,10 +228,14 @@ class ColoredTournament:
         if q < 1:
             raise ValueError("palette must be nonempty")
         n = n_vertices
+        edges = list(edges)
+        if len(edges) < n * (n - 1) // 2:
+            # before the table is built; a list this long bounds it, and has
+            # every pair if none is oriented twice
+            raise ValueError("every vertex pair needs exactly one directed edge")
         vertices = range(1, n + 1)
         get = {v: v - 1 for v in vertices}.get
         tails = [[0] * n for _ in range(n)]  # row i holds c at j for an edge i -> j
-        seen = 0
         for edge in edges:
             try:
                 u, v, c = edge
@@ -251,9 +255,6 @@ class ColoredTournament:
             if row[j] or tails[j][i]:
                 raise ValueError(f"pair ({u},{v}) oriented twice")
             row[j] = c
-            seen += 1
-        if seen != n * (n - 1) // 2:
-            raise ValueError("every vertex pair needs exactly one directed edge")
         forward = _color_rows(tails, q).astype(np.min_scalar_type(-q - 1))
         self._set(vertices, q, forward - forward.T)
 
@@ -284,16 +285,6 @@ class ColoredTournament:
         if u == v:
             raise ValueError("no loops")
         return abs(self._arc.item(self._idx[u], self._idx[v]))
-
-    def cycle_colors(self, triangles: Sequence[tuple[int, int, int]]) -> np.ndarray:
-        """The colors of (a, b), (b, c) and (c, a) per triangle (a, b, c), in one gather.
-
-        Returns an int array of shape (len(triangles), 3).
-        """
-        flat = itertools.chain.from_iterable(triangles)
-        pos = np.fromiter(map(self._idx.__getitem__, flat), np.intp, 3 * len(triangles))
-        pos = pos.reshape(-1, 3)
-        return np.abs(self._arc[pos, np.roll(pos, -1, axis=1)])
 
     def allowed_masks(
         self, labels: Sequence[int], allowed: frozenset[int]
@@ -412,65 +403,74 @@ def heuristic_transitive_order(t: ColoredTournament, seed: int = 0) -> tuple[int
     return tuple(verts)
 
 
+def cyclic_positions(t: ColoredTournament) -> np.ndarray:
+    """Every cyclic triangle as a row (a, b, c), a -> b -> c -> a, of positions.
+
+    Positions index ``t.vertices``; the result is an intp array of shape
+    (T, 3).  A row starts at the least position i of its 3-set, and rows
+    are ordered by the positions (i, j, k), i < j < k, of the set: one numpy
+    pass per i reads the pairs j < k after it that close a cycle with it.
+    """
+    out = t._arc > 0
+    blocks = [np.empty((0, 3), np.intp)]
+    for i in range(len(out) - 2):
+        beats = out[i, i + 1 :]
+        fwd = out[i + 1 :, i + 1 :]
+        # [j, k]: i -> j -> k -> i when i beats j, else i -> k -> j -> i
+        hits = np.where(beats[:, None], fwd & ~beats, fwd.T & beats)
+        j, k = np.nonzero(np.triu(hits, 1))
+        b, c = np.where(beats[j], j, k), np.where(beats[j], k, j)
+        blocks.append(np.column_stack((np.full_like(b, i), b + i + 1, c + i + 1)))
+    return np.concatenate(blocks)
+
+
+def _labelled(t: ColoredTournament, rows: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """Rows of positions as tuples of labels, in order."""
+    labels = np.array(t.vertices).take(rows)
+    return zip(*(col.tolist() for col in labels.T))
+
+
+def cycle_patterns(t: ColoredTournament, rows: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """Per row (a, b, c) of ``cyclic_positions``, its cycle colors and pattern.
+
+    Returns ``(colors, patterns, which)``: the (T, 3) colors of (a, b),
+    (b, c) and (c, a), read in one gather; the distinct patterns, ascending;
+    and per row the index of its pattern.  A pattern is the lexicographically
+    least cyclic rotation of a row's colors.
+    """
+    colors = np.abs(t._arc[rows, rows[:, [1, 2, 0]]])
+    # colors ranked among the m in t, so one int64 code per triple holds any
+    # palette (m^3 < 2^63 below 2^21 colors) and orders as the triples do
+    values = np.unique(np.abs(t._arc))
+    a, b, c = np.searchsorted(values, colors).astype(np.int64).T
+    m, values = len(values), values.tolist()
+    least = np.minimum(np.minimum((a * m + b) * m + c, (b * m + c) * m + a), (c * m + a) * m + b)
+    codes, which = np.unique(least, return_inverse=True)
+    patterns = [(values[x // m**2], values[x // m % m], values[x % m]) for x in codes.tolist()]
+    return colors, patterns, which.reshape(-1)
+
+
 def cyclic_triangles(t: ColoredTournament):
     """Count of 3-sets inducing a directed cycle, plus an iterator over them.
 
-    The count is trace(A^3) / 3 for the 0/1 adjacency matrix A: each cyclic
-    triangle is a closed walk of length 3 from each of its vertices.  A is
-    held in float64, whose sums of integers are exact far past any N that
-    fits in memory.  Triangles are yielded once each, in cyclic vertex order
-    starting from the smallest position, ordered by the positions (i, j, k),
-    i < j < k, of the 3-set: one numpy pass per i reads the pairs j < k
-    after it with i -> j -> k -> i or i -> k -> j -> i.
+    The label view of ``cyclic_positions``: the count is its number of
+    rows, and the iterator yields each row's labels (a, b, c), in its order.
     """
-    out = t._arc > 0
-    adj = out.astype(np.float64)
-    count = int((adj @ adj * adj.T).sum()) // 3
-
-    def gen():
-        verts = t.vertices
-        for i in range(len(verts) - 2):
-            beats = out[i, i + 1 :]
-            fwd = out[i + 1 :, i + 1 :]
-            # [j, k]: i -> j -> k -> i when i beats j, else i -> k -> j -> i
-            hits = np.where(beats[:, None], fwd & ~beats, fwd.T & beats)
-            for j, k in zip(*(a.tolist() for a in np.nonzero(np.triu(hits, 1)))):
-                v, w = verts[i + 1 + j], verts[i + 1 + k]
-                yield (verts[i], v, w) if beats[j] else (verts[i], w, v)
-
-    return count, gen()
-
-
-def canonical_pattern(colors: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Lexicographically least cyclic rotation of a triangle's color triple."""
-    rots = [colors, colors[1:] + colors[:1], colors[2:] + colors[:2]]
-    return min(rots)
+    rows = cyclic_positions(t)
+    return len(rows), _labelled(t, rows)
 
 
 def pattern_buckets(t: ColoredTournament) -> dict[tuple[int, int, int], list[tuple[int, int, int]]]:
-    """Cyclic triangles grouped by the canonical pattern of their edge colors.
+    """Cyclic triangles grouped by the pattern of their edge colors.
 
-    The colors of (a, b), (b, c) and (c, a) of every triangle (a, b, c) are
-    read in one gather (``ColoredTournament.cycle_colors``).
+    The label view of ``cyclic_positions`` grouped by ``cycle_patterns``:
+    buckets in the order of their first triangle, each holding its
+    triangles in ``cyclic_triangles`` order.
     """
+    rows = cyclic_positions(t)
+    _, patterns, which = cycle_patterns(t, rows)
     buckets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    _, gen = cyclic_triangles(t)
-    tris = list(gen)
-    if not tris:
-        return buckets
-    colors = t.cycle_colors(tris)
-    # colors ranked among the m that occur, so one int64 per triple holds
-    # any palette (m^3 < 2^63 below 2^21 colors in use); each distinct
-    # triple is rotated once
-    values, rank = np.unique(colors, return_inverse=True)
-    a, b, c = rank.reshape(-1, 3).astype(np.int64).T
-    m, values = len(values), values.tolist()
-    codes, which = np.unique((a * m + b) * m + c, return_inverse=True)
-    patterns = [
-        canonical_pattern((values[x // m**2], values[x // m % m], values[x % m]))
-        for x in codes.tolist()
-    ]
-    for tri, i in zip(tris, which.reshape(-1).tolist()):
+    for tri, i in zip(_labelled(t, rows), which.tolist()):
         buckets.setdefault(patterns[i], []).append(tri)
     return buckets
 

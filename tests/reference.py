@@ -2,8 +2,11 @@
 
 ``certificate_is_sound`` re-checks a comparability verdict against the
 family it was issued for; ``pods_disjoint_voxel`` decides pod disjointness
-from the explicit voxel sets.  Both are plain loops, kept apart from the
-numpy kernels they check.
+from the explicit voxel sets; ``canonical_pattern`` rotates one triangle's
+color triple, and ``three_color_path`` is the triangle-pattern finder
+written over labels, per-triangle ``color`` reads and a scan of every
+vertex per step.  All are plain loops, kept apart from the numpy kernels
+they check.
 """
 
 from ramsey_pods.core import (
@@ -13,7 +16,17 @@ from ramsey_pods.core import (
     validate_comparable,
     validate_increasing,
 )
+from ramsey_pods.decomposition import (
+    AuditFailed,
+    NoCyclicTriangles,
+    PatternPathResult,
+    SupportTooHigh,
+    _support_levels,
+    audit_pattern_path,
+)
+from ramsey_pods.paths import PathCertificate, PathConstraint
 from ramsey_pods.pods import Pod, pod_voxels
+from ramsey_pods.tournament import ColoredTournament, cyclic_triangles
 
 
 def _up(x, y) -> frozenset[int]:
@@ -56,3 +69,66 @@ def pods_disjoint_voxel(a: Pod, b: Pod) -> bool:
     if (a.q, a.r, a.n) != (b.q, b.r, b.n):
         raise ValueError("pods have different parameters")
     return not (pod_voxels(a) & pod_voxels(b))
+
+
+def canonical_pattern(colors: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Lexicographically least cyclic rotation of a triangle's color triple."""
+    rots = [colors, colors[1:] + colors[:1], colors[2:] + colors[:2]]
+    return min(rots)
+
+
+def three_color_path(t: ColoredTournament, min_support: int | None = None) -> PatternPathResult:
+    """The triangle-pattern finder over label triples and per-triangle color reads.
+
+    Buckets the triangles of ``cyclic_triangles`` by ``canonical_pattern``
+    of three ``color`` reads each, peels the largest bucket (ties to the
+    least pattern) with ``_support_levels``, starts from the least pattern
+    rotation of a kept triangle and extends by the first vertex of
+    ``t.vertices`` whose two edges lie in kept triangles with the
+    pattern's next colors.
+    """
+    buckets: dict = {}
+    for a, b, c in cyclic_triangles(t)[1]:
+        pattern = canonical_pattern((t.color(a, b), t.color(b, c), t.color(c, a)))
+        buckets.setdefault(pattern, []).append((a, b, c))
+    if not buckets:
+        raise NoCyclicTriangles("the tournament is transitive")
+    pattern = min(buckets, key=lambda p: (-len(buckets[p]), p))
+    triangles = buckets[pattern]
+    levels = _support_levels(triangles)
+    if min_support is None:
+        min_support = max(levels)
+    alive = [tri for tri, lv in zip(triangles, levels) if lv >= min_support]
+    if not alive:
+        raise SupportTooHigh(f"support threshold {min_support} deletes every edge")
+    alive_edges = {e for a, b, c in alive for e in ((a, b), (b, c), (c, a))}
+    rotations = [
+        (x, y, z)
+        for a, b, c in alive
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+        if (t.color(x, y), t.color(y, z), t.color(z, x)) == pattern
+    ]
+    path = list(min(rotations))
+    while True:
+        prev, cur = path[-2], path[-1]
+        k = len(path)
+        c_next, c_back = pattern[(k - 1) % 3], pattern[k % 3]
+        found = None
+        for w in t.vertices:
+            if (
+                w not in path
+                and (cur, w) in alive_edges
+                and (w, prev) in alive_edges
+                and t.color(cur, w) == c_next
+                and t.color(w, prev) == c_back
+            ):
+                found = w
+                break
+        if found is None:
+            break
+        path.append(found)
+    cert = PathCertificate("directed", PathConstraint(allow=frozenset(pattern)), tuple(path))
+    problem = audit_pattern_path(t, cert)
+    if problem is not None:
+        raise AuditFailed(f"pattern path failed its audit: {problem}")
+    return PatternPathResult(cert, pattern)

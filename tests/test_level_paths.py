@@ -195,7 +195,7 @@ def test_level_paths_are_allowed_paths(name, masks, labels):
         while parents[u] is not None and steps < len(labels):
             u, steps = parents[u], steps + 1
         assert parents[u] is None, "parent links close a cycle"
-        path = _level_path_to(levels, parents, v)
+        path = _level_path_to(parents, v)
         assert len(path) == levels[v] and path[-1] == v
         assert len(set(path)) == len(path)
         assert all(adj[pos[a]] >> pos[b] & 1 for a, b in zip(path, path[1:]))
@@ -215,7 +215,7 @@ def _reference_baseline(t: ColoredTournament):
         top = max(levels.values())
         v = min(u for u, lv in levels.items() if lv == top)
         cert = PathCertificate(
-            "directed", PathConstraint(avoid=avoided), _level_path_to(levels, parents, v)
+            "directed", PathConstraint(avoid=avoided), _level_path_to(parents, v)
         )
         if best is None or _preference(avoided, cert) < _preference(*best):
             best = (avoided, cert)

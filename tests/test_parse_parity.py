@@ -3,7 +3,10 @@
 The expected exception types, messages and exit codes below are fixed
 values, not regenerated from the code under test: a faster parser has to
 reject every malformed file exactly as the per-edge reference loop always
-has, with the same check firing first.  The matrix digests pin the
+has, with the same check firing first, with one exception: a list with
+fewer entries than vertex pairs is rejected by its length before any entry
+is read (and before the N x N table is allocated), so a short list with a
+malformed entry gets the count message.  The matrix digests pin the
 color matrix and out-neighbour bitmasks of each parsed tournament, and the
 color matrix of each parsed coloring, read through ``color``/``has_edge``
 from the benchmark's ``certify`` inputs for seed 1 (written by
@@ -14,6 +17,7 @@ import hashlib
 import importlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -44,6 +48,9 @@ TOURNAMENT_CASES = {
     "twice_same": (T + [[2, 3, 1]], ValueError, "pair (2,3) oriented twice"),
     "twice_reversed": (T + [[3, 2, 1]], ValueError, "pair (3,2) oriented twice"),
     "missing_pair": (T[:2], ValueError, "every vertex pair needs exactly one directed edge"),
+    "short_and_unknown_vertex": (
+        [T[0], [2, 4, 2]], ValueError, "every vertex pair needs exactly one directed edge"
+    ),
     "arity_two": (_replace(T, 1, [2, 3]), ValueError, NOT_ENOUGH),
     "arity_four": (_replace(T, 1, [2, 3, 2, 1]), ValueError, TOO_MANY),
     "not_a_list": (_replace(T, 1, 7), TypeError, "'int' object is not iterable"),
@@ -62,6 +69,9 @@ COLORING_CASES = {
     "twice_same": (C + [[2, 3, 1]], ValueError, "edge (2,3) colored twice"),
     "twice_reversed": (C + [[3, 2, 1]], ValueError, f"edge (3,2) {NOT_IN_RANGE}"),
     "missing_pair": (C[:2], ValueError, "every vertex pair must be colored exactly once"),
+    "short_and_unknown_vertex": (
+        [C[0], [2, 4, 1]], ValueError, "every vertex pair must be colored exactly once"
+    ),
     "arity_two": (_replace(C, 2, [2, 3]), ValueError, NOT_ENOUGH),
     "arity_four": (_replace(C, 2, [2, 3, 1, 1]), ValueError, TOO_MANY),
     "not_a_list": (_replace(C, 2, 7), TypeError, "'int' object is not iterable"),
@@ -91,6 +101,32 @@ def test_malformed_edge_list(tmp_path, capsys, key, cls, name, edges, exc, messa
     assert main(["verify", "path", str(instance), str(cert)]) == 3
     err = capsys.readouterr().err
     assert re.search(f"bad instance: {_pattern(message)}$", err.strip())
+
+
+@pytest.mark.parametrize(
+    "key, cls, message",
+    [
+        ("edges", ColoredTournament, "every vertex pair needs exactly one directed edge"),
+        ("colors", OrderedColoring, "every vertex pair must be colored exactly once"),
+    ],
+    ids=["edges", "colors"],
+)
+def test_short_list_fails_before_the_table(tmp_path, capsys, key, cls, message):
+    # an N x N table of Python ints at N = 3000 is about 72 MB
+    data = {"N": 3000, "q": 2, key: []}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls.from_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    instance, cert = tmp_path / "instance.json", tmp_path / "cert.json"
+    instance.write_text(json.dumps(data))
+    cert.write_text(json.dumps({"mode": "directed", "constraint": {"avoid": 1}, "vertices": [1]}))
+    assert main(["verify", "path", str(instance), str(cert)]) == 3
+    assert capsys.readouterr().err.strip().endswith(f"bad instance: {message}")
 
 
 def test_true_vertex_reads_as_one(capsys, tmp_path):

@@ -11,13 +11,14 @@ from ramsey_pods.tournament import (
     OrderedColoring,
     backward_degrees,
     backward_edge_count,
-    canonical_pattern,
     clean_degrees,
     cyclic_triangles,
     heuristic_transitive_order,
     pattern_buckets,
     random_tournament,
 )
+
+from reference import canonical_pattern
 
 
 def transitive(n, q=1, color=1):

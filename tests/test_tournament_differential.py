@@ -7,7 +7,8 @@ out-neighbour bitmask of each position as a Python int, and ``has_edge``,
 references below are those routines, run on masks packed here from
 ``edges()``, so they share no code with the numpy reductions they check.
 ``pattern_buckets`` is checked against its per-triangle loop of three
-``color`` calls over the reference triangles.
+``color`` calls over the reference triangles, rotated by the tuple
+``canonical_pattern`` of ``reference.py``.
 They are compared on random tournaments, restrictions with labels that are
 not 1..N, q = 1, N <= 3 and the transitive tournaments of ordered colorings.
 """
@@ -21,13 +22,14 @@ from ramsey_pods.paths import greedy_directed_path
 from ramsey_pods.tournament import (
     ColoredTournament,
     backward_degrees,
-    canonical_pattern,
     cyclic_triangles,
     heuristic_transitive_order,
     pattern_buckets,
     random_ordered_coloring,
     random_tournament,
 )
+
+from reference import canonical_pattern
 
 
 class Ref:
