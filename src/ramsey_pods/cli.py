@@ -31,8 +31,7 @@ from .decomposition import (
 )
 from .paths import (
     PathCertificate,
-    ell_avoid_monotone,
-    longest_restricted_monotone,
+    monotone_lengths_ending,
     validate_path,
 )
 from .pods import Packing
@@ -214,8 +213,7 @@ def cmd_construct(args) -> int:
         stats = {
             "N": out.n_vertices,
             "single_color_longest": {
-                str(c): longest_restricted_monotone(out, {c}).length
-                for c in range(1, q + 1)
+                str(c): max(monotone_lengths_ending(out, {c})) for c in range(1, q + 1)
             },
         }
     elif args.what == "product":
@@ -233,10 +231,11 @@ def cmd_construct(args) -> int:
             raise CliError("usage: construct balance <K.json>", 1)
         k = _load(args.args[0], OrderedColoring.from_json, "coloring")
         out = balance_coloring(k)
+        palette = set(range(1, out.q + 1))
         stats = {
             "N": out.n_vertices,
             "avoiding_lengths": {
-                str(c): ell_avoid_monotone(out, c).length
+                str(c): max(monotone_lengths_ending(out, palette - {c}))
                 for c in range(1, out.q + 1)
             },
         }

@@ -49,8 +49,6 @@ def canonical_coloring(q: int, m: int) -> OrderedColoring:
     """
     if q < 1 or m < 1:
         raise ValueError("q and m must be positive")
-    if m == 1:
-        return OrderedColoring(1, q, [])
     factors = [monochromatic_clique(m, c, q) for c in range(1, q + 1)]
     return reduce(lex_product, factors)
 

@@ -12,26 +12,19 @@ period three.
 The recursive finder realizes the interval decomposition: order the
 vertices, clean high-backward-degree vertices, rank top in/out path
 endpoints of the two halves around the midpoint, glue matched halves
-through a non-avoided forward edge, and recurse into the halves that are
-large enough to beat the best path found so far.  Its candidates are the
-exact subset DP at or below the exact cap, and above it the merged-color
-baseline, the midpoint gluing and the two half recursions.
-
-The proof's second case, an anchor/block chain through the diffuse colors,
-is built and audited by ``build_gluing`` as a library function, which
-derives its own long/short and condensed split of the colors.  The finder
-neither chains blocks through it nor runs the triangle-pattern builder:
-neither ever won a recursion node on the benchmark's decompose instances
-or on the pinned corpus of ``tests/test_decomposition_pinned.py``.  At
-desk scale these are heuristics; every returned path is re-validated,
-never trusted.
+through a non-avoided forward edge (``build_gluing``), and recurse into
+the halves that are large enough to beat the best path found so far.  Its
+candidates are the exact subset DP at or below the exact cap, and above it
+the merged-color baseline, the midpoint gluing and the two half
+recursions.  At desk scale these are heuristics; every returned path is
+re-validated, never trusted.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -68,14 +61,8 @@ class DegenerateScale(Exception):
     pass
 
 
-class NotDiffuse(Exception):
-    pass
-
-
 class AuditFailed(Exception):
-    def __init__(self, message: str, offender=None):
-        super().__init__(message)
-        self.offender = offender
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +316,10 @@ class ColorClassification:
     ``ell_in[i][v]`` is the (exact or estimated) length of the longest
     i-avoiding path inside the left half ending at v, ``x_sets[i]`` the s
     best such endpoints; mirrored for the right half.  Paths witnessing the
-    recorded lengths are kept for every ranked endpoint.
+    recorded lengths are kept for every ranked endpoint.  The four intervals
+    split the order A|B|C|D, the left half being A|B.
     """
 
-    order: tuple[int, ...]
-    params: ProofParameters
     interval_a: tuple[int, ...]
     interval_b: tuple[int, ...]
     interval_c: tuple[int, ...]
@@ -411,8 +397,6 @@ def classify_colors(
         in_paths[i] = {v: path_in(v) for v in x_sets[i]}
         out_paths[i] = {v: path_out(v) for v in y_sets[i]}
     return ColorClassification(
-        order=order,
-        params=params,
         interval_a=interval_a,
         interval_b=interval_b,
         interval_c=interval_c,
@@ -427,170 +411,40 @@ def classify_colors(
 
 
 # ---------------------------------------------------------------------------
-# gluing structure
-
-
-@dataclass(frozen=True)
-class GluingStructure:
-    """Anchors interleaved with blocks, wired by diffuse-colored edges."""
-
-    anchors: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    delta_l: frozenset[int]
-    s: int
-
-    @property
-    def t(self) -> int:
-        return len(self.blocks)
-
-
-def audit_gluing(
-    t: ColoredTournament, order, structure: GluingStructure
-) -> str | None:
-    """Independent re-check of all four structural invariants."""
-    pos = {v: i for i, v in enumerate(order)}
-    anchors, blocks = structure.anchors, structure.blocks
-    if len(anchors) != len(blocks) + 1:
-        return "anchor/block counts disagree"
-    seen: set[int] = set(anchors)
-    if len(seen) != len(anchors):
-        return "repeated anchor"
-    for a, block in enumerate(blocks):
-        if not block:
-            return f"block {a + 1} is empty"
-        if len(block) < structure.s:
-            return f"block {a + 1} smaller than s = {structure.s}"
-        if set(block) & seen:
-            return f"block {a + 1} overlaps earlier vertices"
-        seen |= set(block)
-        for v in block:
-            if not (pos[anchors[a]] < pos[v] < pos[anchors[a + 1]]):
-                return f"vertex {v} breaks the interleaving order"
-            if not t.has_edge(anchors[a], v):
-                return f"edge ({anchors[a]},{v}) not directed anchor to block"
-            if t.color(anchors[a], v) not in structure.delta_l:
-                return f"edge ({anchors[a]},{v}) colored outside the diffuse set"
-            if not t.has_edge(v, anchors[a + 1]):
-                return f"edge ({v},{anchors[a + 1]}) not directed block to anchor"
-            if t.color(v, anchors[a + 1]) not in structure.delta_l:
-                return f"edge ({v},{anchors[a + 1]}) colored outside the diffuse set"
-    return None
-
-
-def _left_diffuse_colors(
-    t: ColoredTournament, classification: ColorClassification
-) -> list[int]:
-    """Colors that are neither long nor left-condensed, ascending.
-
-    A color is long when its avoiding path over the whole vertex set, exact
-    up to ``EXACT_VERTEX_CAP`` vertices and a level-method estimate above
-    it, has at least gamma*N vertices; left-condensed when at least s/2 of
-    its ranked left endpoints ``x_sets[i]`` lie in B.
-    """
-    params = classification.params
-    q, s = params.q, params.s
-    n = len(classification.order)
-    verts = tuple(sorted(t.vertices))
-    b_set = set(classification.interval_b)
-    diffuse = []
-    for i in range(1, q + 1):
-        if 2 * len(set(classification.x_sets[i]) & b_set) >= s:
-            continue
-        allowed = frozenset(c for c in range(1, q + 1) if c != i)
-        if not allowed:
-            estimate = 1
-        elif n <= EXACT_VERTEX_CAP:
-            estimate = SubsetPathOracle(t, allowed).longest()
-        else:
-            levels, _ = _level_paths(t.allowed_masks(verts, allowed), verts)
-            estimate = max(levels.values())
-        if estimate < params.gamma * n:
-            diffuse.append(i)
-    return diffuse
+# midpoint gluing
 
 
 def build_gluing(
-    t: ColoredTournament, order, classification: ColorClassification
-) -> GluingStructure:
-    """Anchor/block chain through the left-diffuse top endpoint sets.
+    t: ColoredTournament, classification: ColorClassification
+) -> list[tuple[int, PathCertificate]]:
+    """Ranked left and right paths glued across the midpoint, per color.
 
-    The left-diffuse colors come from ``_left_diffuse_colors``; the first p
-    of them form the diffuse set.  Follows the recursive construction: after
-    each anchor take the next 4s vertices of U as candidates, the following
-    8s as anchor candidates, drop the current anchor's exceptional set, and
-    pick the next anchor with few exceptional hits.  A vertex's exceptional
-    set holds its ranked path, its color's ranked endpoints and its
-    non-neighbours: the vertices of A|B whose pair with it ``t`` orients
-    against ``classification.order``.  The result is audited edge by edge.
+    For each avoided color i, takes the first forward non-i edge v -> w, in
+    label order of (v, w), from a ranked left endpoint v in B to a ranked
+    right start w in C; every vertex of B precedes every vertex of C in the
+    order.  The glued path is v's ranked path followed by w's, with
+    ``ell_in[i][v] + ell_out[i][w]`` vertices.  A color with no such edge
+    gives no path.  Returns the (color, certificate) pairs, colors
+    ascending.
     """
-    params = classification.params
-    p, s = params.p, params.s
-    diffuse = _left_diffuse_colors(t, classification)
-    if len(diffuse) < p:
-        raise NotDiffuse(f"{len(diffuse)} left-diffuse colors < p = {p}")
-    delta_l = tuple(sorted(diffuse)[:p])
-    pos = {v: i for i, v in enumerate(order)}
-    a_set = set(classification.interval_a)
-    iota: dict[int, int] = {}
-    for i in delta_l:
-        for v in classification.x_sets[i]:
-            if v in a_set and v not in iota:
-                iota[v] = i
-    u_all = sorted(iota, key=lambda v: pos[v])
-    if not u_all:
-        raise NotDiffuse("no ranked endpoints fall inside the first interval")
-
-    ranks = {v: k for k, v in enumerate(classification.order)}
-
-    def neighbours(v: int, w: int) -> bool:
-        first, last = (v, w) if ranks[v] < ranks[w] else (w, v)
-        return t.has_edge(first, last)
-
-    def exceptional(v: int) -> set[int]:
-        i = iota[v]
-        bad = set(classification.in_paths[i].get(v, (v,)))
-        bad.update(
-            w
-            for w in classification.interval_a + classification.interval_b
-            if w != v and not neighbours(v, w)
+    b_set = set(classification.interval_b)
+    c_set = set(classification.interval_c)
+    glued = []
+    for i in range(1, t.q + 1):
+        xs = sorted(v for v in classification.x_sets[i] if v in b_set)
+        ys = sorted(w for w in classification.y_sets[i] if w in c_set)
+        hit = next(
+            ((v, w) for v in xs for w in ys if t.has_edge(v, w) and t.color(v, w) != i),
+            None,
         )
-        bad.update(classification.x_sets[i])
-        return bad
-
-    anchors = [u_all[0]]
-    blocks: list[tuple[int, ...]] = []
-    cursor = 0
-    while True:
-        rest = u_all[cursor + 1 :]
-        if len(rest) < 12 * s:
-            break
-        i_cand = rest[: 4 * s]
-        j_cand = rest[4 * s : 12 * s]
-        exc_anchor = exceptional(anchors[-1])
-        i_prime = [v for v in i_cand if v not in exc_anchor]
-        if not i_prime:
-            break
-        exc_map = {v: exceptional(v) for v in i_prime}
-        degrees = {w: sum(1 for v in i_prime if w in exc_map[v]) for w in j_cand}
-        pick = next((w for w in j_cand if degrees[w] <= s), None)
-        if pick is None:
-            pick = min(j_cand, key=lambda w: (degrees[w], pos[w]))
-        block = tuple(v for v in i_prime if pick not in exc_map[v])
-        if not block:
-            break
-        blocks.append(block)
-        anchors.append(pick)
-        cursor = u_all.index(pick)
-    structure = GluingStructure(
-        anchors=tuple(anchors),
-        blocks=tuple(blocks),
-        delta_l=frozenset(delta_l),
-        s=s,
-    )
-    problem = audit_gluing(t, order, structure)
-    if problem is not None:
-        raise AuditFailed(f"gluing audit failed: {problem}", offender=problem)
-    return structure
+        if hit is None:
+            continue
+        v, w = hit
+        verts = classification.in_paths[i][v] + classification.out_paths[i][w]
+        cert = PathCertificate("directed", PathConstraint(avoid=i), verts)
+        assert cert.length == classification.ell_in[i][v] + classification.ell_out[i][w]
+        glued.append((i, cert))
+    return glued
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +452,14 @@ def build_gluing(
 
 
 def _driver_params(q: int, n: int) -> ProofParameters:
-    """Formula parameters squeezed into the viable desk-scale window.
+    """Formula parameters with the ranking size s capped at n // 16.
 
-    The diffuse-set size is capped at the palette and the ranking size at
-    n // 16 (the classification needs 16s vertices); the classification and
-    gluing machinery stays a certificate-checked heuristic either way.
+    The classification needs 16s vertices.  Of the fields, the finder reads
+    delta (the cleaning scale) and ``classify_colors`` reads q and s (the
+    ranking size); gamma and p are the formula's, unread.
     """
     p = proof_parameters(q, n)
-    s_eff = max(1, min(p.s, n // 16))
-    return ProofParameters(q, n, p.gamma, min(p.p, q), s_eff, p.delta)
+    return replace(p, s=max(1, min(p.s, n // 16)))
 
 
 def _measured_delta(back: int, n: int, floor_delta: float) -> Fraction | None:
@@ -634,10 +487,10 @@ def recursive_color_avoiding(
     at any size when q = 1 (a path avoiding the only color is one vertex),
     color by color until one path covers every vertex; above it, the
     merged-color baseline, midpoint gluing of ranked endpoint paths across
-    the cleaned order ("case1"), and recursion into the two halves.  A half
-    is visited only when it has at least as many vertices as the longest
-    candidate so far: a shorter half cannot hold a longer path, and an
-    equal one may still win the tie-break.  The maximum is returned and
+    the cleaned order (``build_gluing``, "case1"), and recursion into the
+    two halves.  A half is visited only when it has at least as many
+    vertices as the longest candidate so far: a shorter half cannot hold a
+    longer path, and an equal one may still win the tie-break.  The maximum is returned and
     always re-validated; ties prefer the smaller avoided color, then the
     lexicographically smaller vertex sequence.  With ``trace``, every node
     visited appends one record; skipped halves append none.
@@ -676,27 +529,7 @@ def recursive_color_avoiding(
             classification.interval_a + classification.interval_b,
             classification.interval_c + classification.interval_d,
         )
-        # midpoint gluing: first forward non-i edge between ranked endpoint
-        # sets; every v in B precedes every w in C in the cleaned order
-        b_set = set(classification.interval_b)
-        c_set = set(classification.interval_c)
-        for i in range(1, q + 1):
-            xs = sorted(v for v in classification.x_sets[i] if v in b_set)
-            ys = sorted(w for w in classification.y_sets[i] if w in c_set)
-            hit = None
-            for v in xs:
-                for w in ys:
-                    if sub_t.has_edge(v, w) and sub_t.color(v, w) != i:
-                        hit = (v, w)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                continue
-            v, w = hit
-            verts = classification.in_paths[i][v] + classification.out_paths[i][w]
-            cert = PathCertificate("directed", PathConstraint(avoid=i), verts)
-            assert cert.length == classification.ell_in[i][v] + classification.ell_out[i][w]
+        for i, cert in build_gluing(sub_t, classification):
             candidates.append((i, cert, "case1"))
     else:
         half = len(order) // 2

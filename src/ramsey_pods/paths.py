@@ -237,20 +237,16 @@ class SubsetPathOracle:
         allowed: frozenset[int],
         vertices: Sequence[int] | None = None,
     ):
-        self.t = t
-        self.allowed = frozenset(allowed)
         self.labels = tuple(sorted(vertices if vertices is not None else t.vertices))
         n = len(self.labels)
         if n == 0:
             raise ValueError("the vertex subset must be nonempty")
         if n > EXACT_VERTEX_CAP:
-            raise BudgetExceeded(
-                f"{n} vertices exceed the exact-DP cap of {EXACT_VERTEX_CAP}"
-            )
+            raise ValueError(f"{n} vertices exceed the exact-DP cap of {EXACT_VERTEX_CAP}")
         self.n = n
         self._pos = {v: i for i, v in enumerate(self.labels)}
         # _adj[u] bit v set iff u -> v with an allowed color; _radj reversed
-        self._adj, self._radj = t.allowed_masks(self.labels, self.allowed)
+        self._adj, self._radj = t.allowed_masks(self.labels, frozenset(allowed))
         # (table, reach) per direction, built on first use
         self._start: tuple[np.ndarray, list[int]] | None = None
         self._end: tuple[np.ndarray, list[int]] | None = None

@@ -738,6 +738,7 @@ def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
 def validate_record(record: ExtremalRecord) -> str | None:
     """Re-check a record's witness; None when it supports the claim."""
     try:
+        _check_params(record.kind, record.q, record.r, record.size)
         if record.kind in "FG":
             fam = VectorFamily.from_json(record.certificate)
             if (fam.q, fam.r, fam.n) != (record.q, record.r, record.size):

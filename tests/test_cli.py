@@ -3,7 +3,13 @@ import json
 import pytest
 
 from ramsey_pods.cli import main
-from ramsey_pods.tournament import ColoredTournament, random_tournament
+from ramsey_pods.paths import ell_avoid_monotone, longest_restricted_monotone
+from ramsey_pods.tournament import (
+    ColoredTournament,
+    OrderedColoring,
+    random_ordered_coloring,
+    random_tournament,
+)
 
 
 @pytest.fixture()
@@ -114,6 +120,20 @@ def test_search_g_above_exact_cap_exit_one(workdir, capsys):
     assert err.startswith("error:") and "22" in err
 
 
+def test_search_g_cached_above_exact_cap_exit_one(workdir, capsys):
+    # a cached witness the subset DP cannot re-check is skipped like a
+    # corrupt one, and the search then refuses the key as it does uncached
+    record = {
+        "kind": "g", "q": 3, "r": 2, "size": 23, "value": 9, "status": "upper_bound",
+        "certificate": random_tournament(23, 3, seed=1).to_json(),
+    }
+    (workdir / "c.jsonl").write_text(json.dumps(record) + "\n")
+    code, out, err = run(capsys, "search", "g", "3", "2", "23", "--cache", "c.jsonl")
+    assert code == 1
+    assert out == ""
+    assert err == "error: g needs at most 22 vertices, got 23\n"
+
+
 def test_search_F_above_grid_cap_exit_one(workdir, capsys):
     # 129^2 = 16641 grid points: the points x points relation is not built
     code, out, err = run(
@@ -172,6 +192,25 @@ def test_construct_and_verify_roundtrip(workdir, capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "sequence", "out.json")
     assert code == 0 and "ok" in out
+
+
+@pytest.mark.parametrize("q,m", [(4, 4), (3, 2), (1, 3)])
+def test_construct_canonical_prints_single_color_lengths(workdir, capsys, q, m):
+    code, out, _ = run(capsys, "construct", "canonical", str(q), str(m), "--json", "-o", "k.json")
+    assert code == 0
+    k = OrderedColoring.from_json(json.loads((workdir / "k.json").read_text()))
+    want = {str(c): longest_restricted_monotone(k, {c}).length for c in range(1, q + 1)}
+    assert json.loads(out)["stats"]["single_color_longest"] == want
+
+
+@pytest.mark.parametrize("n,q,seed", [(7, 3, 2), (5, 2, 1), (4, 1, 0)])
+def test_construct_balance_prints_avoiding_lengths(workdir, capsys, n, q, seed):
+    (workdir / "k.json").write_text(json.dumps(random_ordered_coloring(n, q, seed=seed).to_json()))
+    code, out, _ = run(capsys, "construct", "balance", "k.json", "--json", "-o", "b.json")
+    assert code == 0
+    b = OrderedColoring.from_json(json.loads((workdir / "b.json").read_text()))
+    want = {str(c): ell_avoid_monotone(b, c).length for c in range(1, q + 1)}
+    assert json.loads(out)["stats"]["avoiding_lengths"] == want
 
 
 def test_verify_detects_violation(workdir, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -10,15 +9,10 @@ from ramsey_pods import decomposition
 from ramsey_pods.constructions import canonical_coloring
 from ramsey_pods.decomposition import (
     AuditFailed,
-    ColorClassification,
     DegenerateScale,
-    GluingStructure,
     NoCyclicTriangles,
-    NotDiffuse,
     SupportTooHigh,
-    _left_diffuse_colors,
     _level_paths,
-    audit_gluing,
     audit_pattern_path,
     build_gluing,
     classify_colors,
@@ -35,11 +29,9 @@ from ramsey_pods.paths import (
 from ramsey_pods.tournament import ColoredTournament, random_tournament
 
 
-def transitive(n, q, color_fn=lambda u, v: 1):
+def transitive(n, q):
     return ColoredTournament(
-        n,
-        q,
-        ((u, v, color_fn(u, v)) for u in range(1, n + 1) for v in range(u + 1, n + 1)),
+        n, q, ((u, v, 1) for u in range(1, n + 1) for v in range(u + 1, n + 1))
     )
 
 
@@ -111,15 +103,6 @@ def test_classify_monochromatic_long_short_split():
     params = ProofParameters(q=2, n_vertices=n, gamma=1 / 8, p=1, s=1, delta=1 / 64)
     cls = classify_colors(t, order, params)
     assert cls.x_sets[1] == (1,)  # ties rank the earliest labels, outside B
-    assert _left_diffuse_colors(t, cls) == [1]
-    # avoiding the only used color strands every vertex: 1 < gamma * n, short;
-    # avoiding color 2 leaves the whole Hamiltonian path: n >= gamma * n, long
-    spread = dataclasses.replace(cls, x_sets={**cls.x_sets, 2: (1,)})
-    assert _left_diffuse_colors(t, spread) == [1]
-    nothing_long = dataclasses.replace(
-        spread, params=dataclasses.replace(params, gamma=n + 1)
-    )
-    assert _left_diffuse_colors(t, nothing_long) == [1, 2]
 
 
 def test_classify_interval_and_ranking_sizes():
@@ -169,7 +152,6 @@ def test_classify_flags_recomputable():
             if not long and not condensed:
                 expected.append(i)
         assert expected == want, (n, q, seed, gamma)
-        assert _left_diffuse_colors(t, cls) == want, (n, q, seed, gamma)
 
 
 def test_classify_ranking_audit():
@@ -223,11 +205,6 @@ def test_classify_engineered_condensed():
     cls = classify_colors(t, order, params)
     assert set(cls.x_sets[1]) <= b_members  # condensed on the left
     assert set(cls.y_sets[1]) <= set(cls.interval_c)  # and on the right
-    assert _left_diffuse_colors(t, cls) == []
-    # avoid-1 paths are trapped inside B, so color 1 is short: with its
-    # ranked endpoint moved out of B it turns left-diffuse
-    spread = dataclasses.replace(cls, x_sets={**cls.x_sets, 1: (1,)})
-    assert _left_diffuse_colors(t, spread) == [1]
 
 
 def test_classify_empty_palette_strands_every_vertex():
@@ -252,94 +229,72 @@ def test_classify_degenerate_scale():
 
 
 # ---------------------------------------------------------------------------
-# gluing
+# midpoint gluing
 
 
-def _gluing_fixture():
-    """13 diffuse colors own one early vertex each; edges inherit the
-    source's color, so anchor-block wiring is diffuse by construction.
+def _glued_fixture():
+    """A classified near-transitive tournament and its midpoint gluing.
 
-    With gamma = 1 no color is long: the avoid-i estimate is 33 for
-    i <= 13 and 14 for color 14, both below 34.  Color 14's ranked endpoint
-    lies in B, so colors 1..13 are exactly the left-diffuse ones."""
-    n, q = 34, 14
-    t = transitive(n, q, color_fn=lambda u, v: u if u <= 13 else 14)
-    order = tuple(range(1, n + 1))
-    params = ProofParameters(q=q, n_vertices=n, gamma=1, p=13, s=1, delta=0.05)
-    h = n // 2
-    a, b = order[: h - 4], order[h - 4 : h]
-    c, d = order[h : h + 4], order[h + 4 :]
-    x_sets = {i: ((i,) if i <= 13 else (14,)) for i in range(1, q + 1)}
-    cls = ColorClassification(
-        order=order,
-        params=params,
-        interval_a=a,
-        interval_b=b,
-        interval_c=c,
-        interval_d=d,
-        x_sets=x_sets,
-        y_sets={i: (c[0],) for i in range(1, q + 1)},
-        ell_in={i: {v: 1 for v in a + b} for i in range(1, q + 1)},
-        ell_out={i: {v: 1 for v in c + d} for i in range(1, q + 1)},
-        in_paths={i: {v: (v,) for v in x_sets[i]} for i in range(1, q + 1)},
-        out_paths={i: {c[0]: (c[0],)} for i in range(1, q + 1)},
-    )
-    return t, order, cls
+    With s = 2, color 3's ranked pairs from B to C all point backward or
+    carry color 3.  Colors 1, 2 and 4 glue; one of them has at least two
+    forward non-i edges to choose from, one meets a backward non-i pair
+    before its first forward one, and one glues to a start other than its
+    least ranked one in C.
+    """
+    n, q = 32, 4
+    t = near_transitive(n, q, 0.1, 6)
+    params = ProofParameters(q=q, n_vertices=n, gamma=0.08, p=2, s=2, delta=0.01)
+    cls = classify_colors(t, tuple(range(1, n + 1)), params)
+    return t, cls, build_gluing(t, cls)
 
 
-def test_build_gluing_fixture():
-    t, order, cls = _gluing_fixture()
-    assert _left_diffuse_colors(t, cls) == list(range(1, 14))
-    structure = build_gluing(t, order, cls)
-    assert structure.t >= 1
-    assert structure.anchors == (1, 6)
-    assert structure.blocks == ((2, 3, 4, 5),)
-    assert audit_gluing(t, order, structure) is None
-    # blocks pairwise disjoint and disjoint from anchors
-    seen = set(structure.anchors)
-    for block in structure.blocks:
-        assert not (set(block) & seen)
-        seen |= set(block)
+def _ranked_edges(t, cls, i):
+    """Forward non-i edges from ranked endpoints in B to ranked starts in C."""
+    return [
+        (v, w)
+        for v in cls.x_sets[i]
+        if v in cls.interval_b
+        for w in cls.y_sets[i]
+        if w in cls.interval_c and t.has_edge(v, w) and t.color(v, w) != i
+    ]
 
 
-def test_build_gluing_not_diffuse():
-    t, order, cls = _gluing_fixture()
-    # every color's ranked left endpoint in B: all left-condensed
-    starved = dataclasses.replace(
-        cls, x_sets={i: (cls.interval_b[0],) for i in cls.x_sets}
-    )
-    assert _left_diffuse_colors(t, starved) == []
-    with pytest.raises(NotDiffuse):
-        build_gluing(t, order, starved)
+def test_build_gluing_certificates_validate():
+    t, cls, glued = _glued_fixture()
+    left = set(cls.interval_a + cls.interval_b)
+    assert glued
+    for i, cert in glued:
+        assert validate_path(t, cert) is None
+        assert cert.constraint.avoid == i
+        # the left path ends at v and the right one starts at w
+        k = sum(v in left for v in cert.vertices)
+        v, w = cert.vertices[k - 1], cert.vertices[k]
+        assert cert.vertices[:k] == cls.in_paths[i][v]
+        assert cert.vertices[k:] == cls.out_paths[i][w]
+        assert cert.length == cls.ell_in[i][v] + cls.ell_out[i][w]
 
 
-def test_gluing_audit_flags_bad_color():
-    t, order, cls = _gluing_fixture()
-    structure = GluingStructure(
-        anchors=(1, 6), blocks=((2, 3, 4, 5),), delta_l=frozenset({2, 3}), s=1
-    )
-    # anchor edge (1, 2) carries color 1, outside the claimed diffuse set
-    assert "colored outside" in audit_gluing(t, order, structure)
+def test_build_gluing_takes_the_first_edge_in_label_order():
+    t, cls, glued = _glued_fixture()
+    assert max(len(_ranked_edges(t, cls, i)) for i, _ in glued) >= 2
+    for i, cert in glued:
+        v, w = min(_ranked_edges(t, cls, i))
+        assert cert.vertices == cls.in_paths[i][v] + cls.out_paths[i][w]
 
 
-def test_glue_paths_concatenation_on_fixture():
-    t, order, cls = _gluing_fixture()
-    structure = build_gluing(t, order, cls)
-    from ramsey_pods.paths import PathCertificate, PathConstraint, SubsetPathOracle
+def test_build_gluing_skips_colors_without_an_edge():
+    t, cls, glued = _glued_fixture()
+    colors = {i for i, _ in glued}
+    assert colors == {i for i in range(1, t.q + 1) if _ranked_edges(t, cls, i)}
+    # color 3 has ranked pairs from B to C, but none is a forward non-3 edge
+    assert any(v in cls.interval_b for v in cls.x_sets[3])
+    assert any(w in cls.interval_c for w in cls.y_sets[3])
+    assert 3 not in colors
 
-    k = 14
-    chain = [structure.anchors[0]]
-    total = 0
-    for a, block in enumerate(structure.blocks):
-        allowed = frozenset(c for c in range(1, t.q + 1) if c != k)
-        oracle = SubsetPathOracle(t, allowed, block)
-        piece = oracle.lex_least_longest()
-        total += len(piece)
-        chain.extend(piece)
-        chain.append(structure.anchors[a + 1])
-    cert = PathCertificate("directed", PathConstraint(avoid=k), tuple(chain))
-    assert validate_path(t, cert) is None
-    assert cert.length >= total  # anchors only add to the block pieces
+
+def test_build_gluing_colors_ascend():
+    _, _, glued = _glued_fixture()
+    assert [i for i, _ in glued] == [1, 2, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -197,6 +198,13 @@ def test_cache_rejects_corrupt_lines(tmp_path):
         fh.write(json.dumps(broken) + "\n")
     got = cache_get("F", 2, 1, 2, path)
     assert got is not None and got.value == 4
+
+
+@pytest.mark.parametrize("solver", [exact_f, exact_g])
+def test_validate_record_rejects_r_zero(solver):
+    # the record's parameters are checked before its witness is valued
+    rec = dataclasses.replace(solver(2, 1, 3), r=0)
+    assert validate_record(rec) == "corrupt witness: r=0 outside [1, 2]"
 
 
 def test_cache_prefers_strongest_bound(tmp_path):
