@@ -3,14 +3,16 @@
 Exit codes: 0 success (search: exact value), 1 invalid input or failed
 verification, 2 bound-only search result or no cyclic triangles, 3 an
 input file that cannot be read, is not JSON, or does not describe a valid
-object.
+object, or a search cache that cannot be read or appended to.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from .paths import (
     validate_path,
 )
 from .pods import Packing
-from .search import EXACT, run_search
+from .search import EXACT, CacheError, run_search
 from .tournament import ColoredTournament, OrderedColoring
 
 TABLE_HEADER = "kind,q,r,size,value,status"
@@ -65,6 +67,27 @@ def _find_bool(data):
     return None
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off.
+
+    Decoding or encoding an instance makes one list per edge or row, and
+    each allocation counts toward a collector pass that walks them all.
+    Those lists form a tree, which reference counting frees, so the passes
+    find nothing.  The previous state comes back on every exit; a collector
+    that was already off stays off.  Only JSON decoding and encoding are
+    wrapped: the search closures are reference cycles that hold their memo,
+    so a whole command run this way could keep several memos alive at once.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load(path: str, parse, what: str):
     """Read a JSON input file and build it with ``parse``.
 
@@ -77,20 +100,24 @@ def _load(path: str, parse, what: str):
     run first and keep their messages.  The data is walked for booleans
     only when the raw text holds such a token.
     """
-    try:
-        text = Path(path).read_text()
-        data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot parse {path}: {exc}", 3)
-    try:
-        obj = parse(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"bad {what}: {exc}", 3)
-    if "true" in text or "false" in text:
-        flag = _find_bool(data)
-        if flag is not None:
-            raise CliError(f"bad {what}: boolean {json.dumps(flag)} is not an integer", 3)
-    return obj
+    with _collector_paused():
+        try:
+            text = Path(path).read_text()
+            data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot parse {path}: {exc}", 3)
+        try:
+            obj = parse(data)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise CliError(f"bad {what}: {exc}", 3)
+        if "true" in text or "false" in text:
+            flag = _find_bool(data)
+            if flag is not None:
+                raise CliError(f"bad {what}: boolean {json.dumps(flag)} is not an integer", 3)
+        # free the decoded lists before the collector is back on: its first
+        # pass would otherwise walk every one of them
+        del text, data
+        return obj
 
 
 def _parse_instance(data: dict):
@@ -160,6 +187,8 @@ def cmd_search(args) -> int:
             cache=args.cache,
             use_cache=not args.no_cache,
         )
+    except CacheError as exc:
+        raise CliError(str(exc), 3)
     except ValueError as exc:
         raise CliError(str(exc), 1)
     print(json.dumps(record.to_json()))
@@ -250,7 +279,8 @@ def cmd_construct(args) -> int:
             raise CliError(str(exc), 1)
         stats = {"size": len(out), "n": out.n}
     if args.output:
-        _write_json(args.output, out.to_json())
+        with _collector_paused():
+            _write_json(args.output, out.to_json())
     if args.json:
         print(json.dumps({"stats": stats, "written": args.output}))
     else:

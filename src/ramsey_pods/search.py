@@ -101,6 +101,8 @@ class ExtremalRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExtremalRecord":
+        if type(data) is not dict:  # a cache line such as [1, 2] or "x"
+            raise TypeError(f"a record is a JSON object, got {type(data).__name__}")
         seconds = data.get("wall_seconds", 0.0)
         if type(seconds) not in (int, float):  # a string or bool is no duration
             raise TypeError(f"wall_seconds needs a number, got {seconds!r}")
@@ -769,6 +771,10 @@ def validate_record(record: ExtremalRecord) -> str | None:
     return None
 
 
+class CacheError(Exception):
+    """The cache file cannot be read or appended to; the message names it."""
+
+
 def cache_path(explicit: str | os.PathLike | None = None) -> Path:
     if explicit is not None:
         return Path(explicit)
@@ -788,7 +794,11 @@ def _load_records(path: Path, key: tuple) -> list[ExtremalRecord]:
     records = []
     if not path.exists():
         return records
-    for line in path.read_text().splitlines():
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CacheError(f"cannot read cache {path}: {exc}") from exc
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
@@ -843,8 +853,11 @@ def cache_put(record: ExtremalRecord, path: str | os.PathLike | None = None) -> 
         ):
             return False
     target = cache_path(path)
-    with open(target, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record.to_json()) + "\n")
+    try:
+        with open(target, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record.to_json()) + "\n")
+    except OSError as exc:
+        raise CacheError(f"cannot write cache {target}: {exc}") from exc
     return True
 
 

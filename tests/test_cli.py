@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -438,3 +439,71 @@ def test_seed_reproducibility_byte_for_byte(workdir, capsys):
         assert code == 0
         outputs.append(out + (workdir / "c.json").read_text())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        ("d", "error: cannot read cache d: [Errno 21] Is a directory"),
+        ("nope/c.jsonl", "error: cannot write cache nope/c.jsonl: [Errno 2] No such file"),
+        ("bad.jsonl", "error: cannot read cache bad.jsonl: 'utf-8' codec can't decode"),
+    ],
+    ids=["directory", "missing_directory", "not_utf8"],
+)
+def test_search_unusable_cache_exit_three(workdir, capsys, path, message):
+    (workdir / "d").mkdir()
+    (workdir / "bad.jsonl").write_bytes(b"\xff\xfe\n")
+    code, out, err = run(capsys, "search", "F", "2", "1", "3", "--cache", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def _collector_cases(workdir):
+    """Commands that read (and one that writes) a JSON file: argv, exit code, stderr start."""
+    (workdir / "t.json").write_text(json.dumps(random_tournament(4, 2, seed=0).to_json()))
+    cert = {"mode": "directed", "constraint": {"avoid": 1}, "vertices": [1]}
+    (workdir / "c.json").write_text(json.dumps(cert))
+    (workdir / "k.json").write_text(json.dumps(random_ordered_coloring(3, 2, seed=0).to_json()))
+    (workdir / "junk.json").write_text("{not json")
+    (workdir / "float.json").write_text('{"q": 2, "n": 3, "r": 1, "vectors": [[1, 1.5]]}')
+    (workdir / "invalid.json").write_text('{"q": 2, "n": 2, "r": 1, "vectors": [[1, 3]]}')
+    (workdir / "bool.json").write_text('{"q": 2, "n": 2, "r": 1, "vectors": [[1, true]]}')
+    return {
+        "verify_path": (["verify", "path", "t.json", "c.json"], 0, ""),
+        "construct_product": (["construct", "product", "k.json", "k.json", "-o", "p.json"], 0, ""),
+        "unreadable": (["verify", "sequence", "missing.json"], 3, "error: cannot parse "),
+        "not_json": (["verify", "sequence", "junk.json"], 3, "error: cannot parse "),
+        "float_literal": (["verify", "sequence", "float.json"], 3, "error: cannot parse "),
+        "invalid_object": (["verify", "sequence", "invalid.json"], 3, "error: bad family: "),
+        "boolean": (["verify", "sequence", "bool.json"], 3, "error: bad family: boolean true"),
+    }
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "verify_path",
+        "construct_product",
+        "unreadable",
+        "not_json",
+        "float_literal",
+        "invalid_object",
+        "boolean",
+    ],
+)
+def test_json_io_restores_collector_state(workdir, capsys, collector, case):
+    # decoding and encoding pause the cyclic collector and put it back as
+    # they found it, on success and on every exit-3 path of reading a file
+    argv, want, err_start = _collector_cases(workdir)[case]
+    code, _, err = run(capsys, *argv)
+    assert (code, gc.isenabled()) == (want, collector)
+    assert err.startswith(err_start)

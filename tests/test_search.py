@@ -193,6 +193,7 @@ def test_cache_rejects_corrupt_lines(tmp_path):
     cache_put(exact_F(2, 1, 2), path)
     with open(path, "a") as fh:
         fh.write("not json at all\n")
+        fh.write('[1, 2]\n"x"\n7\nnull\n')  # JSON, but not an object
         broken = exact_F(2, 1, 2).to_json()
         broken["value"] = 99  # witness no longer matches
         fh.write(json.dumps(broken) + "\n")
