@@ -20,11 +20,9 @@ from .core import (
 from .paths import (
     PathCertificate,
     PathConstraint,
-    ProofParameters,
     ell_avoid_monotone,
     longest_avoiding_directed_exact,
     longest_restricted_monotone,
-    proof_parameters,
     validate_path,
 )
 from .tournament import ColoredTournament, OrderedColoring
@@ -45,11 +43,9 @@ __all__ = [
     "validate_increasing",
     "PathCertificate",
     "PathConstraint",
-    "ProofParameters",
     "ell_avoid_monotone",
     "longest_avoiding_directed_exact",
     "longest_restricted_monotone",
-    "proof_parameters",
     "validate_path",
     "ColoredTournament",
     "OrderedColoring",

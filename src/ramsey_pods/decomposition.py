@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -33,10 +33,8 @@ from .paths import (
     EXACT_VERTEX_CAP,
     PathCertificate,
     PathConstraint,
-    ProofParameters,
     SubsetPathOracle,
     longest_avoiding_directed_exact,
-    proof_parameters,
     validate_path,
 )
 from .tournament import (
@@ -269,13 +267,19 @@ def _level_path_to(parents, v) -> tuple[int, ...]:
 
 
 def merged_color_baseline(t: ColoredTournament) -> tuple[int, PathCertificate]:
-    """Best avoiding path over monochromatic and two-color merged classes.
+    """Best avoiding path over the merged color classes.
 
-    Scanning every singleton and pair dominates the fixed merge used by the
-    pigeonhole guarantee, so the result is always at least ceil(N^(1/(q-1)))
-    on q >= 3 palettes and ceil(sqrt(N)) for q = 2.  Each edge carries one
-    color, so a pair class's (out, into) masks are the element-wise ORs of
-    its two single-color masks: q mask builds serve all q + C(q, 2) classes.
+    At q >= 3 the classes are the C(q, 2) color pairs, and ceil(q/2) of
+    them cover the palette; at q = 2 they are the two single colors.  A
+    maximal acyclic subgraph's levels differ on both ends of every allowed
+    edge: a kept edge raises the level, and a dropped edge closes a cycle,
+    so its head already reaches its tail.  Every edge lies in a class of
+    the cover, so a vertex's tuple of levels over the cover is injective,
+    and the path has at least ceil(N^(1/ceil(q/2))) vertices on q >= 3
+    palettes (at least the N^(1/(q-1)) of one fixed merge) and
+    ceil(sqrt(N)) for q = 2.  Each edge carries one color, so a pair
+    class's (out, into) masks are the element-wise ORs of its two
+    single-color masks: q mask builds serve every class.
     """
     q = t.q
     verts = tuple(sorted(t.vertices))
@@ -283,9 +287,10 @@ def merged_color_baseline(t: ColoredTournament) -> tuple[int, PathCertificate]:
         cert = PathCertificate("directed", PathConstraint(avoid=1), (verts[0],))
         return 1, cert
     single = {c: t.allowed_masks(verts, frozenset({c})) for c in range(1, q + 1)}
-    classes = [((c,), single[c]) for c in range(1, q + 1)]
-    if q >= 3:
-        classes += [
+    if q == 2:
+        classes = [((c,), single[c]) for c in (1, 2)]
+    else:
+        classes = [
             ((a, b), tuple([x | y for x, y in zip(*side)] for side in zip(single[a], single[b])))
             for a in range(1, q + 1)
             for b in range(a + 1, q + 1)
@@ -353,19 +358,18 @@ def _half_endpoint_data(t, allowed, half: tuple[int, ...], incoming: bool):
     return levels, lambda v: tuple(reversed(_level_path_to(parents, v)))
 
 
-def classify_colors(
-    t: ColoredTournament, order, params: ProofParameters
-) -> ColorClassification:
+def classify_colors(t: ColoredTournament, order, s: int) -> ColorClassification:
     """Rank endpoint sets per avoided color over four intervals.
 
-    The order is cut into A|B|C|D with |B| = |C| = 4s around the midpoint;
-    requires at least 16s vertices.  Per color, one endpoint table for each
-    half: the s best ends of paths in A|B and the s best starts of paths in
-    C|D.  Endpoint ranking ties break by vertex label ascending.
+    ``s`` is the ranking size (the finder takes it from ``_scale``).  The
+    order is cut into A|B|C|D with |B| = |C| = 4s around the midpoint;
+    requires at least 16s vertices.  Per color of ``t``'s palette, one
+    endpoint table for each half: the s best ends of paths in A|B and the
+    s best starts of paths in C|D.  Endpoint ranking ties break by vertex
+    label ascending.
     """
     order = tuple(order)
     n = len(order)
-    s = params.s
     if n < 16 * s:
         raise DegenerateScale(f"{n} vertices < 16s = {16 * s}")
     if sorted(order) != sorted(t.vertices):
@@ -377,7 +381,7 @@ def classify_colors(
     interval_d = order[h + 4 * s :]
     left = interval_a + interval_b
     right = interval_c + interval_d
-    q = params.q
+    q = t.q
     x_sets: dict[int, tuple[int, ...]] = {}
     y_sets: dict[int, tuple[int, ...]] = {}
     ell_in: dict[int, dict[int, int]] = {}
@@ -451,19 +455,23 @@ def build_gluing(
 # the recursive color-avoiding driver
 
 
-def _driver_params(q: int, n: int) -> ProofParameters:
-    """Formula parameters with the ranking size s capped at n // 16.
+def _scale(q: int, n: int) -> tuple[int, float]:
+    """The ranking size s and cleaning scale delta at n vertices, q colors.
 
-    The classification needs 16s vertices.  Of the fields, the finder reads
-    delta (the cleaning scale) and ``classify_colors`` reads q and s (the
-    ranking size); gamma and p are the formula's, unread.
+    gamma = 1 / (2q * 2^sqrt(log2 q)) and delta = gamma / 8, as in the
+    proof; s = floor(2 gamma n), clamped to at least 1 and at most n // 16,
+    because the classification needs 16s vertices.
     """
-    p = proof_parameters(q, n)
-    return replace(p, s=max(1, min(p.s, n // 16)))
+    gamma = 1.0 / (2.0 * q * 2.0 ** math.sqrt(math.log2(q)))
+    return max(1, min(math.floor(2.0 * gamma * n), n // 16)), gamma / 8.0
 
 
 def _measured_delta(back: int, n: int, floor_delta: float) -> Fraction | None:
-    """Smallest workable rational delta covering the observed backwardness."""
+    """Smallest workable rational delta covering the observed backwardness.
+
+    ``floor_delta`` is the cleaning scale of ``_scale``; a measured delta
+    below it is raised to it.
+    """
     if back == 0:
         cand = Fraction(1, 4 * n)
     else:
@@ -488,12 +496,14 @@ def recursive_color_avoiding(
     color by color until one path covers every vertex; above it, the
     merged-color baseline, midpoint gluing of ranked endpoint paths across
     the cleaned order (``build_gluing``, "case1"), and recursion into the
-    two halves.  A half is visited only when it has at least as many
-    vertices as the longest candidate so far: a shorter half cannot hold a
-    longer path, and an equal one may still win the tie-break.  The maximum is returned and
-    always re-validated; ties prefer the smaller avoided color, then the
-    lexicographically smaller vertex sequence.  With ``trace``, every node
-    visited appends one record; skipped halves append none.
+    two halves.  ``_scale`` gives the cleaning scale at the node and the
+    ranking size at the cleaned node.  A half is visited only when it has
+    at least as many vertices as the longest candidate so far: a shorter
+    half cannot hold a longer path, and an equal one may still win the
+    tie-break.  The maximum is returned and always re-validated; ties
+    prefer the smaller avoided color, then the lexicographically smaller
+    vertex sequence.  With ``trace``, every node visited appends one
+    record; skipped halves append none.
     """
     q = t.q
     n = t.n_vertices
@@ -514,13 +524,12 @@ def recursive_color_avoiding(
 
     classification = None
     degrees = backward_degrees(t, order)
-    delta = _measured_delta(sum(degrees) // 2, n, _driver_params(q, n).delta)
+    delta = _measured_delta(sum(degrees) // 2, n, _scale(q, n)[1])
     if delta is not None:
         try:
             sub_t, sub_order = clean_degrees(t, order, delta, degrees)
-            classification = classify_colors(
-                sub_t, sub_order, _driver_params(q, sub_t.n_vertices)
-            )
+            s, _ = _scale(q, sub_t.n_vertices)
+            classification = classify_colors(sub_t, sub_order, s)
         except DegenerateScale:
             classification = None
 

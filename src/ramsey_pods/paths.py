@@ -415,37 +415,3 @@ def longest_avoiding_directed_exact(t: ColoredTournament, i: int) -> PathCertifi
     return PathCertificate(
         "directed", PathConstraint(avoid=i), SubsetPathOracle(t, allowed).lex_least_longest()
     )
-
-
-# ---------------------------------------------------------------------------
-# proof parameters
-
-
-@dataclass(frozen=True)
-class ProofParameters:
-    """The scale parameters used by the interval decomposition.
-
-    gamma = 1 / (2q * 2^sqrt(log2 q)); p = floor(24q / 2^sqrt(log2 q));
-    s = floor(2 gamma N) clamped to >= 1; delta = gamma / 8.  Before rounding,
-    4 delta N = s / 4.
-    """
-
-    q: int
-    n_vertices: int
-    gamma: float
-    p: int
-    s: int
-    delta: float
-
-
-def proof_parameters(q: int, n_vertices: int) -> ProofParameters:
-    if q < 2:
-        raise ValueError("need at least two colors")
-    if n_vertices < 1:
-        raise ValueError("need at least one vertex")
-    scale = 2.0 ** math.sqrt(math.log2(q))
-    gamma = 1.0 / (2.0 * q * scale)
-    p = max(1, math.floor(24.0 * q / scale))
-    s = max(1, math.floor(2.0 * gamma * n_vertices))
-    delta = gamma / 8.0
-    return ProofParameters(q, n_vertices, gamma, p, s, delta)

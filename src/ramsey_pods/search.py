@@ -852,13 +852,16 @@ def cache_put(record: ExtremalRecord, path: str | os.PathLike | None = None) -> 
             else existing.value <= record.value
         ):
             return False
-    target = cache_path(path)
-    try:
-        with open(target, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record.to_json()) + "\n")
-    except OSError as exc:
-        raise CacheError(f"cannot write cache {target}: {exc}") from exc
+    _append(cache_path(path), json.dumps(record.to_json()) + "\n")
     return True
+
+
+def _append(path: Path, text: str) -> None:
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CacheError(f"cannot write cache {path}: {exc}") from exc
 
 
 _ORACLES = {"F": exact_F, "G": exact_G, "f": exact_f, "g": exact_g}
@@ -873,12 +876,18 @@ def run_search(
     cache: str | os.PathLike | None = None,
     use_cache: bool = True,
 ) -> ExtremalRecord:
-    """Cache-aware front door used by the command line."""
+    """Cache-aware front door used by the command line.
+
+    An exact cached record is returned as it is.  Otherwise the cache is
+    opened for append before the oracle runs, so a cache that cannot be
+    written raises ``CacheError`` before the search, not after it.
+    """
     _check_params(kind, q, r, size)
     if use_cache:
         hit = cache_get(kind, q, r, size, cache)
         if hit is not None and hit.status == EXACT:
             return hit
+        _append(cache_path(cache), "")
     record = _ORACLES[kind](q, r, size, budget)
     if use_cache:
         cache_put(record, cache)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ramsey_pods import search
 from ramsey_pods.cli import main
 from ramsey_pods.paths import ell_avoid_monotone, longest_restricted_monotone
 from ramsey_pods.tournament import (
@@ -441,6 +442,13 @@ def test_seed_reproducibility_byte_for_byte(workdir, capsys):
     assert outputs[0] == outputs[1]
 
 
+def _refuse_oracle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setitem(search._ORACLES, "F", refuse)
+
+
 @pytest.mark.parametrize(
     "path,message",
     [
@@ -450,13 +458,28 @@ def test_seed_reproducibility_byte_for_byte(workdir, capsys):
     ],
     ids=["directory", "missing_directory", "not_utf8"],
 )
-def test_search_unusable_cache_exit_three(workdir, capsys, path, message):
+def test_search_unusable_cache_exit_three(workdir, capsys, monkeypatch, path, message):
+    # the cache is read, and opened for append, before the search runs
+    _refuse_oracle(monkeypatch)
     (workdir / "d").mkdir()
     (workdir / "bad.jsonl").write_bytes(b"\xff\xfe\n")
     code, out, err = run(capsys, "search", "F", "2", "1", "3", "--cache", path)
     assert code == 3
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_search_exact_hit_needs_no_writable_cache(workdir, capsys, monkeypatch):
+    code, first, _ = run(capsys, "search", "F", "2", "1", "3", "--cache", "c.jsonl", "--json")
+    assert code == 0
+    _refuse_oracle(monkeypatch)
+
+    def refuse_append(path, text):
+        raise search.CacheError(f"cannot write cache {path}")
+
+    monkeypatch.setattr(search, "_append", refuse_append)
+    code, again, err = run(capsys, "search", "F", "2", "1", "3", "--cache", "c.jsonl", "--json")
+    assert (code, again, err) == (0, first, "")
 
 
 def _collector_cases(workdir):

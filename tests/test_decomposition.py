@@ -21,7 +21,6 @@ from ramsey_pods.decomposition import (
     three_color_path,
 )
 from ramsey_pods.paths import (
-    ProofParameters,
     SubsetPathOracle,
     longest_avoiding_directed_exact,
     validate_path,
@@ -100,8 +99,7 @@ def test_classify_monochromatic_long_short_split():
     n = 32
     t = transitive(n, 2)
     order = tuple(range(1, n + 1))
-    params = ProofParameters(q=2, n_vertices=n, gamma=1 / 8, p=1, s=1, delta=1 / 64)
-    cls = classify_colors(t, order, params)
+    cls = classify_colors(t, order, 1)
     assert cls.x_sets[1] == (1,)  # ties rank the earliest labels, outside B
 
 
@@ -111,9 +109,8 @@ def test_classify_interval_and_ranking_sizes():
         q = 3
         t = near_transitive(n, q, 0.0, seed)
         order = tuple(range(1, n + 1))
-        params = ProofParameters(q=q, n_vertices=n, gamma=0.05, p=2, s=2, delta=0.01)
-        cls = classify_colors(t, order, params)
-        s = params.s
+        s = 2
+        cls = classify_colors(t, order, s)
         assert len(cls.interval_b) == 4 * s
         assert len(cls.interval_c) == 4 * s
         assert len(cls.interval_a) == n // 2 - 4 * s
@@ -134,10 +131,8 @@ def test_classify_flags_recomputable():
     for n, q, seed, gamma, want in FLAG_CASES:
         t = random_tournament(n, q, seed=seed)
         verts = tuple(range(1, n + 1))
-        params = ProofParameters(
-            q=q, n_vertices=n, gamma=gamma, p=2, s=1, delta=0.01
-        )
-        cls = classify_colors(t, verts, params)
+        s = 1
+        cls = classify_colors(t, verts, s)
         expected = []
         for i in range(1, q + 1):
             allowed = frozenset(range(1, q + 1)) - {i}
@@ -148,7 +143,7 @@ def test_classify_flags_recomputable():
                 whole = max(levels.values())
             long = whole >= gamma * n
             b_set = set(cls.interval_b)
-            condensed = 2 * len(set(cls.x_sets[i]) & b_set) >= params.s
+            condensed = 2 * len(set(cls.x_sets[i]) & b_set) >= s
             if not long and not condensed:
                 expected.append(i)
         assert expected == want, (n, q, seed, gamma)
@@ -159,8 +154,7 @@ def test_classify_ranking_audit():
     n, q = 48, 3
     t = near_transitive(n, q, 0.02, 13)
     order = tuple(range(1, n + 1))
-    params = ProofParameters(q=q, n_vertices=n, gamma=0.08, p=2, s=3, delta=0.01)
-    cls = classify_colors(t, order, params)
+    cls = classify_colors(t, order, 3)
     left = cls.interval_a + cls.interval_b
     for i in range(1, q + 1):
         inside = min(cls.ell_in[i][v] for v in cls.x_sets[i])
@@ -173,8 +167,7 @@ def test_classify_witness_paths_validate():
     n, q = 36, 3
     t = near_transitive(n, q, 0.02, 17)
     order = tuple(range(1, n + 1))
-    params = ProofParameters(q=q, n_vertices=n, gamma=0.08, p=2, s=2, delta=0.01)
-    cls = classify_colors(t, order, params)
+    cls = classify_colors(t, order, 2)
     left = set(cls.interval_a + cls.interval_b)
     for i in range(1, q + 1):
         for v, path in cls.in_paths[i].items():
@@ -201,8 +194,7 @@ def test_classify_engineered_condensed():
             for v in range(u + 1, n + 1)
         ),
     )
-    params = ProofParameters(q=2, n_vertices=n, gamma=1 / 4, p=1, s=s, delta=0.01)
-    cls = classify_colors(t, order, params)
+    cls = classify_colors(t, order, s)
     assert set(cls.x_sets[1]) <= b_members  # condensed on the left
     assert set(cls.y_sets[1]) <= set(cls.interval_c)  # and on the right
 
@@ -212,8 +204,7 @@ def test_classify_empty_palette_strands_every_vertex():
     # only its one-vertex path, with halves at the exact cap and above it
     for n in (32, 48):
         t = transitive(n, 1)
-        params = ProofParameters(q=1, n_vertices=n, gamma=0.1, p=1, s=2, delta=0.01)
-        cls = classify_colors(t, tuple(range(1, n + 1)), params)
+        cls = classify_colors(t, tuple(range(1, n + 1)), 2)
         assert set(cls.ell_in[1].values()) == set(cls.ell_out[1].values()) == {1}
         assert cls.x_sets[1] == (1, 2)
         assert cls.y_sets[1] == (n // 2 + 1, n // 2 + 2)
@@ -223,9 +214,8 @@ def test_classify_empty_palette_strands_every_vertex():
 
 def test_classify_degenerate_scale():
     t = transitive(10, 2)
-    params = ProofParameters(q=2, n_vertices=10, gamma=0.1, p=1, s=1, delta=0.01)
     with pytest.raises(DegenerateScale):
-        classify_colors(t, tuple(range(1, 11)), params)
+        classify_colors(t, tuple(range(1, 11)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +233,7 @@ def _glued_fixture():
     """
     n, q = 32, 4
     t = near_transitive(n, q, 0.1, 6)
-    params = ProofParameters(q=q, n_vertices=n, gamma=0.08, p=2, s=2, delta=0.01)
-    cls = classify_colors(t, tuple(range(1, n + 1)), params)
+    cls = classify_colors(t, tuple(range(1, n + 1)), 2)
     return t, cls, build_gluing(t, cls)
 
 
@@ -432,10 +421,16 @@ def test_recursive_medium_instance_floor():
 
 
 def test_merged_baseline_floor():
-    for seed in range(6):
-        q = 3 + (seed % 2)
-        n = 20 + 5 * seed
-        t = random_tournament(n, q, seed=seed)
+    # ceil(q/2) pair classes cover the palette, and a vertex's levels over
+    # them are injective, so some pair's path has N^(1/ceil(q/2)) vertices;
+    # canonical colorings at q = 4..7 meet that bound exactly
+    randoms = [random_tournament(20 + 9 * seed, 3 + seed % 5, seed=seed) for seed in range(10)]
+    canonicals = [
+        canonical_coloring(q, m).as_tournament() for q, m in ((3, 3), (4, 3), (5, 2), (6, 2), (7, 2))
+    ]
+    for t in randoms + canonicals:
+        n, q = t.n_vertices, t.q
         color, cert = merged_color_baseline(t)
         assert validate_path(t, cert) is None
+        assert cert.length ** math.ceil(q / 2) >= n
         assert cert.length >= math.ceil(n ** (1.0 / (q - 1)) - 1e-9)

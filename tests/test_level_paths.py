@@ -13,9 +13,11 @@ vertices.
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from ramsey_pods import decomposition
 from ramsey_pods.constructions import canonical_coloring, lex_product
 from ramsey_pods.decomposition import (
     _level_path_to,
@@ -222,6 +224,13 @@ def _reference_baseline(t: ColoredTournament):
     return best
 
 
+def _product(q: int, m: int, n: int, seed: int) -> ColoredTournament:
+    """A random n-vertex q-coloring, each vertex blown up to a canonical
+    (q, m) coloring, with a quarter as many edges flipped as vertices."""
+    k = lex_product(canonical_coloring(q, m), random_ordered_coloring(n, q, seed=seed))
+    return _flipped(k.as_tournament(), k.n_vertices // 4, seed)
+
+
 @pytest.mark.parametrize(
     "q,t",
     [
@@ -230,19 +239,38 @@ def _reference_baseline(t: ColoredTournament):
         (4, _flipped(random_ordered_coloring(60, 4, seed=3).as_tournament(), 20, 3)),
         (4, _flipped(canonical_coloring(4, 2).as_tournament(), 8, 4)),
         (5, random_tournament(45, 5, seed=5)),
+        # near-transitive, flipped canonical and flipped product, q >= 3
+        (3, _flipped(random_ordered_coloring(48, 3, seed=6).as_tournament(), 12, 6)),
+        (5, _flipped(random_ordered_coloring(100, 5, seed=7).as_tournament(), 25, 7)),
+        (6, _flipped(random_ordered_coloring(150, 6, seed=8).as_tournament(), 37, 8)),
+        (3, _flipped(canonical_coloring(3, 4).as_tournament(), 16, 9)),
+        (4, _flipped(canonical_coloring(4, 3).as_tournament(), 20, 10)),
+        (6, _flipped(canonical_coloring(6, 2).as_tournament(), 16, 11)),
+        (3, _product(3, 2, 9, 12)),
+        (4, _product(4, 2, 6, 13)),
+        (5, _product(5, 2, 4, 14)),
     ],
 )
 def test_baseline_builds_one_mask_per_color(monkeypatch, q, t):
-    calls = []
-    real = ColoredTournament.allowed_masks
+    # the baseline levels the C(q, 2) pair classes at q >= 3 and the two
+    # single colors at q = 2; the reference also levels every single color
+    # at q >= 3, and that never changes the answer
+    masks, levels = [], []
+    real_masks = ColoredTournament.allowed_masks
+    real_levels = decomposition._level_paths
 
-    def counted(self, labels, allowed):
-        calls.append(allowed)
-        return real(self, labels, allowed)
+    def counted_masks(self, labels, allowed):
+        masks.append(allowed)
+        return real_masks(self, labels, allowed)
 
-    monkeypatch.setattr(ColoredTournament, "allowed_masks", counted)
+    def counted_levels(m, vertices):
+        levels.append(len(vertices))
+        return real_levels(m, vertices)
+
+    monkeypatch.setattr(ColoredTournament, "allowed_masks", counted_masks)
+    monkeypatch.setattr(decomposition, "_level_paths", counted_levels)
     got = merged_color_baseline(t)
-    assert sorted(calls, key=sorted) == [frozenset({c}) for c in range(1, q + 1)]
-    monkeypatch.setattr(ColoredTournament, "allowed_masks", real)
+    assert sorted(masks, key=sorted) == [frozenset({c}) for c in range(1, q + 1)]
+    assert levels == [t.n_vertices] * (2 if q == 2 else comb(q, 2))
+    monkeypatch.setattr(ColoredTournament, "allowed_masks", real_masks)
     assert got == _reference_baseline(t)
-

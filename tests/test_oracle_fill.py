@@ -14,7 +14,7 @@ import pytest
 
 from ramsey_pods import decomposition
 from ramsey_pods.constructions import canonical_coloring, lex_product
-from ramsey_pods.paths import ProofParameters, SubsetPathOracle, _level
+from ramsey_pods.paths import SubsetPathOracle, _level
 from ramsey_pods.tournament import (
     ColoredTournament,
     random_ordered_coloring,
@@ -137,8 +137,7 @@ def test_classify_colors_builds_one_table_per_half_and_color(builds):
     n, q = 32, 3
     t = random_tournament(n, q, seed=4)
     order = tuple(range(1, n + 1))
-    params = ProofParameters(q=q, n_vertices=n, gamma=0.08, p=2, s=2, delta=0.01)
-    decomposition.classify_colors(t, order, params)
+    decomposition.classify_colors(t, order, 2)
     assert builds[0] == 2 * q  # halves of 16 vertices; the whole is above the cap
 
 
@@ -146,8 +145,7 @@ def test_classify_colors_builds_no_whole_node_table(builds):
     # the whole node is below the cap, but only the halves' tables are read
     n, q = 20, 3
     t = random_tournament(n, q, seed=6)
-    params = ProofParameters(q=q, n_vertices=n, gamma=0.5, p=2, s=1, delta=0.01)
-    decomposition.classify_colors(t, tuple(range(1, n + 1)), params)
+    decomposition.classify_colors(t, tuple(range(1, n + 1)), 1)
     assert builds[0] == 2 * q
 
 
@@ -162,8 +160,7 @@ def test_classify_colors_levels_only_the_halves(monkeypatch):
     monkeypatch.setattr(decomposition, "_level_paths", counting)
     n, q = 46, 3  # halves of 23 vertices, one above the exact cap
     t = random_tournament(n, q, seed=8)
-    params = ProofParameters(q=q, n_vertices=n, gamma=0.5, p=2, s=2, delta=0.01)
-    decomposition.classify_colors(t, tuple(range(1, n + 1)), params)
+    decomposition.classify_colors(t, tuple(range(1, n + 1)), 2)
     assert calls == [23] * (2 * q)
 
 

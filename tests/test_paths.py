@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ramsey_pods.budget import BudgetExceeded
+from ramsey_pods.decomposition import _scale
 from ramsey_pods.paths import (
     PathCertificate,
     PathConstraint,
@@ -11,7 +12,6 @@ from ramsey_pods.paths import (
     ell_avoid_monotone,
     longest_avoiding_directed_exact,
     longest_restricted_monotone,
-    proof_parameters,
     validate_path,
 )
 from ramsey_pods.tournament import (
@@ -120,26 +120,24 @@ def test_monochromatic_floor_over_singletons():
         assert best >= math.ceil(n ** (1.0 / q) - 1e-9)
 
 
-def test_proof_parameters_pinned_values():
-    pp = proof_parameters(16, 1280)
-    assert pp.gamma == pytest.approx(1 / 128)
-    assert pp.s == 20
-    assert pp.p == 96
-    assert pp.delta == pytest.approx(1 / 1024)
-    assert proof_parameters(16, 64).s == 1  # clamped floor
-    pp = proof_parameters(4, 100)
-    assert pp.gamma == pytest.approx(1.0 / (8 * 2 ** math.sqrt(2)))
+def test_scale_pinned_values():
+    s, delta = _scale(16, 1280)  # gamma = 1/128
+    assert s == 20
+    assert delta == pytest.approx(1 / 1024)
+    assert _scale(16, 64)[0] == 1  # clamped floor
+    assert _scale(4, 100)[1] == pytest.approx(1.0 / (64 * 2 ** math.sqrt(2)))
 
 
-def test_proof_parameter_identity_before_rounding():
+def test_scale_ranking_size_from_delta():
+    # s = 2 gamma n = 16 delta n before rounding, clamped to [1, n // 16]
     for q in (2, 4, 7, 16):
-        for n in (10, 100, 999):
-            pp = proof_parameters(q, n)
-            assert 4 * pp.delta * n == pytest.approx(2 * pp.gamma * n / 4)
+        for n in (10, 100, 999, 5000):
+            s, delta = _scale(q, n)
+            assert s == max(1, min(math.floor(16 * delta * n), n // 16))
 
 
 def test_gamma_matches_profile_example():
-    assert proof_parameters(16, 1).gamma == pytest.approx(1 / 128)
+    assert 8 * _scale(16, 1)[1] == pytest.approx(1 / 128)
 
 
 def test_validate_path_examples():
