@@ -337,18 +337,38 @@ class ColorClassification:
     out_paths: dict[int, dict[int, tuple[int, ...]]] = field(repr=False)
 
 
-def _half_endpoint_data(t, allowed, half: tuple[int, ...], incoming: bool):
-    """(lengths, path) for best avoiding paths ending (or starting) per vertex.
+def _half_endpoint_data(t: ColoredTournament, half: tuple[int, ...], incoming: bool, s: int):
+    """Per avoided color of ``t``'s palette, ascending: (lengths, ranked, paths).
 
-    ``path(v)`` builds one such path on demand: callers keep only a few
-    ranked endpoints.  Lengths are exact up to ``EXACT_VERTEX_CAP`` vertices
-    and level-method estimates above it.
+    ``lengths[v]`` is the length of the longest path in ``half`` that avoids
+    the color and ends (or, unless ``incoming``, starts) at v; ``ranked``
+    holds the s best endpoints, ties broken by label ascending, and
+    ``paths`` one such path for each of them.  Lengths are exact up to
+    ``EXACT_VERTEX_CAP`` vertices, where the colors' tables share packed
+    passes (``SubsetPathOracle.packed``), and level-method estimates above
+    it.
     """
+    palette = frozenset(range(1, t.q + 1))
+    allowed_sets = [palette - {i} for i in range(1, t.q + 1)]
+
+    def rank(lengths, path):
+        ranked = tuple(sorted(half, key=lambda v: (-lengths[v], v))[:s])
+        return lengths, ranked, {v: path(v) for v in ranked}
+
     if len(half) <= EXACT_VERTEX_CAP:
-        oracle = SubsetPathOracle(t, allowed, half)
-        if incoming:
-            return oracle.lengths_to(), oracle.path_to
-        return oracle.lengths_from(), oracle.path_from
+        # each oracle is read before the next is taken, so one pass at a
+        # time stays in memory
+        return [
+            rank(oracle.lengths_to(), oracle.path_to)
+            if incoming
+            else rank(oracle.lengths_from(), oracle.path_from)
+            for oracle in SubsetPathOracle.packed(t, allowed_sets, half, ends=incoming)
+        ]
+    return [rank(*_level_endpoints(t, allowed, half, incoming)) for allowed in allowed_sets]
+
+
+def _level_endpoints(t, allowed, half: tuple[int, ...], incoming: bool):
+    """(lengths, path) of level-method paths ending (or starting) per vertex of ``half``."""
     if incoming:
         levels, parents = _level_paths(t.allowed_masks(half, allowed), half)
         return levels, lambda v: _level_path_to(parents, v)
@@ -365,8 +385,9 @@ def classify_colors(t: ColoredTournament, order, s: int) -> ColorClassification:
     order is cut into A|B|C|D with |B| = |C| = 4s around the midpoint;
     requires at least 16s vertices.  Per color of ``t``'s palette, one
     endpoint table for each half: the s best ends of paths in A|B and the
-    s best starts of paths in C|D.  Endpoint ranking ties break by vertex
-    label ascending.
+    s best starts of paths in C|D.  A half of at most ``EXACT_VERTEX_CAP``
+    vertices fills its q tables in ceil(q / floor(64/n)) packed passes, one
+    at a time.  Endpoint ranking ties break by vertex label ascending.
     """
     order = tuple(order)
     n = len(order)
@@ -379,27 +400,16 @@ def classify_colors(t: ColoredTournament, order, s: int) -> ColorClassification:
     interval_b = order[h - 4 * s : h]
     interval_c = order[h : h + 4 * s]
     interval_d = order[h + 4 * s :]
-    left = interval_a + interval_b
-    right = interval_c + interval_d
-    q = t.q
-    x_sets: dict[int, tuple[int, ...]] = {}
-    y_sets: dict[int, tuple[int, ...]] = {}
-    ell_in: dict[int, dict[int, int]] = {}
-    ell_out: dict[int, dict[int, int]] = {}
-    in_paths: dict[int, dict[int, tuple[int, ...]]] = {}
-    out_paths: dict[int, dict[int, tuple[int, ...]]] = {}
-    for i in range(1, q + 1):
-        allowed = frozenset(c for c in range(1, q + 1) if c != i)
-        lengths_in, path_in = _half_endpoint_data(t, allowed, left, True)
-        lengths_out, path_out = _half_endpoint_data(t, allowed, right, False)
-        ranked_left = sorted(left, key=lambda v: (-lengths_in[v], v))
-        ranked_right = sorted(right, key=lambda v: (-lengths_out[v], v))
-        x_sets[i] = tuple(ranked_left[:s])
-        y_sets[i] = tuple(ranked_right[:s])
-        ell_in[i] = lengths_in
-        ell_out[i] = lengths_out
-        in_paths[i] = {v: path_in(v) for v in x_sets[i]}
-        out_paths[i] = {v: path_out(v) for v in y_sets[i]}
+    colors = range(1, t.q + 1)
+    # per half, three dicts keyed by color: lengths, ranked endpoints, paths
+    ell_in, x_sets, in_paths = (
+        dict(zip(colors, column))
+        for column in zip(*_half_endpoint_data(t, interval_a + interval_b, True, s))
+    )
+    ell_out, y_sets, out_paths = (
+        dict(zip(colors, column))
+        for column in zip(*_half_endpoint_data(t, interval_c + interval_d, False, s))
+    )
     return ColorClassification(
         interval_a=interval_a,
         interval_b=interval_b,

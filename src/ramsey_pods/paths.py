@@ -3,12 +3,16 @@
 Monotone paths in ordered colorings are handled by a polynomial DP over the
 DAG of forward edges, one ``itertools.compress`` pass per byte row of
 ``OrderedColoring.allowed_rows``.  Directed paths in general tournaments use an exact
-subset DP over (vertex set, endpoint) states, stored as one uint32 endpoint
-mask per vertex set: 2^n words per direction, 16 MB at the 22-vertex cap.
-A table is filled by pushing from the vertex sets that carry a path, level
-by level, so its cost follows those sets and one scan of each level, not
-all n * 2^n states; a dense table at n = 22 still touches most of them.
-Each direction's table is built on the first query that reads it.
+subset DP over (vertex set, endpoint) states, stored as one endpoint mask
+per vertex set: 2^n words per table.  Tables on one vertex set are filled
+in packed passes: floor(64/n) tables side by side in one word per vertex
+set, uint32 when they fit in 32 bits and uint64 otherwise.  A pass holds
+16 MB for a lone table at the 22-vertex cap and 32 MB for two.  A pass is
+filled by pushing from the vertex sets that carry a path in any of its
+tables, level by level, so its cost follows those sets and one scan of
+each level, not all n * 2^n states; a dense table at n = 22 still touches
+most of them.  Each direction's table is built on the first query that
+reads it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -211,6 +215,80 @@ def _level(n: int, k: int) -> np.ndarray:
     return order[bounds[k] : bounds[k + 1]]
 
 
+# _BYTE_BITS[x, b] is bit b of the byte x
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little") != 0
+
+
+def _packed_fill(n: int, in_masks: Sequence[Sequence[int]]) -> tuple[np.ndarray, list[list[int]]]:
+    """The start tables of m = len(in_masks) edge sets on n vertices, in one pass.
+
+    ``in_masks[i][v]`` has bit u set iff u -> v is an edge of set i.  Word
+    ``h[S]`` holds table i's start mask of S in bits [i*n, (i+1)*n): bit
+    i*n + v is set iff some path of set i with vertex set exactly S starts
+    at v.  Words are uint32 when m*n <= 32 and uint64 up to 64.  Also
+    returns each table's per-level ORs: ``reach[k]`` has bit v set iff
+    some k-vertex path starts at v, and the list stops before the first
+    empty level, so its last index is the longest path length.
+
+    Level k is pushed from the frontier of level k - 1, the sets S whose
+    word is nonzero.  u starts a path of set i on S + {u} iff u is outside
+    S and has an edge to a start on S, so the new starts of every table
+    are the OR of the in-masks of the word's bits, taken a byte at a time
+    from 256-entry tables, less the bits of S in every table.  Per vertex
+    u, one push ORs u's bits into the words of S + {u}, over the sets
+    with a new start; for one u the targets are distinct, so a
+    fancy-index OR writes them all.  Sets that carry no path are scanned
+    once and never read again.
+    """
+    m = len(in_masks)
+    width = m * n
+    dtype = np.uint32 if width <= 32 else np.uint64
+    # rep << u holds bit u of every table
+    rep = sum(1 << (i * n) for i in range(m))
+    flat = [mask << (i * n) for i, masks in enumerate(in_masks) for mask in masks]
+    n_bytes = -(-width // 8)
+    flat += [0] * (8 * n_bytes - width)
+    # byte_tables[b][x]: the OR of flat[8b + j] over the bits j of x
+    spread = np.array(flat, dtype=dtype).reshape(n_bytes, 1, 8)
+    byte_tables = np.bitwise_or.reduce(np.where(_BYTE_BITS, spread, 0), axis=2)
+    h = np.zeros(1 << n, dtype=dtype)
+    lanes = [rep << u for u in range(n)]
+    h[1 << np.arange(n)] = np.array(lanes, dtype=dtype)
+    full = (1 << n) - 1
+    reaches = [[0, full] for _ in range(m)]
+    for k in range(2, n + 1):
+        level = _level(n, k - 1)
+        words = h[level]
+        live = words != 0
+        frontier = level[live]
+        words = words[live]
+        new = byte_tables[0][words & 0xFF]
+        for b in range(1, n_bytes):
+            new |= byte_tables[b][(words >> (8 * b)) & 0xFF]
+        new &= ~(frontier.astype(dtype) * dtype(rep))
+        # only the sets that gain a start push
+        grows = new != 0
+        frontier = frontier[grows]
+        if not frontier.size:
+            break  # no path on k vertices, so none on more
+        new = new[grows]
+        seen = int(np.bitwise_or.reduce(new))
+        for i, reach in enumerate(reaches):
+            # a table without a k-vertex path has none on more, so its
+            # list has already stopped
+            if starts := (seen >> (i * n)) & full:
+                reach.append(starts)
+        for u, lane in enumerate(lanes):
+            if seen & lane:
+                h[frontier | (1 << u)] |= new & lane
+    return h, reaches
+
+
+def _lazy_fill(n: int, in_masks: list[list[int]]) -> Callable[[], tuple[np.ndarray, list]]:
+    """``_packed_fill(n, in_masks)``, run on the first call and kept."""
+    return functools.cache(lambda: _packed_fill(n, in_masks))
+
+
 def _longest_at(reach: list[int], i: int) -> int:
     """Longest path from (or to) position i, given a table's level ORs."""
     # a path on k vertices from (or to) i shortens to one on k - 1
@@ -221,14 +299,19 @@ class SubsetPathOracle:
     """Exact longest-directed-path queries inside one vertex subset.
 
     Over the allowed-colored edges of the tournament restricted to the
-    subset, ``h[S]`` is a uint32 endpoint mask: bit v is set iff some
-    directed path with vertex set exactly S starts at v.  The table has one
-    word per vertex set, 2^n words (16 MB at the 22-vertex cap, where a
-    2^n x n bool table takes 92 MB).  The mirrored table, for paths ending
-    at a vertex, is the same table built on the reversed orientation.  Both
-    tables are built on the first query that reads them, so a caller that
-    asks only about starts, or only about ends, builds one.  A build visits
-    only the vertex sets that carry a path, plus one scan per level.
+    subset, the start table holds one endpoint mask per vertex set S: bit
+    v is set iff some directed path with vertex set exactly S starts at v.
+    The mirrored end table, for paths ending at a vertex, is the same
+    table built on the reversed orientation.  A table lives in bits
+    [shift, shift + n) of the words of a packed pass (``_packed_fill``):
+    one word per vertex set, 2^n words.  A lone oracle's pass holds one
+    table, in uint32 words (16 MB at the 22-vertex cap, where a 2^n x n
+    bool table takes 92 MB).  ``packed`` lets floor(64/n) oracles on one
+    vertex set share a pass, whose words are uint64 once the tables take
+    more than 32 bits (32 MB at the cap, for two tables).  Each table is
+    built on the first query that reads it, so a caller that asks only
+    about starts, or only about ends, builds one.  A build visits only the
+    vertex sets that carry a path, plus one scan per level.
     """
 
     def __init__(
@@ -243,68 +326,64 @@ class SubsetPathOracle:
             raise ValueError("the vertex subset must be nonempty")
         if n > EXACT_VERTEX_CAP:
             raise ValueError(f"{n} vertices exceed the exact-DP cap of {EXACT_VERTEX_CAP}")
+        dup = next((a for a, b in zip(self.labels, self.labels[1:]) if a == b), None)
+        if dup is not None:
+            raise ValueError(f"vertex {dup} listed twice")
         self.n = n
         self._pos = {v: i for i, v in enumerate(self.labels)}
-        # _adj[u] bit v set iff u -> v with an allowed color; _radj reversed
-        self._adj, self._radj = t.allowed_masks(self.labels, frozenset(allowed))
-        # (table, reach) per direction, built on first use
-        self._start: tuple[np.ndarray, list[int]] | None = None
-        self._end: tuple[np.ndarray, list[int]] | None = None
+        # _masks[False][u] bit v set iff u -> v with an allowed color;
+        # _masks[True] is the reversed orientation
+        self._masks = t.allowed_masks(self.labels, frozenset(allowed))
+        # per direction (starts, ends): the pass that fills the table, as a
+        # cached call, and the table's index in it; set by ``packed`` or on
+        # first use
+        self._passes: list[tuple[Callable, int] | None] = [None, None]
 
-    def _build(self, adj: list[int]) -> tuple[np.ndarray, list[int]]:
-        """The endpoint-mask table over ``adj``, and its per-level ORs.
+    @classmethod
+    def packed(
+        cls,
+        t: ColoredTournament,
+        allowed_sets: Sequence[frozenset[int]],
+        vertices: Sequence[int] | None = None,
+        ends: bool = False,
+    ) -> Iterator["SubsetPathOracle"]:
+        """One oracle per allowed color set, in order, on one vertex subset.
 
-        ``reach[k]`` has bit v set iff some k-vertex path starts at v; the
-        list stops before the first empty level, so its last index is the
-        longest path length.  Level k is pushed from the frontier of level
-        k - 1, the sets S whose word is nonzero: u starts a path on S + {u}
-        iff u is outside S and has an edge to a start of a path on S.  For
-        one u the targets S + {u} are distinct, so a fancy-index OR writes
-        them all.  Sets that carry no path are scanned once and never read
-        again.
+        The start (or, with ``ends``, end) tables of floor(64/n) oracles in
+        a row share one packed pass, run on the first read of any of them.
+        A batch is made when its first oracle is asked for, so a caller
+        that drops each oracle before taking the next holds one pass at a
+        time.
         """
-        n = self.n
-        h = np.zeros(1 << n, dtype=np.uint32)
-        bits = 1 << np.arange(n, dtype=np.intp)
-        h[bits] = bits
-        reach = [0, (1 << n) - 1]
-        for k in range(2, n + 1):
-            level = _level(n, k - 1)
-            frontier = level[h[level] != 0]
-            words = h[frontier]
-            seen = 0
-            for u, out in enumerate(adj):
-                bit = 1 << u
-                hit = frontier[((frontier & bit) == 0) & ((words & out) != 0)]
-                if hit.size:
-                    hit |= bit
-                    h[hit] |= bit
-                    seen |= bit
-            if not seen:
-                break  # no path on k vertices, so none on more
-            reach.append(seen)
-        return h, reach
+        n = len(vertices if vertices is not None else t.vertices)
+        per_pass = max(1, 64 // max(n, 1))  # an empty or oversized subset raises below
+        for lo in range(0, len(allowed_sets), per_pass):
+            batch = [cls(t, allowed, vertices) for allowed in allowed_sets[lo : lo + per_pass]]
+            fill = _lazy_fill(n, [oracle._masks[not ends] for oracle in batch])
+            for j, oracle in enumerate(batch):
+                oracle._passes[ends] = (fill, j)
+            yield from batch
 
-    def _start_table(self) -> tuple[np.ndarray, list[int]]:
-        if self._start is None:
-            self._start = self._build(self._adj)
-        return self._start
-
-    def _end_table(self) -> tuple[np.ndarray, list[int]]:
-        if self._end is None:
-            self._end = self._build(self._radj)
-        return self._end
+    def _table(self, ends: bool) -> tuple[np.ndarray, int, list[int]]:
+        """(words, shift, reach) of the start (or end) table, built on first use."""
+        if self._passes[ends] is None:
+            # a start table reads in-masks, the reversed orientation's out-masks
+            self._passes[ends] = (_lazy_fill(self.n, [self._masks[not ends]]), 0)
+        fill, j = self._passes[ends]
+        words, reaches = fill()
+        return words, j * self.n, reaches[j]
 
     def longest(self) -> int:
-        # both directions give the same length, so read whichever is built
-        _, reach = self._start or self._end or self._start_table()
-        return len(reach) - 1
+        # both directions give the same length: read the end table when
+        # only it is built or batched
+        ends = self._passes[0] is None and self._passes[1] is not None
+        return len(self._table(ends)[2]) - 1
 
     def longest_from(self, v: int) -> int:
-        return _longest_at(self._start_table()[1], self._pos[v])
+        return _longest_at(self._table(False)[2], self._pos[v])
 
     def longest_to(self, v: int) -> int:
-        return _longest_at(self._end_table()[1], self._pos[v])
+        return _longest_at(self._table(True)[2], self._pos[v])
 
     def lengths_from(self) -> dict[int, int]:
         return {v: self.longest_from(v) for v in self.labels}
@@ -312,18 +391,21 @@ class SubsetPathOracle:
     def lengths_to(self) -> dict[int, int]:
         return {v: self.longest_to(v) for v in self.labels}
 
-    def _path(self, table: np.ndarray, reach: list[int], adj: list[int], i: int) -> list[int]:
-        """A longest path from i in ``table``, as positions.
+    def _path(self, ends: bool, i: int) -> list[int]:
+        """A longest path from i in the start (or end) table, as positions.
 
         The vertex set is the least in value among the optimal ones; each
         step goes to the smallest admissible next vertex.
         """
+        words, shift, reach = self._table(ends)
+        adj = self._masks[ends]
         level = _level(self.n, _longest_at(reach, i))
-        mask = int(level[np.argmax(table[level] & (1 << i) != 0)])
+        mask = int(level[np.argmax(words[level] & (1 << (i + shift)) != 0)])
         seq = [i]
         while mask != 1 << i:
             mask ^= 1 << i
-            nxt = adj[i] & int(table[mask])
+            # adj[i] has n bits, so it drops the other tables of the word
+            nxt = adj[i] & (int(words[mask]) >> shift)
             if not nxt:  # pragma: no cover - table construction guarantees a step
                 raise RuntimeError("corrupt path table")
             i = (nxt & -nxt).bit_length() - 1
@@ -332,27 +414,24 @@ class SubsetPathOracle:
 
     def path_from(self, v: int) -> tuple[int, ...]:
         """A longest path starting at v (deterministic choice among optima)."""
-        table, reach = self._start_table()
-        seq = self._path(table, reach, self._adj, self._pos[v])
-        return tuple(self.labels[u] for u in seq)
+        return tuple(self.labels[u] for u in self._path(False, self._pos[v]))
 
     def path_to(self, v: int) -> tuple[int, ...]:
         """A longest path ending at v (deterministic choice among optima)."""
-        table, reach = self._end_table()
-        seq = self._path(table, reach, self._radj, self._pos[v])
-        return tuple(self.labels[u] for u in reversed(seq))
+        return tuple(self.labels[u] for u in reversed(self._path(True, self._pos[v])))
 
     def lex_least_longest(self) -> tuple[int, ...]:
         """The lexicographically least vertex sequence among all optima."""
-        table, reach = self._start_table()
+        words, shift, reach = self._table(False)
+        full = (1 << self.n) - 1
         path: list[int] = []
         used = 0
         for rem in range(len(reach) - 1, 0, -1):
             level = _level(self.n, rem)
             # starts of rem-vertex paths that avoid the vertices placed so far
-            starts = int(np.bitwise_or.reduce(table[level[(level & used) == 0]]))
+            starts = (int(np.bitwise_or.reduce(words[level[(level & used) == 0]])) >> shift) & full
             if path:
-                starts &= self._adj[path[-1]]
+                starts &= self._masks[False][path[-1]]
             if not starts:  # pragma: no cover - feasibility is exact
                 raise RuntimeError("reconstruction failed")
             c = (starts & -starts).bit_length() - 1

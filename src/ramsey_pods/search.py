@@ -328,10 +328,9 @@ def _restricted_value_directed(t: ColoredTournament, r: int) -> int:
     if r >= t.q:
         # any Hamiltonian path in a tournament realizes N, and one always exists
         return t.n_vertices
-    return max(
-        SubsetPathOracle(t, frozenset(s)).longest()
-        for s in itertools.combinations(range(1, t.q + 1), r)
-    )
+    subsets = [frozenset(s) for s in itertools.combinations(range(1, t.q + 1), r)]
+    # the subsets' tables share packed passes, 64 // N tables to a pass
+    return max(oracle.longest() for oracle in SubsetPathOracle.packed(t, subsets))
 
 
 # the room bound's grid [v]^t holds at most this many points; a search whose

@@ -1,18 +1,24 @@
-"""The oracle's frontier fill against a dense reference fill.
+"""The oracle's frontier fill against a dense reference fill, and packed passes.
 
 ``_pull_fill`` is the dense level fill the frontier push replaced: every
 vertex set of a level pulls, for every v, the word of the set without v.
-Both must give the same endpoint-mask table, word for word, and the same
-per-level reach list, in each direction.  The laziness tests count table
-builds: each caller builds only the direction it reads.
+A lone oracle's table must equal it, word for word, with the same
+per-level reach list, in each direction.  A packed pass
+(``SubsetPathOracle.packed``) must give every table it holds exactly the
+words and reach list of that table built alone.  The laziness tests count
+packed passes and the tables in each: each caller builds only the
+direction it reads.
 """
 
 import random
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ramsey_pods import decomposition
+from ramsey_pods import decomposition, paths
 from ramsey_pods.constructions import canonical_coloring, lex_product
 from ramsey_pods.paths import SubsetPathOracle, _level
 from ramsey_pods.tournament import (
@@ -77,11 +83,10 @@ def _dense_cases():
 
 def _assert_same_tables(t, allowed, subset):
     oracle = SubsetPathOracle(t, frozenset(allowed), subset)
-    for table, reach, adj in (
-        (*oracle._start_table(), oracle._adj),
-        (*oracle._end_table(), oracle._radj),
-    ):
-        want, want_reach = _pull_fill(oracle.n, adj)
+    for ends in (False, True):
+        table, shift, reach = oracle._table(ends)
+        want, want_reach = _pull_fill(oracle.n, oracle._masks[ends])
+        assert shift == 0  # a lone oracle's pass holds its table alone
         assert table.dtype == want.dtype
         assert np.array_equal(table, want)
         assert reach == want_reach
@@ -98,7 +103,7 @@ def test_frontier_fill_matches_pull_fill(name, t, allowed, subset):
 def test_fill_that_stops_early():
     t = _flipped(random_ordered_coloring(18, 2, seed=1).as_tournament(), 2, 1)
     oracle = _assert_same_tables(t, {1}, None)
-    start, reach = oracle._start_table()
+    start, _, reach = oracle._table(False)
     assert oracle.longest() < oracle.n  # the fill stopped at an empty level
     # no word past the longest path's level was ever written
     sizes = np.bitwise_count(np.arange(start.size, dtype=np.intp))
@@ -106,47 +111,60 @@ def test_fill_that_stops_early():
 
 
 @pytest.fixture()
-def builds(monkeypatch):
-    """Counts SubsetPathOracle table builds."""
-    count = [0]
-    raw = SubsetPathOracle._build
+def passes(monkeypatch):
+    """Records each packed pass as (vertices, in-masks of its tables)."""
+    seen = []
+    raw = paths._packed_fill
 
-    def counting(self, adj):
-        count[0] += 1
-        return raw(self, adj)
+    def recording(n, in_masks):
+        seen.append((n, [list(masks) for masks in in_masks]))
+        return raw(n, in_masks)
 
-    monkeypatch.setattr(SubsetPathOracle, "_build", counting)
-    return count
+    monkeypatch.setattr(paths, "_packed_fill", recording)
+    return seen
+
+
+def _shapes(passes):
+    """(vertices, tables) per recorded pass."""
+    return [(n, len(in_masks)) for n, in_masks in passes]
 
 
 @pytest.mark.parametrize("incoming", [True, False])
-def test_a_half_builds_only_the_table_it_reads(builds, incoming):
+def test_a_half_builds_only_the_table_it_reads(passes, incoming):
     t = random_tournament(14, 3, seed=2)
     half = tuple(range(1, 15))
-    lengths, path = decomposition._half_endpoint_data(
-        t, frozenset({1, 2}), half, incoming
-    )
-    assert builds[0] == 1
-    for v in sorted(half, key=lambda v: (-lengths[v], v))[:3]:
-        seq = path(v)
-        assert len(seq) == lengths[v] and seq[-1 if incoming else 0] == v
-    assert builds[0] == 1
+    data = decomposition._half_endpoint_data(t, half, incoming, 3)
+    # one pass holds the three colors' tables of the direction read: an end
+    # table reads out-masks, a start table in-masks
+    allowed_sets = [frozenset({1, 2, 3}) - {i} for i in (1, 2, 3)]
+    assert passes == [
+        (14, [t.allowed_masks(half, allowed)[0 if incoming else 1] for allowed in allowed_sets])
+    ]
+    assert len(data) == 3
+    for lengths, ranked, paths_by_end in data:
+        assert ranked == tuple(sorted(half, key=lambda v: (-lengths[v], v))[:3])
+        for v in ranked:
+            seq = paths_by_end[v]
+            assert len(seq) == lengths[v] and seq[-1 if incoming else 0] == v
+    assert len(passes) == 1
 
 
-def test_classify_colors_builds_one_table_per_half_and_color(builds):
+def test_classify_colors_builds_one_table_per_half_and_color(passes):
     n, q = 32, 3
     t = random_tournament(n, q, seed=4)
     order = tuple(range(1, n + 1))
     decomposition.classify_colors(t, order, 2)
-    assert builds[0] == 2 * q  # halves of 16 vertices; the whole is above the cap
+    # halves of 16 vertices, whose q tables fit one pass each; the whole
+    # is above the cap
+    assert _shapes(passes) == [(16, q), (16, q)]
 
 
-def test_classify_colors_builds_no_whole_node_table(builds):
+def test_classify_colors_builds_no_whole_node_table(passes):
     # the whole node is below the cap, but only the halves' tables are read
     n, q = 20, 3
     t = random_tournament(n, q, seed=6)
     decomposition.classify_colors(t, tuple(range(1, n + 1)), 1)
-    assert builds[0] == 2 * q
+    assert _shapes(passes) == [(10, q), (10, q)]
 
 
 def test_classify_colors_levels_only_the_halves(monkeypatch):
@@ -164,22 +182,22 @@ def test_classify_colors_levels_only_the_halves(monkeypatch):
     assert calls == [23] * (2 * q)
 
 
-def test_exact_node_builds_one_table(builds):
+def test_exact_node_builds_one_table(passes):
     t = random_tournament(12, 2, seed=9)
     oracle = SubsetPathOracle(t, frozenset({1}))
-    assert builds[0] == 0  # nothing is built before a query
+    assert passes == []  # nothing is built before a query
     oracle.lex_least_longest()
     oracle.longest()
-    assert builds[0] == 1
+    assert _shapes(passes) == [(12, 1)]
     oracle.lengths_to()
-    assert builds[0] == 2
+    assert _shapes(passes) == [(12, 1)] * 2
     ends_only = SubsetPathOracle(t, frozenset({1}))
     ends_only.path_to(1)
     assert ends_only.longest() == oracle.longest()
-    assert builds[0] == 3  # longest() reads the end table already built
+    assert _shapes(passes) == [(12, 1)] * 3  # longest() reads the end table already built
 
 
-def test_exact_recursion_node_builds_one_table_per_color(builds):
+def test_exact_recursion_node_builds_one_table_per_color(passes):
     """One table per color, up to the first color whose path covers every vertex."""
     cases = [
         # avoiding-path lengths [13, 13, 13]: color 1 covers every vertex
@@ -190,6 +208,117 @@ def test_exact_recursion_node_builds_one_table_per_color(builds):
         (canonical_coloring(3, 2).as_tournament(), 3),
     ]
     for t, expected in cases:
-        builds[0] = 0
+        passes.clear()
         decomposition.recursive_color_avoiding(t)
-        assert builds[0] == expected
+        assert _shapes(passes) == [(t.n_vertices, 1)] * expected
+
+
+# ---------------------------------------------------------------------------
+# packed passes against one build per table
+
+
+def _avoiding(q: int) -> list[frozenset[int]]:
+    palette = frozenset(range(1, q + 1))
+    return [palette - {i} for i in range(1, q + 1)]
+
+
+def _assert_packed_matches_lone(t, allowed_sets, subset, ends):
+    """Every table of the packed oracles equals the same table built alone."""
+    reaches = []
+    for allowed, oracle in zip(
+        allowed_sets, SubsetPathOracle.packed(t, allowed_sets, subset, ends=ends), strict=True
+    ):
+        words, shift, reach = oracle._table(ends)
+        fill, _ = oracle._passes[ends]
+        tables_in_pass = len(fill()[1])
+        assert words.dtype == (np.uint32 if tables_in_pass * oracle.n <= 32 else np.uint64)
+        table = ((words >> shift) & ((1 << oracle.n) - 1)).astype(np.uint32)
+        want, _, want_reach = SubsetPathOracle(t, allowed, subset)._table(ends)
+        assert np.array_equal(table, want), sorted(allowed)
+        assert reach == want_reach, sorted(allowed)
+        reaches.append(reach)
+    return reaches
+
+
+@pytest.mark.parametrize("ends", [False, True])
+def test_a_pass_of_exactly_64_bits(passes, ends):
+    t = random_tournament(16, 4, seed=11)
+    _assert_packed_matches_lone(t, _avoiding(4), None, ends)
+    assert _shapes(passes)[0] == (16, 4)  # 4 * 16 bits fill the uint64 words
+
+
+@pytest.mark.parametrize("ends", [False, True])
+@pytest.mark.parametrize("n,shapes", [(21, [(21, 3)]), (22, [(22, 2), (22, 1)])])
+def test_passes_at_the_cap(passes, ends, n, shapes):
+    # near-transitive, so the tables stay sparse and the test fast
+    t = _flipped(random_ordered_coloring(n, 3, seed=n).as_tournament(), n // 8, n)
+    _assert_packed_matches_lone(t, _avoiding(3), None, ends)
+    assert _shapes(passes)[: len(shapes)] == shapes
+
+
+@pytest.mark.parametrize("ends", [False, True])
+def test_five_colors_on_thirteen_vertices_take_two_passes(passes, ends):
+    t = random_tournament(13, 5, seed=12)
+    _assert_packed_matches_lone(t, _avoiding(5), None, ends)
+    assert _shapes(passes)[:2] == [(13, 4), (13, 1)]
+
+
+@pytest.mark.parametrize("ends", [False, True])
+def test_a_pass_on_one_vertex(ends):
+    t = ColoredTournament(1, 3, [])
+    reaches = _assert_packed_matches_lone(t, _avoiding(3) + [frozenset()], None, ends)
+    assert reaches == [[0, 1]] * 4
+
+
+@pytest.mark.parametrize("ends", [False, True])
+def test_tables_whose_levels_end_apart(ends):
+    # a transitive tournament: each avoided color leaves its own longest path
+    t = random_ordered_coloring(15, 3, seed=2).as_tournament()
+    reaches = _assert_packed_matches_lone(t, _avoiding(3) + [frozenset({1})], None, ends)
+    assert len({len(reach) for reach in reaches}) > 1
+
+
+@pytest.mark.parametrize("ends", [False, True])
+def test_a_pass_on_a_vertex_subset(ends):
+    t = random_tournament(20, 3, seed=13)
+    subset = tuple(range(3, 21, 2))
+    _assert_packed_matches_lone(t, _avoiding(3) + [frozenset({2})], subset, ends)
+
+
+def test_packed_oracles_hold_one_pass_at_a_time():
+    t = random_tournament(13, 5, seed=12)
+    oracles = SubsetPathOracle.packed(t, _avoiding(5))
+    first = [next(oracles) for _ in range(4)]  # the first pass's four tables
+    lengths = [oracle.longest() for oracle in first]
+    words = weakref.ref(first[0]._table(False)[0])
+    del first
+    last = next(oracles)  # the second pass is made, not yet filled
+    assert words() is None
+    assert last.longest() == SubsetPathOracle(t, _avoiding(5)[4]).longest()
+    assert lengths == [SubsetPathOracle(t, a).longest() for a in _avoiding(5)[:4]]
+
+
+@st.composite
+def _packed_cases(draw):
+    n = draw(st.integers(1, 9))
+    q = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10**6))
+    t = random_tournament(n, q, seed=seed)
+    palette = list(range(1, q + 1))
+    allowed_sets = draw(
+        st.lists(st.frozensets(st.sampled_from(palette)), min_size=1, max_size=9)
+    )
+    subset = draw(st.lists(st.sampled_from(t.vertices), min_size=1, unique=True))
+    return t, allowed_sets, tuple(subset), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_packed_cases())
+def test_packed_passes_match_lone_tables(case):
+    t, allowed_sets, subset, ends = case
+    _assert_packed_matches_lone(t, allowed_sets, subset, ends)
+    for allowed in allowed_sets:
+        oracle = SubsetPathOracle(t, allowed, subset)
+        table, _, reach = oracle._table(ends)
+        want, want_reach = _pull_fill(oracle.n, oracle._masks[ends])
+        assert np.array_equal(table, want) and reach == want_reach

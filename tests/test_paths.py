@@ -189,3 +189,11 @@ def test_subset_oracle_respects_subset():
 def test_subset_oracle_rejects_empty_subset():
     with pytest.raises(ValueError):
         SubsetPathOracle(random_tournament(4, 2, seed=0), frozenset({1}), vertices=())
+
+
+def test_subset_oracle_rejects_a_repeated_label():
+    # on the 3-cycle 1 -> 2 -> 3 -> 1 a repeated 1 would close the cycle
+    # into the "path" (1, 2, 3, 1) of length 4
+    cycle = ColoredTournament(3, 1, [(1, 2, 1), (2, 3, 1), (3, 1, 1)])
+    with pytest.raises(ValueError, match="vertex 1 listed twice"):
+        SubsetPathOracle(cycle, {1}, [1, 1, 2, 3]).lex_least_longest()

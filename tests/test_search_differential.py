@@ -147,7 +147,7 @@ def _check_prefix(tables, subsets, arcs: dict, q: int, k: int) -> None:
     prefix = ColoredTournament(k, q, [a for (i, j), a in arcs.items() if j <= k])
     for s, h in zip(subsets, tables._h):
         oracle = SubsetPathOracle(prefix, s)
-        table, _ = oracle._start_table()
+        table, _, _ = oracle._table(False)
         assert h[: 1 << k] == [int(w) for w in table], (sorted(s), k)
 
 
