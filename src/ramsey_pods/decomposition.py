@@ -22,9 +22,10 @@ re-validated, never trusted.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -316,55 +317,53 @@ def merged_color_baseline(t: ColoredTournament) -> tuple[int, PathCertificate]:
 
 @dataclass(frozen=True)
 class ColorClassification:
-    """Interval split and ranked endpoint sets per avoided color.
+    """The two halves around the midpoint and their ranked endpoint paths.
 
-    ``ell_in[i][v]`` is the (exact or estimated) length of the longest
-    i-avoiding path inside the left half ending at v, ``x_sets[i]`` the s
-    best such endpoints; mirrored for the right half.  Paths witnessing the
-    recorded lengths are kept for every ranked endpoint.  The four intervals
-    split the order A|B|C|D, the left half being A|B.
+    The order is cut into A|B|C|D with |B| = |C| = 4s around the midpoint;
+    ``left`` is A|B and ``right`` is C|D.  Per avoided color i,
+    ``ends[i]`` maps each of the s best-ranked ends of i-avoiding paths in
+    ``left`` that lies in B to one path of its ranked length ending there,
+    and ``starts[i]`` maps each of the s best-ranked starts of paths in
+    ``right`` that lies in C to one starting there
+    (``_half_endpoint_data``).
     """
 
-    interval_a: tuple[int, ...]
-    interval_b: tuple[int, ...]
-    interval_c: tuple[int, ...]
-    interval_d: tuple[int, ...]
-    x_sets: dict[int, tuple[int, ...]]
-    y_sets: dict[int, tuple[int, ...]]
-    ell_in: dict[int, dict[int, int]] = field(repr=False)
-    ell_out: dict[int, dict[int, int]] = field(repr=False)
-    in_paths: dict[int, dict[int, tuple[int, ...]]] = field(repr=False)
-    out_paths: dict[int, dict[int, tuple[int, ...]]] = field(repr=False)
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    ends: dict[int, dict[int, tuple[int, ...]]]
+    starts: dict[int, dict[int, tuple[int, ...]]]
 
 
 def _half_endpoint_data(t: ColoredTournament, half: tuple[int, ...], incoming: bool, s: int):
-    """Per avoided color of ``t``'s palette, ascending: (lengths, ranked, paths).
+    """Per avoided color of ``t``'s palette, ascending: {endpoint: path}.
 
-    ``lengths[v]`` is the length of the longest path in ``half`` that avoids
-    the color and ends (or, unless ``incoming``, starts) at v; ``ranked``
-    holds the s best endpoints, ties broken by label ascending, and
-    ``paths`` one such path for each of them.  Lengths are exact up to
-    ``EXACT_VERTEX_CAP`` vertices, where the colors' tables share packed
-    passes (``SubsetPathOracle.packed``), and level-method estimates above
-    it.
+    Endpoints rank by the length of the longest path in ``half`` that
+    avoids the color and ends (or, unless ``incoming``, starts) at them,
+    longest first, ties broken by label ascending.  Of the s best, those
+    among the 4s vertices of ``half`` next to the midpoint (its last 4s
+    when ``incoming``, else its first 4s) are kept, each with one such
+    path.  Lengths are exact up to ``EXACT_VERTEX_CAP`` vertices, where
+    the colors' tables share packed passes (``SubsetPathOracle.packed``),
+    and level-method estimates above it.
     """
     palette = frozenset(range(1, t.q + 1))
     allowed_sets = [palette - {i} for i in range(1, t.q + 1)]
+    near = set(half[-4 * s :] if incoming else half[: 4 * s])
 
-    def rank(lengths, path):
-        ranked = tuple(sorted(half, key=lambda v: (-lengths[v], v))[:s])
-        return lengths, ranked, {v: path(v) for v in ranked}
+    def kept(lengths, path):
+        ranked = sorted(half, key=lambda v: (-lengths[v], v))[:s]
+        return {v: path(v) for v in ranked if v in near}
 
     if len(half) <= EXACT_VERTEX_CAP:
         # each oracle is read before the next is taken, so one pass at a
         # time stays in memory
         return [
-            rank(oracle.lengths_to(), oracle.path_to)
+            kept(oracle.lengths_to(), oracle.path_to)
             if incoming
-            else rank(oracle.lengths_from(), oracle.path_from)
-            for oracle in SubsetPathOracle.packed(t, allowed_sets, half, ends=incoming)
+            else kept(oracle.lengths_from(), oracle.path_from)
+            for oracle in SubsetPathOracle.packed(t, allowed_sets, half)
         ]
-    return [rank(*_level_endpoints(t, allowed, half, incoming)) for allowed in allowed_sets]
+    return [kept(*_level_endpoints(t, allowed, half, incoming)) for allowed in allowed_sets]
 
 
 def _level_endpoints(t, allowed, half: tuple[int, ...], incoming: bool):
@@ -379,13 +378,14 @@ def _level_endpoints(t, allowed, half: tuple[int, ...], incoming: bool):
 
 
 def classify_colors(t: ColoredTournament, order, s: int) -> ColorClassification:
-    """Rank endpoint sets per avoided color over four intervals.
+    """Split the order into halves and keep their ranked endpoints near the midpoint.
 
     ``s`` is the ranking size (the finder takes it from ``_scale``).  The
     order is cut into A|B|C|D with |B| = |C| = 4s around the midpoint;
     requires at least 16s vertices.  Per color of ``t``'s palette, one
-    endpoint table for each half: the s best ends of paths in A|B and the
-    s best starts of paths in C|D.  A half of at most ``EXACT_VERTEX_CAP``
+    endpoint table for each half: of the s best ends of paths in A|B those
+    in B, and of the s best starts of paths in C|D those in C
+    (``_half_endpoint_data``).  A half of at most ``EXACT_VERTEX_CAP``
     vertices fills its q tables in ceil(q / floor(64/n)) packed passes, one
     at a time.  Endpoint ranking ties break by vertex label ascending.
     """
@@ -395,32 +395,13 @@ def classify_colors(t: ColoredTournament, order, s: int) -> ColorClassification:
         raise DegenerateScale(f"{n} vertices < 16s = {16 * s}")
     if sorted(order) != sorted(t.vertices):
         raise ValueError("order must be a permutation of the vertex set")
-    h = n // 2
-    interval_a = order[: h - 4 * s]
-    interval_b = order[h - 4 * s : h]
-    interval_c = order[h : h + 4 * s]
-    interval_d = order[h + 4 * s :]
+    left, right = order[: n // 2], order[n // 2 :]
     colors = range(1, t.q + 1)
-    # per half, three dicts keyed by color: lengths, ranked endpoints, paths
-    ell_in, x_sets, in_paths = (
-        dict(zip(colors, column))
-        for column in zip(*_half_endpoint_data(t, interval_a + interval_b, True, s))
-    )
-    ell_out, y_sets, out_paths = (
-        dict(zip(colors, column))
-        for column in zip(*_half_endpoint_data(t, interval_c + interval_d, False, s))
-    )
     return ColorClassification(
-        interval_a=interval_a,
-        interval_b=interval_b,
-        interval_c=interval_c,
-        interval_d=interval_d,
-        x_sets=x_sets,
-        y_sets=y_sets,
-        ell_in=ell_in,
-        ell_out=ell_out,
-        in_paths=in_paths,
-        out_paths=out_paths,
+        left=left,
+        right=right,
+        ends=dict(zip(colors, _half_endpoint_data(t, left, True, s))),
+        starts=dict(zip(colors, _half_endpoint_data(t, right, False, s))),
     )
 
 
@@ -434,30 +415,21 @@ def build_gluing(
     """Ranked left and right paths glued across the midpoint, per color.
 
     For each avoided color i, takes the first forward non-i edge v -> w, in
-    label order of (v, w), from a ranked left endpoint v in B to a ranked
-    right start w in C; every vertex of B precedes every vertex of C in the
-    order.  The glued path is v's ranked path followed by w's, with
-    ``ell_in[i][v] + ell_out[i][w]`` vertices.  A color with no such edge
-    gives no path.  Returns the (color, certificate) pairs, colors
-    ascending.
+    label order of (v, w), from a kept end v in B (``ends[i]``) to a kept
+    start w in C (``starts[i]``); every vertex of B precedes every vertex
+    of C in the order.  The glued path is v's ranked path followed by w's.
+    A color with no such edge gives no path.  Returns the (color,
+    certificate) pairs, colors ascending.
     """
-    b_set = set(classification.interval_b)
-    c_set = set(classification.interval_c)
     glued = []
     for i in range(1, t.q + 1):
-        xs = sorted(v for v in classification.x_sets[i] if v in b_set)
-        ys = sorted(w for w in classification.y_sets[i] if w in c_set)
-        hit = next(
-            ((v, w) for v in xs for w in ys if t.has_edge(v, w) and t.color(v, w) != i),
-            None,
-        )
+        ends, starts = classification.ends[i], classification.starts[i]
+        pairs = itertools.product(sorted(ends), sorted(starts))
+        hit = next(((v, w) for v, w in pairs if t.has_edge(v, w) and t.color(v, w) != i), None)
         if hit is None:
             continue
         v, w = hit
-        verts = classification.in_paths[i][v] + classification.out_paths[i][w]
-        cert = PathCertificate("directed", PathConstraint(avoid=i), verts)
-        assert cert.length == classification.ell_in[i][v] + classification.ell_out[i][w]
-        glued.append((i, cert))
+        glued.append((i, PathCertificate("directed", PathConstraint(avoid=i), ends[v] + starts[w])))
     return glued
 
 
@@ -544,10 +516,7 @@ def recursive_color_avoiding(
             classification = None
 
     if classification is not None:
-        halves = (
-            classification.interval_a + classification.interval_b,
-            classification.interval_c + classification.interval_d,
-        )
+        halves = (classification.left, classification.right)
         for i, cert in build_gluing(sub_t, classification):
             candidates.append((i, cert, "case1"))
     else:

@@ -302,16 +302,17 @@ class SubsetPathOracle:
     subset, the start table holds one endpoint mask per vertex set S: bit
     v is set iff some directed path with vertex set exactly S starts at v.
     The mirrored end table, for paths ending at a vertex, is the same
-    table built on the reversed orientation.  A table lives in bits
-    [shift, shift + n) of the words of a packed pass (``_packed_fill``):
-    one word per vertex set, 2^n words.  A lone oracle's pass holds one
-    table, in uint32 words (16 MB at the 22-vertex cap, where a 2^n x n
-    bool table takes 92 MB).  ``packed`` lets floor(64/n) oracles on one
-    vertex set share a pass, whose words are uint64 once the tables take
-    more than 32 bits (32 MB at the cap, for two tables).  Each table is
-    built on the first query that reads it, so a caller that asks only
-    about starts, or only about ends, builds one.  A build visits only the
-    vertex sets that carry a path, plus one scan per level.
+    table built on the reversed orientation.  Each direction's table lives
+    in bits [shift, shift + n) of the words of its own packed pass
+    (``_packed_fill``): one word per vertex set, 2^n words.  A lone oracle
+    is a batch of one, whose passes hold one table each, in uint32 words
+    (16 MB at the 22-vertex cap, where a 2^n x n bool table takes 92 MB).
+    ``packed`` lets floor(64/n) oracles on one vertex set share one pass
+    per direction, whose words are uint64 once the tables take more than
+    32 bits (32 MB at the cap, for two tables).  A pass runs on the first
+    query that reads it, so a caller that asks only about starts, or only
+    about ends, builds one.  A build visits only the vertex sets that
+    carry a path, plus one scan per level.
     """
 
     def __init__(
@@ -335,9 +336,9 @@ class SubsetPathOracle:
         # _masks[True] is the reversed orientation
         self._masks = t.allowed_masks(self.labels, frozenset(allowed))
         # per direction (starts, ends): the pass that fills the table, as a
-        # cached call, and the table's index in it; set by ``packed`` or on
-        # first use
-        self._passes: list[tuple[Callable, int] | None] = [None, None]
+        # cached call, and the table's index in it; ``packed`` shares them.
+        # A start table reads in-masks, the reversed orientation's out-masks
+        self._passes = [(_lazy_fill(n, [self._masks[not ends]]), 0) for ends in (False, True)]
 
     @classmethod
     def packed(
@@ -345,39 +346,33 @@ class SubsetPathOracle:
         t: ColoredTournament,
         allowed_sets: Sequence[frozenset[int]],
         vertices: Sequence[int] | None = None,
-        ends: bool = False,
     ) -> Iterator["SubsetPathOracle"]:
         """One oracle per allowed color set, in order, on one vertex subset.
 
-        The start (or, with ``ends``, end) tables of floor(64/n) oracles in
-        a row share one packed pass, run on the first read of any of them.
-        A batch is made when its first oracle is asked for, so a caller
-        that drops each oracle before taking the next holds one pass at a
-        time.
+        Per direction, the tables of floor(64/n) oracles in a row share one
+        packed pass, run on the first read of any of them.  A batch is made
+        when its first oracle is asked for, so a caller that reads one
+        direction and drops each oracle before taking the next holds one
+        pass at a time.
         """
         n = len(vertices if vertices is not None else t.vertices)
         per_pass = max(1, 64 // max(n, 1))  # an empty or oversized subset raises below
         for lo in range(0, len(allowed_sets), per_pass):
             batch = [cls(t, allowed, vertices) for allowed in allowed_sets[lo : lo + per_pass]]
-            fill = _lazy_fill(n, [oracle._masks[not ends] for oracle in batch])
-            for j, oracle in enumerate(batch):
-                oracle._passes[ends] = (fill, j)
+            for ends in (False, True):
+                fill = _lazy_fill(n, [oracle._masks[not ends] for oracle in batch])
+                for j, oracle in enumerate(batch):
+                    oracle._passes[ends] = (fill, j)
             yield from batch
 
     def _table(self, ends: bool) -> tuple[np.ndarray, int, list[int]]:
         """(words, shift, reach) of the start (or end) table, built on first use."""
-        if self._passes[ends] is None:
-            # a start table reads in-masks, the reversed orientation's out-masks
-            self._passes[ends] = (_lazy_fill(self.n, [self._masks[not ends]]), 0)
         fill, j = self._passes[ends]
         words, reaches = fill()
         return words, j * self.n, reaches[j]
 
     def longest(self) -> int:
-        # both directions give the same length: read the end table when
-        # only it is built or batched
-        ends = self._passes[0] is None and self._passes[1] is not None
-        return len(self._table(ends)[2]) - 1
+        return len(self._table(False)[2]) - 1
 
     def longest_from(self, v: int) -> int:
         return _longest_at(self._table(False)[2], self._pos[v])
@@ -421,22 +416,28 @@ class SubsetPathOracle:
         return tuple(self.labels[u] for u in reversed(self._path(True, self._pos[v])))
 
     def lex_least_longest(self) -> tuple[int, ...]:
-        """The lexicographically least vertex sequence among all optima."""
+        """The lexicographically least vertex sequence among all optima.
+
+        Starts from the sets of the top level and, per placed vertex c,
+        keeps the live sets c starts a path on, less c.  The vertex set of
+        any longest path that extends the prefix, less the prefix, is one
+        of them, so the OR of the live words holds every next vertex that
+        such a path can take.
+        """
         words, shift, reach = self._table(False)
         full = (1 << self.n) - 1
+        live = _level(self.n, len(reach) - 1)
         path: list[int] = []
-        used = 0
-        for rem in range(len(reach) - 1, 0, -1):
-            level = _level(self.n, rem)
-            # starts of rem-vertex paths that avoid the vertices placed so far
-            starts = (int(np.bitwise_or.reduce(words[level[(level & used) == 0]])) >> shift) & full
+        for _ in range(len(reach) - 1):
+            held = words[live] >> shift
+            starts = int(np.bitwise_or.reduce(held)) & full
             if path:
                 starts &= self._masks[False][path[-1]]
             if not starts:  # pragma: no cover - feasibility is exact
                 raise RuntimeError("reconstruction failed")
             c = (starts & -starts).bit_length() - 1
             path.append(c)
-            used |= 1 << c
+            live = live[(held >> c) & 1 != 0] ^ (1 << c)
         return tuple(self.labels[c] for c in path)
 
 

@@ -5,9 +5,12 @@ family it was issued for; ``pods_disjoint_voxel`` decides pod disjointness
 from the explicit voxel sets; ``canonical_pattern`` rotates one triangle's
 color triple, and ``three_color_path`` is the triangle-pattern finder
 written over labels, per-triangle ``color`` reads and a scan of every
-vertex per step.  All are plain loops, kept apart from the numpy kernels
-they check.
+vertex per step; ``lex_least_longest_rescan`` walks an oracle's start
+table by rescanning a whole level per placed vertex.  All are plain loops
+or whole scans, kept apart from the numpy kernels they check.
 """
+
+import numpy as np
 
 from ramsey_pods.core import (
     ComparabilityCertificate,
@@ -24,7 +27,7 @@ from ramsey_pods.decomposition import (
     _support_levels,
     audit_pattern_path,
 )
-from ramsey_pods.paths import PathCertificate, PathConstraint
+from ramsey_pods.paths import PathCertificate, PathConstraint, _level
 from ramsey_pods.pods import Pod, pod_voxels
 from ramsey_pods.tournament import ColoredTournament, cyclic_triangles
 
@@ -132,3 +135,25 @@ def three_color_path(t: ColoredTournament, min_support: int | None = None) -> Pa
     if problem is not None:
         raise AuditFailed(f"pattern path failed its audit: {problem}")
     return PatternPathResult(cert, pattern)
+
+
+def lex_least_longest_rescan(oracle) -> tuple[int, ...]:
+    """``SubsetPathOracle.lex_least_longest`` by a whole-level rescan per vertex.
+
+    For each remaining length, ORs the start table's words over every set
+    of that size that avoids the vertices placed so far, and takes the
+    least start the last vertex reaches.
+    """
+    words, shift, reach = oracle._table(False)
+    full = (1 << oracle.n) - 1
+    path: list[int] = []
+    used = 0
+    for rem in range(len(reach) - 1, 0, -1):
+        level = _level(oracle.n, rem)
+        starts = (int(np.bitwise_or.reduce(words[level[(level & used) == 0]])) >> shift) & full
+        if path:
+            starts &= oracle._masks[False][path[-1]]
+        c = (starts & -starts).bit_length() - 1
+        path.append(c)
+        used |= 1 << c
+    return tuple(oracle.labels[c] for c in path)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from ramsey_pods import decomposition
 from ramsey_pods.constructions import canonical_coloring
 from ramsey_pods.decomposition import (
     AuditFailed,
+    ColorClassification,
     DegenerateScale,
     NoCyclicTriangles,
     SupportTooHigh,
@@ -21,6 +23,9 @@ from ramsey_pods.decomposition import (
     three_color_path,
 )
 from ramsey_pods.paths import (
+    EXACT_VERTEX_CAP,
+    PathCertificate,
+    PathConstraint,
     SubsetPathOracle,
     longest_avoiding_directed_exact,
     validate_path,
@@ -84,8 +89,6 @@ def test_three_color_random_audits():
 
 def test_pattern_audit_catches_violations():
     t = transitive(4, 2)
-    from ramsey_pods.paths import PathCertificate, PathConstraint
-
     cert = PathCertificate("directed", PathConstraint(allow=frozenset({1})), (1, 2, 3))
     # forward path in a transitive tournament: distance-two edge points forward
     assert "backward" in audit_pattern_path(t, cert)
@@ -95,12 +98,53 @@ def test_pattern_audit_catches_violations():
 # classification
 
 
+def _half_lengths(t, half, i, incoming):
+    """Longest i-avoiding path lengths in ``half`` ending (or starting) per vertex.
+
+    Exact from a lone oracle up to the cap, else the level estimate, on the
+    reversed orientation and order for starts.
+    """
+    allowed = frozenset(range(1, t.q + 1)) - {i}
+    if len(half) <= EXACT_VERTEX_CAP:
+        oracle = SubsetPathOracle(t, allowed, half)
+        return oracle.lengths_to() if incoming else oracle.lengths_from()
+    if incoming:
+        return _level_paths(t.allowed_masks(half, allowed), half)[0]
+    rev = half[::-1]
+    return _level_paths(t.allowed_masks(rev, allowed)[::-1], rev)[0]
+
+
+def _assert_ranked(t, order, cls, s):
+    """Kept endpoints are the s best-ranked ones within 4s of the midpoint, with valid paths."""
+    h = len(order) // 2
+    assert cls.left == order[:h] and cls.right == order[h:]
+    for i in range(1, t.q + 1):
+        for half, kept, near, incoming in (
+            (cls.left, cls.ends[i], order[h - 4 * s : h], True),
+            (cls.right, cls.starts[i], order[h : h + 4 * s], False),
+        ):
+            lengths = _half_lengths(t, half, i, incoming)
+            ranked = sorted(half, key=lambda v: (-lengths[v], v))[:s]
+            assert list(kept) == [v for v in ranked if v in near], (i, incoming)
+            for v, path in kept.items():
+                assert path[-1 if incoming else 0] == v
+                assert set(path) <= set(half)
+                assert len(path) == lengths[v]
+                cert = PathCertificate("directed", PathConstraint(avoid=i), path)
+                assert validate_path(t, cert) is None
+
+
+def test_classification_holds_four_fields():
+    names = [f.name for f in dataclasses.fields(ColorClassification)]
+    assert names == ["left", "right", "ends", "starts"]
+
+
 def test_classify_monochromatic_long_short_split():
     n = 32
     t = transitive(n, 2)
     order = tuple(range(1, n + 1))
     cls = classify_colors(t, order, 1)
-    assert cls.x_sets[1] == (1,)  # ties rank the earliest labels, outside B
+    assert cls.ends[1] == {}  # ties rank the earliest label, outside B
 
 
 def test_classify_interval_and_ranking_sizes():
@@ -111,12 +155,10 @@ def test_classify_interval_and_ranking_sizes():
         order = tuple(range(1, n + 1))
         s = 2
         cls = classify_colors(t, order, s)
-        assert len(cls.interval_b) == 4 * s
-        assert len(cls.interval_c) == 4 * s
-        assert len(cls.interval_a) == n // 2 - 4 * s
+        assert len(cls.left) == len(cls.right) == n // 2
         for i in range(1, q + 1):
-            assert len(cls.x_sets[i]) == s
-            assert len(cls.y_sets[i]) == s
+            assert len(cls.ends[i]) <= s and len(cls.starts[i]) <= s
+        _assert_ranked(t, order, cls, s)
 
 
 FLAG_CASES = [
@@ -142,40 +184,30 @@ def test_classify_flags_recomputable():
                 levels, _ = _level_paths(t.allowed_masks(verts, allowed), verts)
                 whole = max(levels.values())
             long = whole >= gamma * n
-            b_set = set(cls.interval_b)
-            condensed = 2 * len(set(cls.x_sets[i]) & b_set) >= s
+            condensed = 2 * len(cls.ends[i]) >= s
             if not long and not condensed:
                 expected.append(i)
         assert expected == want, (n, q, seed, gamma)
 
 
 def test_classify_ranking_audit():
-    # nobody outside X_i beats the weakest member of X_i
+    # halves of 24 vertices, above the cap: the ranking reads level estimates
     n, q = 48, 3
     t = near_transitive(n, q, 0.02, 13)
     order = tuple(range(1, n + 1))
     cls = classify_colors(t, order, 3)
-    left = cls.interval_a + cls.interval_b
-    for i in range(1, q + 1):
-        inside = min(cls.ell_in[i][v] for v in cls.x_sets[i])
-        for v in left:
-            if v not in cls.x_sets[i]:
-                assert cls.ell_in[i][v] <= inside
+    assert any(cls.ends.values()) and any(cls.starts.values())
+    _assert_ranked(t, order, cls, 3)
 
 
 def test_classify_witness_paths_validate():
+    # halves of 18 vertices: the ranking reads exact lengths
     n, q = 36, 3
     t = near_transitive(n, q, 0.02, 17)
     order = tuple(range(1, n + 1))
     cls = classify_colors(t, order, 2)
-    left = set(cls.interval_a + cls.interval_b)
-    for i in range(1, q + 1):
-        for v, path in cls.in_paths[i].items():
-            assert path[-1] == v
-            assert set(path) <= left
-            assert len(path) == cls.ell_in[i][v]
-            for a, b in zip(path, path[1:]):
-                assert t.has_edge(a, b) and t.color(a, b) != i
+    assert any(cls.ends.values()) and any(cls.starts.values())
+    _assert_ranked(t, order, cls, 2)
 
 
 def test_classify_engineered_condensed():
@@ -183,33 +215,30 @@ def test_classify_engineered_condensed():
     # color 2, everything else color 1, so the top avoid-1 endpoints are B
     n, s = 32, 1
     order = tuple(range(1, n + 1))
-    h = n // 2
-    b_members = set(order[h - 4 * s : h])
     t = ColoredTournament(
         n,
         2,
         (
-            (u, v, 2 if v in b_members else 1)
+            (u, v, 2 if v in order[n // 2 - 4 * s : n // 2] else 1)
             for u in range(1, n + 1)
             for v in range(u + 1, n + 1)
         ),
     )
     cls = classify_colors(t, order, s)
-    assert set(cls.x_sets[1]) <= b_members  # condensed on the left
-    assert set(cls.y_sets[1]) <= set(cls.interval_c)  # and on the right
+    assert len(cls.ends[1]) == s  # condensed on the left
+    assert len(cls.starts[1]) == s  # and on the right
+    _assert_ranked(t, order, cls, s)
 
 
 def test_classify_empty_palette_strands_every_vertex():
     # with one color there is nothing to allow: every vertex ends and starts
-    # only its one-vertex path, with halves at the exact cap and above it
+    # only its one-vertex path, with halves at the exact cap and above it;
+    # ties rank the labels 1, 2 (outside B) and n/2 + 1, n/2 + 2 (in C)
     for n in (32, 48):
         t = transitive(n, 1)
         cls = classify_colors(t, tuple(range(1, n + 1)), 2)
-        assert set(cls.ell_in[1].values()) == set(cls.ell_out[1].values()) == {1}
-        assert cls.x_sets[1] == (1, 2)
-        assert cls.y_sets[1] == (n // 2 + 1, n // 2 + 2)
-        assert cls.in_paths[1] == {1: (1,), 2: (2,)}
-        assert cls.out_paths[1] == {v: (v,) for v in cls.y_sets[1]}
+        assert cls.ends[1] == {}
+        assert cls.starts[1] == {v: (v,) for v in (n // 2 + 1, n // 2 + 2)}
 
 
 def test_classify_degenerate_scale():
@@ -238,19 +267,18 @@ def _glued_fixture():
 
 
 def _ranked_edges(t, cls, i):
-    """Forward non-i edges from ranked endpoints in B to ranked starts in C."""
+    """Forward non-i edges from kept ends in B to kept starts in C."""
     return [
         (v, w)
-        for v in cls.x_sets[i]
-        if v in cls.interval_b
-        for w in cls.y_sets[i]
-        if w in cls.interval_c and t.has_edge(v, w) and t.color(v, w) != i
+        for v in cls.ends[i]
+        for w in cls.starts[i]
+        if t.has_edge(v, w) and t.color(v, w) != i
     ]
 
 
 def test_build_gluing_certificates_validate():
     t, cls, glued = _glued_fixture()
-    left = set(cls.interval_a + cls.interval_b)
+    left = set(cls.left)
     assert glued
     for i, cert in glued:
         assert validate_path(t, cert) is None
@@ -258,9 +286,11 @@ def test_build_gluing_certificates_validate():
         # the left path ends at v and the right one starts at w
         k = sum(v in left for v in cert.vertices)
         v, w = cert.vertices[k - 1], cert.vertices[k]
-        assert cert.vertices[:k] == cls.in_paths[i][v]
-        assert cert.vertices[k:] == cls.out_paths[i][w]
-        assert cert.length == cls.ell_in[i][v] + cls.ell_out[i][w]
+        assert cert.vertices[:k] == cls.ends[i][v]
+        assert cert.vertices[k:] == cls.starts[i][w]
+        ell_in = _half_lengths(t, cls.left, i, True)[v]
+        ell_out = _half_lengths(t, cls.right, i, False)[w]
+        assert cert.length == ell_in + ell_out
 
 
 def test_build_gluing_takes_the_first_edge_in_label_order():
@@ -268,16 +298,15 @@ def test_build_gluing_takes_the_first_edge_in_label_order():
     assert max(len(_ranked_edges(t, cls, i)) for i, _ in glued) >= 2
     for i, cert in glued:
         v, w = min(_ranked_edges(t, cls, i))
-        assert cert.vertices == cls.in_paths[i][v] + cls.out_paths[i][w]
+        assert cert.vertices == cls.ends[i][v] + cls.starts[i][w]
 
 
 def test_build_gluing_skips_colors_without_an_edge():
     t, cls, glued = _glued_fixture()
     colors = {i for i, _ in glued}
     assert colors == {i for i in range(1, t.q + 1) if _ranked_edges(t, cls, i)}
-    # color 3 has ranked pairs from B to C, but none is a forward non-3 edge
-    assert any(v in cls.interval_b for v in cls.x_sets[3])
-    assert any(w in cls.interval_c for w in cls.y_sets[3])
+    # color 3 has kept pairs from B to C, but none is a forward non-3 edge
+    assert cls.ends[3] and cls.starts[3]
     assert 3 not in colors
 
 

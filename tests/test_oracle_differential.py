@@ -2,13 +2,17 @@
 
 Small instances are checked against every directed path enumerated as a
 permutation of a vertex subset; transitive tournaments, whose allowed edges
-form a DAG, against networkx's DAG longest path.
+form a DAG, against networkx's DAG longest path.  At 18-22 vertices, beyond
+the enumeration, ``lex_least_longest`` is checked against a walk that
+rescans a whole level of the start table per placed vertex.
 """
 
 import itertools
 import random
 
 import pytest
+
+from reference import lex_least_longest_rescan
 
 from ramsey_pods.paths import SubsetPathOracle
 from ramsey_pods.tournament import ColoredTournament, random_tournament
@@ -92,3 +96,16 @@ def test_transitive_longest_matches_networkx():
         oracle = SubsetPathOracle(t, allowed)
         assert oracle.longest() == len(nx.dag_longest_path(dag))
         assert _is_path(t, allowed, oracle.lex_least_longest())
+
+
+@pytest.mark.parametrize("n", range(18, 23))
+def test_lex_least_longest_matches_a_level_rescan(n):
+    # at q = 5 and 8 a single color leaves anything from short paths with
+    # several optimal vertex sets to near-Hamiltonian ones; the packed
+    # oracles past the first read their table at a nonzero shift
+    for seed, q in itertools.product((1, 2, 3), (5, 8)):
+        t = random_tournament(n, q, seed=seed)
+        allowed_sets = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
+        for allowed, oracle in zip(allowed_sets, SubsetPathOracle.packed(t, allowed_sets)):
+            want = lex_least_longest_rescan(oracle)
+            assert oracle.lex_least_longest() == want, (seed, q, sorted(allowed))

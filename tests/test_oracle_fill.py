@@ -3,11 +3,11 @@
 ``_pull_fill`` is the dense level fill the frontier push replaced: every
 vertex set of a level pulls, for every v, the word of the set without v.
 A lone oracle's table must equal it, word for word, with the same
-per-level reach list, in each direction.  A packed pass
-(``SubsetPathOracle.packed``) must give every table it holds exactly the
-words and reach list of that table built alone.  The laziness tests count
-packed passes and the tables in each: each caller builds only the
-direction it reads.
+per-level reach list, in each direction.  Packed oracles
+(``SubsetPathOracle.packed``) share one pass per direction, which must
+give every table it holds exactly the words and reach list of that table
+built alone.  The laziness tests count packed passes and the tables in
+each: each caller builds only the direction it reads.
 """
 
 import random
@@ -140,13 +140,16 @@ def test_a_half_builds_only_the_table_it_reads(passes, incoming):
     assert passes == [
         (14, [t.allowed_masks(half, allowed)[0 if incoming else 1] for allowed in allowed_sets])
     ]
+    # the 12 vertices next to the midpoint: the last ones of a left half
+    near = half[2:] if incoming else half[:12]
     assert len(data) == 3
-    for lengths, ranked, paths_by_end in data:
-        assert ranked == tuple(sorted(half, key=lambda v: (-lengths[v], v))[:3])
-        for v in ranked:
-            seq = paths_by_end[v]
+    for allowed, kept in zip(allowed_sets, data):
+        lone = SubsetPathOracle(t, allowed, half)
+        lengths = lone.lengths_to() if incoming else lone.lengths_from()
+        ranked = sorted(half, key=lambda v: (-lengths[v], v))[:3]
+        assert list(kept) == [v for v in ranked if v in near]
+        for v, seq in kept.items():
             assert len(seq) == lengths[v] and seq[-1 if incoming else 0] == v
-    assert len(passes) == 1
 
 
 def test_classify_colors_builds_one_table_per_half_and_color(passes):
@@ -193,8 +196,9 @@ def test_exact_node_builds_one_table(passes):
     assert _shapes(passes) == [(12, 1)] * 2
     ends_only = SubsetPathOracle(t, frozenset({1}))
     ends_only.path_to(1)
+    assert _shapes(passes) == [(12, 1)] * 3
     assert ends_only.longest() == oracle.longest()
-    assert _shapes(passes) == [(12, 1)] * 3  # longest() reads the end table already built
+    assert _shapes(passes) == [(12, 1)] * 4  # longest() reads the start table
 
 
 def test_exact_recursion_node_builds_one_table_per_color(passes):
@@ -223,10 +227,10 @@ def _avoiding(q: int) -> list[frozenset[int]]:
 
 
 def _assert_packed_matches_lone(t, allowed_sets, subset, ends):
-    """Every table of the packed oracles equals the same table built alone."""
+    """Every start (or end) table of the packed oracles equals the table built alone."""
     reaches = []
     for allowed, oracle in zip(
-        allowed_sets, SubsetPathOracle.packed(t, allowed_sets, subset, ends=ends), strict=True
+        allowed_sets, SubsetPathOracle.packed(t, allowed_sets, subset), strict=True
     ):
         words, shift, reach = oracle._table(ends)
         fill, _ = oracle._passes[ends]
@@ -245,6 +249,14 @@ def test_a_pass_of_exactly_64_bits(passes, ends):
     t = random_tournament(16, 4, seed=11)
     _assert_packed_matches_lone(t, _avoiding(4), None, ends)
     assert _shapes(passes)[0] == (16, 4)  # 4 * 16 bits fill the uint64 words
+
+
+def test_packed_end_tables_share_one_pass(passes):
+    t = random_tournament(14, 3, seed=2)
+    oracles = list(SubsetPathOracle.packed(t, _avoiding(3)))
+    lengths = [oracle.lengths_to() for oracle in oracles]
+    assert _shapes(passes) == [(14, 3)]
+    assert lengths == [SubsetPathOracle(t, a).lengths_to() for a in _avoiding(3)]
 
 
 @pytest.mark.parametrize("ends", [False, True])
