@@ -13,6 +13,13 @@ degrade to upper_bound.  Exact records always carry a witness that
 re-validates on load; a cache read re-validates only the records of the key
 it asks for.
 
+F is a memoized branch and bound over the set of points that beat every
+point of the chain so far, and it branches only on each node's
+coordinatewise-minimal points.  The lemma: a point at least i in every
+coordinate is beaten only where i is beaten, so a chain starting there
+can start at i instead and is never shorter.  So the all-ones point is
+the one start, and ``F(3,2,8)`` = 21 closes in 1,212,492 nodes.
+
 G is a color-ordered maximum-clique search over bitsets on the
 comparability graph of the grid: each node colors its candidates greedily
 once and branches only on the vertices whose color class could still beat
@@ -146,82 +153,111 @@ def _grid_vectors(q: int, n: int) -> np.ndarray:
     return np.indices((n,) * q).reshape(q, -1).T + 1
 
 
+def _chain_rows(vecs: np.ndarray, r: int) -> tuple[list[int], list[int]]:
+    """Per grid point i, as bitmasks over the points: (greater[i], up[i]).
+
+    greater[i] holds the points that beat ``vecs[i]`` in at least r
+    coordinates; up[i] holds the points at least ``vecs[i]`` in every
+    coordinate, i itself excluded.  Each relation is one points x points
+    bool matrix, packed and freed before the next is built.
+    """
+    greater = _rows(_below(vecs, r))
+    up = _below(-vecs, 1)  # [i, j]: vecs[j] is below vecs[i] in some coordinate
+    np.logical_not(up, out=up)
+    np.fill_diagonal(up, False)
+    return greater, _rows(up)
+
+
 def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRecord:
     """Branch-and-bound for the longest r-increasing sequence in [n]^q.
 
     Extensions must dominate every chosen vector (the relation is not
     transitive), so subproblems are determined by the bitmask of vectors
-    dominating the whole prefix; results are memoized on that mask.  The
-    first element is canonicalized to sorted coordinates, which is harmless
-    because coordinate permutations preserve the relation.
+    dominating the whole prefix; results are memoized on that mask as
+    (length, first point), the first point being the first strict maximum
+    in lexicographic order.
+
+    The search branches only on each node's coordinatewise-minimal points.
+    If point j is at least point i in every coordinate, then every point
+    that beats j in a coordinate beats i there too, so ``greater[j]`` is a
+    subset of ``greater[i]``: a chain that starts at j can start at i
+    instead and is never shorter.  And i comes before j in lexicographic
+    order, so i stays the first strict maximum.  Once child i is settled,
+    the points of ``up[i]`` leave the node's children, whether i was
+    searched, read from the memo or skipped.  Memo values and witnesses are
+    those of the search over every child; only memo misses go.  The same
+    lemma roots the search at the all-ones point, which is below every
+    other point, so there is one start.
 
     Each child is settled before any call: one whose mask has fewer bits
     than the node's best so far is skipped, since no chain in it can beat
-    that best and the first strict maximum stays the witness; one whose
-    mask is in the memo is read in place.  Only a memo miss recurses, so a
-    node is one ``solve`` call that misses the memo, and each charges the
-    budget once.
+    that best; one whose mask is in the memo is read in place.  Only a memo
+    miss opens a node, and each charges the budget once.  Open nodes sit on
+    an explicit stack, so a chain through all n^q points (r = 1) needs no
+    recursion.
     """
     _check_params("F", q, r, n)
     clock = (budget or Budget()).start()
     vecs = _grid_vectors(q, n)
-    m = len(vecs)
-    greater = _rows(_below(vecs, r))
+    greater, up = _chain_rows(vecs, r)
+    # keep[i]: the children a node keeps once child i is settled
+    keep = [~(row | 1 << i) for i, row in enumerate(up)]
+    del up
     memo: dict[int, tuple[int, int]] = {}
     best_chain: list[int] = []
+    prefix = [0]  # the chain to the open node on top of the stack
+    # per open node: [mask, children left, best length, its first point]
+    stack: list[list[int]] = []
 
-    def walk(mask: int) -> list[int]:
-        chain = []
+    def open_node(mask: int) -> None:
+        if len(prefix) > len(best_chain):
+            best_chain[:] = prefix
+        clock.tick()
+        stack.append([mask, mask, 0, -1])
+
+    chain = [0]
+    try:
+        open_node(greater[0])
+        closed = -1  # the length of the node just closed, -1 when none
+        while stack:
+            top = stack[-1]
+            mask, mm, best_len, best_first = top
+            if closed >= 0:  # top's child prefix[-1] just closed
+                i = prefix.pop()
+                if closed + 1 > best_len:
+                    best_len, best_first = closed + 1, i
+                closed = -1
+            while mm:
+                bit = mm & -mm
+                i = bit.bit_length() - 1
+                mm &= keep[i]
+                sub = mask & greater[i]
+                if sub.bit_count() < best_len:
+                    continue  # no chain in sub reaches best_len
+                hit = memo.get(sub)
+                if hit is None:
+                    break
+                if len(prefix) >= len(best_chain):
+                    best_chain[:] = prefix + [i]
+                if hit[0] + 1 > best_len:
+                    best_len, best_first = hit[0] + 1, i
+            else:
+                memo[mask] = (best_len, best_first)
+                stack.pop()
+                closed = best_len
+                continue
+            top[1:] = mm, best_len, best_first
+            prefix.append(i)
+            open_node(sub)
+        best = closed + 1
+        # the witness: the root, then each memoized first point
+        mask = greater[0]
         while mask:
             length, first = memo[mask]
             if length == 0:
                 break
             chain.append(first)
             mask &= greater[first]
-        return chain
-
-    def solve(mask: int, prefix: list[int]) -> int:
-        if len(prefix) > len(best_chain):
-            best_chain[:] = prefix
-        if mask in memo:
-            return memo[mask][0]
-        clock.tick()
-        best_len, best_first = 0, -1
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            i = bit.bit_length() - 1
-            mm ^= bit
-            sub = mask & greater[i]
-            if sub.bit_count() < best_len:
-                continue  # no chain in sub reaches best_len
-            hit = memo.get(sub)
-            if hit is None:
-                prefix.append(i)
-                length = solve(sub, prefix)
-                prefix.pop()
-            else:
-                length = hit[0]
-                if len(prefix) >= len(best_chain):
-                    best_chain[:] = prefix + [i]
-            if length + 1 > best_len:
-                best_len, best_first = length + 1, i
-        memo[mask] = (best_len, best_first)
-        return best_len
-
-    full = (1 << m) - 1
-    canonical_starts = np.flatnonzero((np.diff(vecs) >= 0).all(axis=1)).tolist()
-    try:
-        best = 0
-        for i in canonical_starts:
-            sub = solve(full & greater[i], [i]) + 1
-            best = max(best, sub)
-        # reconstruct: best start then walk the memo
-        chain: list[int] = []
-        for i in canonical_starts:
-            if memo[full & greater[i]][0] + 1 == best:
-                chain = [i] + walk(full & greater[i])
-                break
         status = EXACT
     except BudgetExceeded:
         chain = list(best_chain)
@@ -252,9 +288,11 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     vertices are branched on, highest class first, each dropped from the
     candidates once its subtree is done.  The first maximum clique found in
     this order is the witness, written in lexicographic grid order.  One
-    node is one ``expand`` call, leaves included, and each charges the
+    node is one ``open_node`` call, leaves included, and each charges the
     budget once; a tripped budget leaves the incumbent as a lower bound, or
-    a single vector when no leaf was reached.
+    a single vector when no leaf was reached.  Open nodes sit on an explicit
+    stack, so a clique through all n^q points (r = 1, where every pair is
+    comparable) needs no recursion.
     """
     _check_params("G", q, r, n)
     clock = (budget or Budget()).start()
@@ -267,8 +305,11 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     # nonadj[v]: the vertices v may share a color class with, v excluded
     nonadj = [full & ~(row | 1 << v) for v, row in enumerate(adj)]
     best: list[int] = []
+    cur: list[int] = []  # the clique of the open node on top of the stack
+    # per open node: [candidates left, (vertex, class) pairs left to branch on]
+    stack: list[list] = []
 
-    def expand(cur: list[int], cand: int):
+    def open_node(cand: int) -> None:
         clock.tick()
         if not cand:
             if len(cur) > len(best):
@@ -288,16 +329,27 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
                 rest ^= bit
                 if color > need:
                     kept.append((v, color))
-        for v, color in reversed(kept):
-            if len(cur) + color <= len(best):
-                return
-            cur.append(v)
-            expand(cur, cand & adj[v])
-            cur.pop()
-            cand ^= 1 << v
+        stack.append([cand, kept])
 
     try:
-        expand([], full)
+        open_node(full)
+        while stack:
+            top = stack[-1]
+            cand, kept = top
+            # highest class first; a class that cannot beat the incumbent
+            # closes the node, since every class after it is lower
+            if kept and len(cur) + kept[-1][1] > len(best):
+                v = kept.pop()[0]
+                top[0] = cand ^ 1 << v
+                cur.append(v)
+                depth = len(stack)
+                open_node(cand & adj[v])
+                if len(stack) == depth:  # a leaf: it opened nothing
+                    cur.pop()
+            else:
+                stack.pop()
+                if stack:
+                    cur.pop()
         status = EXACT
     except BudgetExceeded:
         status = LOWER_BOUND

@@ -146,6 +146,17 @@ def test_search_F_above_grid_cap_exit_one(workdir, capsys):
     assert err.startswith("error:") and "16384" in err
 
 
+@pytest.mark.parametrize("kind", ["F", "G"])
+def test_search_chain_through_the_whole_grid(workdir, capsys, kind):
+    # at r = 1 the lexicographic order of [32]^2 is one chain of 1,024
+    # points, deeper than Python's recursion limit: the searches keep their
+    # open nodes on a stack of their own
+    code, out, err = run(capsys, "search", kind, "2", "1", "32", "--no-cache", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["value"], payload["status"]) == (1024, "exact")
+
+
 def test_search_repeated_bound_cached_once(workdir, capsys):
     for _ in range(3):
         code, _, _ = run(

@@ -35,11 +35,31 @@ PINNED_f = {
     (3, 2, 5): 4,
 }
 PINNED_g = {(2, 1, 3): 2, (2, 1, 4): 2}
+# values closed before exact_F dropped dominated starts, at 75,533 to
+# 1,181,698 nodes and up to 26 s; each key now closes in under a second.
+# f at r = q - 1 is the least m with F(q, q - 1, m) >= N
+CLOSED_F = {(3, 2, 6): 14, (3, 2, 7): 17, (4, 3, 6): 9}
+CLOSED_f = {(3, 2, 15): 7, (3, 2, 16): 7, (3, 2, 17): 7, (4, 3, 8): 6, (4, 3, 9): 6}
 
 
 @pytest.mark.parametrize("key,value", sorted(PINNED_F.items()))
 def test_exact_F_pinned(key, value):
     rec = exact_F(*key)
+    assert rec.status == EXACT
+    assert rec.value == value
+    assert validate_record(rec) is None
+
+
+@pytest.mark.parametrize(
+    "solver,key,value",
+    [
+        pytest.param(solver, key, value, id="_".join(map(str, (kind, *key))))
+        for kind, solver, closed in (("F", exact_F, CLOSED_F), ("f", exact_f, CLOSED_f))
+        for key, value in closed.items()
+    ],
+)
+def test_closed_values_pinned(solver, key, value):
+    rec = solver(*key)
     assert rec.status == EXACT
     assert rec.value == value
     assert validate_record(rec) is None
@@ -209,19 +229,21 @@ def test_validate_record_rejects_r_zero(solver):
 
 
 def test_cache_prefers_strongest_bound(tmp_path):
+    # F 3 2 4 = 8 closes in 84 nodes: both budgets trip, at 3 and 8 vectors
     path = tmp_path / "c.jsonl"
-    weak = exact_F(3, 2, 3, Budget(max_nodes=2))
-    strong = exact_F(3, 2, 3, Budget(max_nodes=20))
+    weak = exact_F(3, 2, 4, Budget(max_nodes=2))
+    strong = exact_F(3, 2, 4, Budget(max_nodes=20))
     assert weak.status == strong.status == LOWER_BOUND
     cache_put(weak, path)
     cache_put(strong, path)
-    assert cache_get("F", 3, 2, 3, path).value == max(weak.value, strong.value)
+    assert cache_get("F", 3, 2, 4, path).value == max(weak.value, strong.value)
 
 
 def test_cache_skips_bounds_no_stronger_than_cached(tmp_path):
     path = tmp_path / "c.jsonl"
-    weak = exact_F(3, 2, 3, Budget(max_nodes=2))
-    strong = exact_F(3, 2, 3, Budget(max_nodes=20))
+    weak = exact_F(3, 2, 4, Budget(max_nodes=2))
+    strong = exact_F(3, 2, 4, Budget(max_nodes=20))
+    assert weak.status == strong.status == LOWER_BOUND
     assert weak.value < strong.value
     assert cache_put(strong, path)
     assert not cache_put(weak, path)

@@ -22,16 +22,23 @@ is checked on random and near-optimal colorings and tournaments.
 
 ``exact_F`` is checked against a subset DP over every set of grid points
 on every grid of at most 16 points, and against its own unpruned form
-(every child a call) on every grid of at most 125 points: the same value,
-status and witness, never more nodes, and the same records, node counts
-included, on tripped budgets at r = 2.
+(every child a call, one root per start with sorted coordinates) on every
+grid of at most 125 points: the same value, status and witness, never more
+nodes.  On the dominance pins' tripped budgets at (4, 2, 3) the records,
+node counts included, are the same too.  The lemma its pruning rests on
+(a point at least i in every coordinate is beaten only where i is) is
+checked on random grids.
 """
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_pods import search
 from ramsey_pods.budget import Budget, BudgetExceeded
@@ -62,6 +69,9 @@ from ramsey_pods.tournament import (
     random_ordered_coloring,
     random_tournament,
 )
+
+
+DOMINANCE_PINS = Path(__file__).parent / "data" / "dominance_pinned.json"
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -381,18 +391,18 @@ def test_f_through_F_matches_every_coloring(q, n):
 
 
 def test_f_walk_shares_one_budget():
-    # f 3 2 9 walks F 3 2 3 (34 nodes, 4 vectors), F 3 2 4 (407 nodes, 8) and
-    # F 3 2 5, which has 10 vectors within 100 nodes and closes at 5,247
+    # f 3 2 9 walks F 3 2 3 (11 nodes, 4 vectors), F 3 2 4 (84 nodes, 8) and
+    # F 3 2 5, which has 10 vectors within 300 nodes and closes at 817
     whole = exact_f(3, 2, 9)
-    assert (whole.value, whole.status, whole.nodes_explored) == (5, EXACT, 5688)
+    assert (whole.value, whole.status, whole.nodes_explored) == (5, EXACT, 912)
     for nodes in (3, 100):  # tripped below 9 vectors: the start stays, as a bound
         rec = exact_f(3, 2, 9, Budget(max_nodes=nodes))
         assert (rec.status, rec.nodes_explored) == (UPPER_BOUND, nodes + 1)
         assert rec.value >= whole.value
         assert validate_record(rec) is None
     # tripped inside F 3 2 5 after 9 vectors, with both smaller sides closed
-    rec = exact_f(3, 2, 9, Budget(max_nodes=1000))
-    assert (rec.value, rec.status, rec.nodes_explored) == (5, EXACT, 1001)
+    rec = exact_f(3, 2, 9, Budget(max_nodes=500))
+    assert (rec.value, rec.status, rec.nodes_explored) == (5, EXACT, 501)
 
 
 def test_g_walk_shares_one_budget():
@@ -489,6 +499,27 @@ def test_exact_F_matches_every_chain(q, r, n):
     assert validate_record(rec) is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q), st.integers(1, 5))))
+def test_up_rows_only_drop_starts_that_cannot_win(key):
+    # the lemma exact_F prunes by: if j is at least i in every coordinate,
+    # every point that beats j in r coordinates beats i in them too
+    q, r, n = key
+    vecs = _grid_vectors(q, n)
+    greater, up = search._chain_rows(vecs, r)
+    wins = (vecs[None, :, :] > vecs[:, None, :]).sum(axis=2)  # [i, j]: coordinates j beats i in
+    at_least = (vecs[None, :, :] >= vecs[:, None, :]).all(axis=2)
+    np.fill_diagonal(at_least, False)
+    assert greater == _rows(wins >= r)
+    assert up == _rows(at_least)
+    for i, row in enumerate(up):
+        for j in range(len(vecs)):
+            if row >> j & 1:
+                assert greater[j] & ~greater[i] == 0, (vecs[i], vecs[j])
+    # the all-ones point is below every other point: one root suffices
+    assert up[0] == (1 << len(vecs)) - 2
+
+
 def _unpruned_F(q: int, r: int, n: int, budget: Budget | None = None) -> search.ExtremalRecord:
     """``exact_F`` as it was before a child was settled in the loop.
 
@@ -574,12 +605,22 @@ def test_exact_F_keeps_the_unpruned_records(q, r, n):
         assert (rec.value, rec.status) == (n**q, EXACT)
 
 
-# the dominance pins' budget keys: at r = 2 no child too small to win is a
-# memo miss, so the budget trips at the same node with the same incumbent
+# the dominance pins' budget keys.  At (4, 2, 3) the budget trips at the
+# same node with the same incumbent as in the unpruned search.  At
+# (3, 2, 5, 300) the search that drops each taken child's up row has found
+# another 10-vector chain when it trips, so there the record is only checked
+# against its pin: a chain that re-validates and stays within F(3, 2, 5) = 10
 @pytest.mark.parametrize("q,r,n,nodes", [(3, 2, 5, 300), (4, 2, 3, 300), (4, 2, 3, 100)])
 def test_exact_F_budget_records_match_the_unpruned_search(q, r, n, nodes):
     ref = _unpruned_F(q, r, n, Budget(max_nodes=nodes))
     rec = exact_F(q, r, n, Budget(max_nodes=nodes))
-    assert ref.status == LOWER_BOUND
+    assert ref.status == rec.status == LOWER_BOUND
     fields = ("value", "status", "nodes_explored", "certificate")
-    assert [getattr(rec, f) for f in fields] == [getattr(ref, f) for f in fields]
+    got = [getattr(rec, f) for f in fields]
+    if (q, r, n) == (4, 2, 3):
+        assert got == [getattr(ref, f) for f in fields]
+        return
+    pinned = json.loads(DOMINANCE_PINS.read_text())["search"][f"F_{q}_{r}_{n}_b{nodes}"]
+    assert got == pinned
+    assert validate_record(rec) is None
+    assert rec.value <= exact_F(q, r, n).value
