@@ -9,10 +9,11 @@ in packed passes: floor(64/n) tables side by side in one word per vertex
 set, uint32 when they fit in 32 bits and uint64 otherwise.  A pass holds
 16 MB for a lone table at the 22-vertex cap and 32 MB for two.  A pass is
 filled by pushing from the vertex sets that carry a path in any of its
-tables, level by level, so its cost follows those sets and one scan of
-each level, not all n * 2^n states; a dense table at n = 22 still touches
-most of them.  Each direction's table is built on the first query that
-reads it.
+tables, level by level.  A large level with fewer pushes than sets
+carries its frontier over from the pushes, and only small or dense levels
+are scanned, so a sparse pass costs about its pushes, not all n * 2^n
+states; a dense table at n = 22 still touches most of them.  Each
+direction's table is built on the first query that reads it.
 """
 
 from __future__ import annotations
@@ -200,13 +201,20 @@ def _levels(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
     Level k (the k-vertex sets, in increasing value) is
     ``order[bounds[k]:bounds[k + 1]]``.  Every oracle on n vertices shares
-    the result (32 MB at n = 22), so the array is read-only.
+    the result (32 MB at n = 22), so the array is read-only.  The levels
+    are written slice by slice from one uint8 array of popcounts, built by
+    doubling, so the build peaks at 45 MB at n = 22, two thirds of what a
+    stable argsort of the popcounts takes.
     """
-    size = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    # a stable sort keeps each level in increasing value
-    order = np.argsort(size, kind="stable")
-    order.flags.writeable = False
+    size = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        # the sets with top bit b are those below 1 << b, plus b
+        np.add(size[: 1 << b], 1, out=size[1 << b : 2 << b])
     bounds = tuple(itertools.accumulate((math.comb(n, k) for k in range(n + 1)), initial=0))
+    order = np.empty(1 << n, dtype=np.intp)
+    for k in range(n + 1):
+        order[bounds[k] : bounds[k + 1]] = np.flatnonzero(size == k)
+    order.flags.writeable = False
     return order, bounds
 
 
@@ -217,6 +225,12 @@ def _level(n: int, k: int) -> np.ndarray:
 
 # _BYTE_BITS[x, b] is bit b of the byte x
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little") != 0
+
+# A sparse push makes about five more numpy calls per vertex than a dense
+# one, which cost about as much as scanning this many sets.  So a level of
+# at most 256 n sets is always scanned: every level at n <= 14, and the
+# smallest and largest ones above.
+_SPARSE_VERTEX_SETS = 256
 
 
 def _packed_fill(n: int, in_masks: Sequence[Sequence[int]]) -> tuple[np.ndarray, list[list[int]]]:
@@ -237,8 +251,18 @@ def _packed_fill(n: int, in_masks: Sequence[Sequence[int]]) -> tuple[np.ndarray,
     from 256-entry tables, less the bits of S in every table.  Per vertex
     u, one push ORs u's bits into the words of S + {u}, over the sets
     with a new start; for one u the targets are distinct, so a
-    fancy-index OR writes them all.  Sets that carry no path are scanned
-    once and never read again.
+    fancy-index OR writes them all.
+
+    Each level takes one of two routes, as in direction-optimizing BFS
+    (Beamer, Asanovic & Patterson, SC 2012).  When the pushes into level k
+    (the popcounts of the new starts), plus ``_SPARSE_VERTEX_SETS`` per
+    vertex, are fewer than its C(n, k) sets, the level is sparse: only the
+    nonzero values are pushed, and level k's frontier is the targets whose
+    word was 0 before their push.  Level k is written only by these
+    pushes, so each of its live sets is counted once, by the first push
+    into it.  Otherwise the level is dense: every value is pushed, zeros
+    included, and level k is scanned once for its nonzero words.  Either
+    way the words are the same.
     """
     m = len(in_masks)
     width = m * n
@@ -253,15 +277,11 @@ def _packed_fill(n: int, in_masks: Sequence[Sequence[int]]) -> tuple[np.ndarray,
     byte_tables = np.bitwise_or.reduce(np.where(_BYTE_BITS, spread, 0), axis=2)
     h = np.zeros(1 << n, dtype=dtype)
     lanes = [rep << u for u in range(n)]
-    h[1 << np.arange(n)] = np.array(lanes, dtype=dtype)
+    frontier = 1 << np.arange(n)
+    h[frontier] = words = np.array(lanes, dtype=dtype)
     full = (1 << n) - 1
     reaches = [[0, full] for _ in range(m)]
     for k in range(2, n + 1):
-        level = _level(n, k - 1)
-        words = h[level]
-        live = words != 0
-        frontier = level[live]
-        words = words[live]
         new = byte_tables[0][words & 0xFF]
         for b in range(1, n_bytes):
             new |= byte_tables[b][(words >> (8 * b)) & 0xFF]
@@ -278,9 +298,31 @@ def _packed_fill(n: int, in_masks: Sequence[Sequence[int]]) -> tuple[np.ndarray,
             # list has already stopped
             if starts := (seen >> (i * n)) & full:
                 reach.append(starts)
-        for u, lane in enumerate(lanes):
-            if seen & lane:
-                h[frontier | (1 << u)] |= new & lane
+        room = math.comb(n, k) - _SPARSE_VERTEX_SETS * n
+        if room > 0 and int(np.bitwise_count(new).sum()) < room:
+            # sparse: push only the nonzero values, and take level k's
+            # frontier from the targets that were empty before the push
+            fresh = []
+            for u, lane in enumerate(lanes):
+                if seen & lane:
+                    vals = new & lane
+                    hit = vals != 0
+                    targets = frontier[hit] | (1 << u)
+                    old = h[targets]
+                    h[targets] = old | vals[hit]
+                    fresh.append(targets[old == 0])
+            frontier = np.concatenate(fresh)
+            words = h[frontier]
+        else:
+            # dense: push every value, then scan level k for its frontier
+            for u, lane in enumerate(lanes):
+                if seen & lane:
+                    h[frontier | (1 << u)] |= new & lane
+            level = _level(n, k)
+            words = h[level]
+            live = words != 0
+            frontier = level[live]
+            words = words[live]
     return h, reaches
 
 
@@ -312,7 +354,7 @@ class SubsetPathOracle:
     32 bits (32 MB at the cap, for two tables).  A pass runs on the first
     query that reads it, so a caller that asks only about starts, or only
     about ends, builds one.  A build visits only the vertex sets that
-    carry a path, plus one scan per level.
+    carry a path, plus one scan of each level that is small or dense.
     """
 
     def __init__(

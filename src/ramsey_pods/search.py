@@ -74,6 +74,7 @@ from .constructions import canonical_coloring
 from .core import (
     VectorFamily,
     _below,
+    _win_blocks,
     validate_comparable,
     validate_increasing,
 )
@@ -158,14 +159,19 @@ def _chain_rows(vecs: np.ndarray, r: int) -> tuple[list[int], list[int]]:
 
     greater[i] holds the points that beat ``vecs[i]`` in at least r
     coordinates; up[i] holds the points at least ``vecs[i]`` in every
-    coordinate, i itself excluded.  Each relation is one points x points
-    bool matrix, packed and freed before the next is built.
+    coordinate, i itself excluded.  Each relation is packed one
+    ``_win_blocks`` row block at a time, so no whole points x points matrix
+    is ever held.
     """
-    greater = _rows(_below(vecs, r))
-    up = _below(-vecs, 1)  # [i, j]: vecs[j] is below vecs[i] in some coordinate
-    np.logical_not(up, out=up)
-    np.fill_diagonal(up, False)
-    return greater, _rows(up)
+    greater = [row for _, wins in _win_blocks(vecs) for row in _rows(wins >= r)]
+    up = []
+    # [i, j] of a block of -vecs: how many coordinates of vecs[j] are below vecs[lo + i]
+    for lo, below in _win_blocks(-vecs):
+        at_least = below == 0
+        diag = np.arange(len(at_least))
+        at_least[diag, lo + diag] = False
+        up += _rows(at_least)
+    return greater, up
 
 
 def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRecord:

@@ -6,8 +6,9 @@ from the explicit voxel sets; ``canonical_pattern`` rotates one triangle's
 color triple, and ``three_color_path`` is the triangle-pattern finder
 written over labels, per-triangle ``color`` reads and a scan of every
 vertex per step; ``lex_least_longest_rescan`` walks an oracle's start
-table by rescanning a whole level per placed vertex.  All are plain loops
-or whole scans, kept apart from the numpy kernels they check.
+table by rescanning a whole level per placed vertex; ``levels_argsort``
+orders the vertex sets by a stable sort of their popcounts.  All are plain
+loops, whole scans or sorts, kept apart from the numpy kernels they check.
 """
 
 import numpy as np
@@ -157,3 +158,11 @@ def lex_least_longest_rescan(oracle) -> tuple[int, ...]:
         path.append(c)
         used |= 1 << c
     return tuple(oracle.labels[c] for c in path)
+
+
+def levels_argsort(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``paths._levels(n)`` by one stable argsort of the n-bit popcounts."""
+    size = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    order = np.argsort(size, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(size, minlength=n + 1))))
+    return order, tuple(bounds.tolist())

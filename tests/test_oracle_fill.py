@@ -3,13 +3,20 @@
 ``_pull_fill`` is the dense level fill the frontier push replaced: every
 vertex set of a level pulls, for every v, the word of the set without v.
 A lone oracle's table must equal it, word for word, with the same
-per-level reach list, in each direction.  Packed oracles
+per-level reach list, in each direction.  The fill takes a sparse route
+(push the nonzero values, carry the frontier from the pushes) or a dense
+one (push every value, scan the level) per level, and small levels are
+always dense; the route tests count the level scans and check sparse,
+dense, mixed and packed passes against ``_pull_fill`` and the reach lists
+of the fill that scanned every level.
+``_levels`` is checked against a stable argsort of the popcounts.  Packed oracles
 (``SubsetPathOracle.packed``) share one pass per direction, which must
 give every table it holds exactly the words and reach list of that table
 built alone.  The laziness tests count packed passes and the tables in
 each: each caller builds only the direction it reads.
 """
 
+import math
 import random
 import weakref
 
@@ -20,12 +27,13 @@ from hypothesis import strategies as st
 
 from ramsey_pods import decomposition, paths
 from ramsey_pods.constructions import canonical_coloring, lex_product
-from ramsey_pods.paths import SubsetPathOracle, _level
+from ramsey_pods.paths import SubsetPathOracle, _level, _levels
 from ramsey_pods.tournament import (
     ColoredTournament,
     random_ordered_coloring,
     random_tournament,
 )
+from reference import levels_argsort
 
 
 def _pull_fill(n: int, adj: list[int]) -> tuple[np.ndarray, list[int]]:
@@ -334,3 +342,133 @@ def test_packed_passes_match_lone_tables(case):
         table, _, reach = oracle._table(ends)
         want, want_reach = _pull_fill(oracle.n, oracle._masks[ends])
         assert np.array_equal(table, want) and reach == want_reach
+
+
+# ---------------------------------------------------------------------------
+# the fill's sparse and dense routes
+
+
+def test_levels_match_a_stable_argsort_of_the_popcounts():
+    for n in range(1, 23):
+        order, bounds = _levels(n)
+        want, want_bounds = levels_argsort(n)
+        assert order.dtype == want.dtype
+        assert np.array_equal(order, want), n
+        assert bounds == want_bounds, n
+        assert not order.flags.writeable
+        with pytest.raises(ValueError):
+            order[0] = 0
+
+
+@pytest.fixture()
+def scans(monkeypatch):
+    """Records k of each ``paths._level(n, k)`` call: the levels a dense route scans."""
+    seen = []
+    raw = paths._level
+
+    def counting(n, k):
+        seen.append(k)
+        return raw(n, k)
+
+    monkeypatch.setattr(paths, "_level", counting)
+    return seen
+
+
+_FULL_18 = [0] + [(1 << 18) - 1] * 18
+
+# the reach lists of the fill that scanned every level, per case and
+# direction (starts, ends)
+SCANNED_REACH = {
+    "near_transitive_19_single": (
+        [0, 524287, 32767, 15871, 5631, 511, 223, 95, 31, 7, 3, 1],
+        [0, 524287, 524286, 524284, 524264, 524224, 520064, 519936, 519680, 518144, 245760, 163840],
+    ),
+    "random_18_all": (_FULL_18, _FULL_18),
+    "random_18_some": (_FULL_18, _FULL_18),
+}
+
+_CASES = {name: case for name, *case in list(_sparse_cases()) + list(_dense_cases())}
+
+
+def _scans_per_direction(name, scans):
+    """The levels the fill of each direction scanned, its table and reach list checked."""
+    t, allowed, subset = _CASES[name]
+    oracle = SubsetPathOracle(t, frozenset(allowed), subset)
+    per_direction = []
+    for ends in (False, True):
+        scans.clear()
+        table, _, reach = oracle._table(ends)
+        per_direction.append(list(scans))
+        want, want_reach = _pull_fill(oracle.n, oracle._masks[ends])
+        assert np.array_equal(table, want)
+        assert reach == want_reach == SCANNED_REACH[name][ends]
+    return oracle.n, per_direction
+
+
+def _small(n: int) -> set[int]:
+    """The levels of n-vertex sets too small for the sparse route."""
+    return {k for k in range(n + 1) if math.comb(n, k) <= paths._SPARSE_VERTEX_SETS * n}
+
+
+def test_a_sparse_fill_scans_only_the_small_levels(scans):
+    n, per_direction = _scans_per_direction("near_transitive_19_single", scans)
+    # the fill stops at level 11; of the levels it pushes into, only 2-4
+    # have at most 256 n sets, and no larger one is scanned
+    assert per_direction == [[2, 3, 4], [2, 3, 4]]
+    assert all(k in _small(n) for scanned in per_direction for k in scanned)
+
+
+def test_a_dense_fill_scans_every_level(scans):
+    n, per_direction = _scans_per_direction("random_18_all", scans)
+    assert per_direction == [list(range(2, n + 1))] * 2
+    assert set(range(2, n + 1)) - _small(n)  # large levels too
+
+
+def test_a_fill_that_switches_route(scans):
+    # after the small levels, a few large ones push sparsely and the rest
+    # are dense and scanned
+    n, per_direction = _scans_per_direction("random_18_some", scans)
+    for scanned in per_direction:
+        skipped = set(range(2, n + 1)) - set(scanned)
+        assert skipped and not skipped & _small(n)
+        assert scanned[-1] == n
+
+
+# per direction, the reach lists of the four tables of one pass, from the
+# fill that scanned every level
+PACKED_REACH = (
+    [
+        [0, 65535, 32767, 16383, 3071, 1023, 511, 127, 63, 15, 7, 3, 1],
+        [0, 65535, 32767, 16383, 8191, 4095, 2047, 1023, 255, 127, 31, 15, 7, 3, 1],
+        [0, 65535, 32767, 8191, 2047, 1023, 511, 255, 63, 31, 3],
+        [0, 65535, 16383, 8191, 4095, 2047, 1023, 511, 255, 127, 63, 31, 15, 7, 3, 1],
+    ],
+    [
+        [0, 65535, 65534, 65532, 65528, 65520, 65472, 65152, 65024, 63488, 61440, 49152, 32768],
+        [0, 65535, 65534, 65532, 65528, 65520, 65504, 65408, 65280, 64512, 63488, 61440, 57344,
+         49152, 32768],
+        [0, 65535, 65516, 65504, 65472, 65280, 65024, 64512, 63488, 57344, 32768],
+        [0, 65535, 65534, 65532, 65528, 65520, 65504, 65472, 65408, 65280, 65024, 64512, 63488,
+         61440, 57344, 49152],
+    ],
+)
+
+
+@pytest.mark.parametrize("ends", [False, True])
+def test_a_packed_pass_takes_both_routes(scans, ends):
+    # four tables of 16 bits in one uint64 word on a transitive tournament:
+    # the middle levels are sparse, the others scanned
+    t = random_ordered_coloring(16, 4, seed=16).as_tournament()
+    oracles = list(SubsetPathOracle.packed(t, _avoiding(4)))
+    reaches = [oracle._table(ends)[2] for oracle in oracles]
+    assert reaches == PACKED_REACH[ends]
+    longest = max(len(reach) for reach in reaches) - 1
+    skipped = set(range(2, longest + 1)) - set(scans)
+    assert skipped and not skipped & _small(16)
+    assert scans[0] == 2 and scans[-1] == longest
+    for oracle in oracles:
+        words, shift, reach = oracle._table(ends)
+        assert words.dtype == np.uint64
+        want, want_reach = _pull_fill(16, oracle._masks[ends])
+        assert np.array_equal(((words >> shift) & 0xFFFF).astype(np.uint32), want)
+        assert reach == want_reach

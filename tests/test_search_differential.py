@@ -27,7 +27,8 @@ grid of at most 125 points: the same value, status and witness, never more
 nodes.  On the dominance pins' tripped budgets at (4, 2, 3) the records,
 node counts included, are the same too.  The lemma its pruning rests on
 (a point at least i in every coordinate is beaten only where i is) is
-checked on random grids.
+checked on random grids, and the rows it is read from are checked packed
+block by block against whole relation matrices.
 """
 
 import itertools
@@ -40,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramsey_pods import search
+from ramsey_pods import core, search
 from ramsey_pods.budget import Budget, BudgetExceeded
 from ramsey_pods.constructions import canonical_coloring
 from ramsey_pods.core import VectorFamily, _below, validate_comparable
@@ -518,6 +519,19 @@ def test_up_rows_only_drop_starts_that_cannot_win(key):
                 assert greater[j] & ~greater[i] == 0, (vecs[i], vecs[j])
     # the all-ones point is below every other point: one root suffices
     assert up[0] == (1 << len(vecs)) - 2
+
+
+@pytest.mark.parametrize("q,r,n", [(2, 1, 7), (3, 2, 4), (3, 1, 3), (4, 3, 2)])
+def test_chain_rows_packed_block_by_block(monkeypatch, q, r, n):
+    # blocks of one to six rows, so most rows' own bit sits past the block start
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 100)
+    vecs = _grid_vectors(q, n)
+    assert len(list(core._win_blocks(vecs))) > 1
+    greater, up = search._chain_rows(vecs, r)
+    at_least = ~_below(-vecs, 1)
+    np.fill_diagonal(at_least, False)
+    assert greater == _rows(_below(vecs, r))
+    assert up == _rows(at_least)
 
 
 def _unpruned_F(q: int, r: int, n: int, budget: Budget | None = None) -> search.ExtremalRecord:
