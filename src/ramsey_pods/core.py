@@ -240,6 +240,17 @@ def _win_blocks(coords: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, counts
 
 
+def _comparable_blocks(coords: np.ndarray, r: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The r-comparability relation of an (m, q) array, one ``_win_blocks`` block at a time.
+
+    Yields (lo, comparable) in row order: comparable[i, j] is set iff one
+    of rows lo + i and j beats the other in at least r coordinates.
+    """
+    # the counts of the negated array are the coordinates where row j is smaller
+    for (lo, up), (_, down) in zip(_win_blocks(coords), _win_blocks(-coords)):
+        yield lo, (up >= r) | (down >= r)
+
+
 def _below(coords: np.ndarray, r: int) -> np.ndarray:
     """(m, m) bool matrix: [i, j] iff row j beats row i in at least r coordinates."""
     m = len(coords)
@@ -282,11 +293,8 @@ def validate_comparable(fam: VectorFamily) -> ComparabilityCertificate:
 
     Duplicate vectors always fail: an equal pair has no strict coordinate.
     """
-    r, coords = fam.r, fam.coords
-    # the counts of the negated array are the coordinates where row j is smaller
     pair = _first_pair(
-        (lo, (up < r) & (down < r))
-        for (lo, up), (_, down) in zip(_win_blocks(coords), _win_blocks(-coords))
+        (lo, ~comparable) for lo, comparable in _comparable_blocks(fam.coords, fam.r)
     )
     if pair is None:
         return COMPARABLE

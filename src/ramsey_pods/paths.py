@@ -12,8 +12,10 @@ filled by pushing from the vertex sets that carry a path in any of its
 tables, level by level.  A large level with fewer pushes than sets
 carries its frontier over from the pushes, and only small or dense levels
 are scanned, so a sparse pass costs about its pushes, not all n * 2^n
-states; a dense table at n = 22 still touches most of them.  Each
-direction's table is built on the first query that reads it.
+states; a dense table at n = 22 still touches most of them.  A level's
+vertex sets are listed the first time a scan or a query reads that level,
+so a sparse pass holds little beside its words.  Each direction's table
+is built on the first query that reads it.
 """
 
 from __future__ import annotations
@@ -196,31 +198,28 @@ def ell_avoid_monotone(k: OrderedColoring, i: int) -> PathCertificate:
 
 
 @functools.cache
-def _levels(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """All n-bit vertex sets, sorted by size and then by value.
-
-    Level k (the k-vertex sets, in increasing value) is
-    ``order[bounds[k]:bounds[k + 1]]``.  Every oracle on n vertices shares
-    the result (32 MB at n = 22), so the array is read-only.  The levels
-    are written slice by slice from one uint8 array of popcounts, built by
-    doubling, so the build peaks at 45 MB at n = 22, two thirds of what a
-    stable argsort of the popcounts takes.
-    """
-    size = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        # the sets with top bit b are those below 1 << b, plus b
-        np.add(size[: 1 << b], 1, out=size[1 << b : 2 << b])
-    bounds = tuple(itertools.accumulate((math.comb(n, k) for k in range(n + 1)), initial=0))
-    order = np.empty(1 << n, dtype=np.intp)
-    for k in range(n + 1):
-        order[bounds[k] : bounds[k + 1]] = np.flatnonzero(size == k)
-    order.flags.writeable = False
-    return order, bounds
-
-
 def _level(n: int, k: int) -> np.ndarray:
-    order, bounds = _levels(n)
-    return order[bounds[k] : bounds[k + 1]]
+    """The k-vertex sets of n vertices as n-bit masks, in increasing value.
+
+    Built by L(m, j) = L(m - 1, j) ++ (L(m - 1, j - 1) | 2^(m - 1)) over
+    m = 1..n, keeping only the band of j that level k of n reads; the band's
+    arrays are dropped as m grows.  Each level is cached on its own (at most
+    C(22, 11) words, 5.6 MB) and read-only, since every oracle on n
+    vertices shares it.  A fill and its queries read only the levels they
+    scan or start from; a dense fill at n = 22 reads all 23 of them, 2^22
+    sets in 32 MB.
+    """
+    empty = np.empty(0, dtype=np.intp)
+    band = {0: np.zeros(1, dtype=np.intp)}
+    for m in range(1, n + 1):
+        top = 1 << (m - 1)
+        band = {
+            j: np.concatenate((band.get(j, empty), band[j - 1] | top if j else empty))
+            for j in range(max(0, k - n + m), min(k, m) + 1)
+        }
+    level = band[k]
+    level.flags.writeable = False
+    return level
 
 
 # _BYTE_BITS[x, b] is bit b of the byte x
@@ -314,10 +313,17 @@ def _packed_fill(n: int, in_masks: Sequence[Sequence[int]]) -> tuple[np.ndarray,
             frontier = np.concatenate(fresh)
             words = h[frontier]
         else:
-            # dense: push every value, then scan level k for its frontier
+            # dense: push every value, then scan level k for its frontier.
+            # Each vertex's targets and values go into two buffers made once
+            # per level; fresh multi-MB temporaries per vertex made the heap
+            # trim and fault its pages back in at every vertex
+            targets, vals = np.empty_like(frontier), np.empty_like(new)
             for u, lane in enumerate(lanes):
                 if seen & lane:
-                    h[frontier | (1 << u)] |= new & lane
+                    np.bitwise_or(frontier, 1 << u, out=targets)
+                    np.bitwise_and(new, lane, out=vals)
+                    h[targets] |= vals
+            del targets, vals  # before the scan, which may build level k
             level = _level(n, k)
             words = h[level]
             live = words != 0
@@ -355,6 +361,11 @@ class SubsetPathOracle:
     query that reads it, so a caller that asks only about starts, or only
     about ends, builds one.  A build visits only the vertex sets that
     carry a path, plus one scan of each level that is small or dense.
+    Beside its words, a build and its queries hold the levels they scan
+    or start from (``_level``), shared by every oracle on n vertices.
+    Under tracemalloc, a cold near-transitive oracle on 21 vertices and
+    its ``lex_least_longest`` peak at 8.4 MB, 8 MB of it the start table;
+    a dense table at n = 22, which reads every level, peaks at 60 MB.
     """
 
     def __init__(

@@ -73,7 +73,7 @@ from .budget import Budget, BudgetClock, BudgetExceeded
 from .constructions import canonical_coloring
 from .core import (
     VectorFamily,
-    _below,
+    _comparable_blocks,
     _win_blocks,
     validate_comparable,
     validate_increasing,
@@ -88,7 +88,7 @@ EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 UPPER_BOUND = "upper_bound"
 
-# F and G hold a points x points relation: 256 MB of bools at 2^14 points
+# F and G pack points x points relations one int per point: 32 MB each at 2^14 points
 GRID_POINT_CAP = 2**14
 
 
@@ -280,6 +280,21 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
 # G: maximum comparable set (maximum clique of the comparability graph)
 
 
+def _comparability_rows(vecs: np.ndarray, r: int) -> tuple[np.ndarray, list[int]]:
+    """The points by non-increasing comparability degree, and their packed rows.
+
+    ``order`` is a stable argsort, so ties keep the order of ``vecs``; bit
+    w of ``adj[v]`` is set iff points ``order[v]`` and ``order[w]`` are
+    r-comparable.  Two passes of row blocks, one for the degrees and one
+    for the rows of the renumbered points, so no whole points x points
+    matrix is ever held.
+    """
+    degree = np.concatenate([block.sum(axis=1) for _, block in _comparable_blocks(vecs, r)])
+    order = np.argsort(-degree, kind="stable")
+    adj = [row for _, block in _comparable_blocks(vecs[order], r) for row in _rows(block)]
+    return order, adj
+
+
 def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRecord:
     """Maximum clique search on the r-comparability graph of [n]^q.
 
@@ -303,10 +318,7 @@ def exact_G(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     _check_params("G", q, r, n)
     clock = (budget or Budget()).start()
     vecs = _grid_vectors(q, n)
-    below = _below(vecs, r)
-    comparable = below | below.T
-    order = np.argsort(-comparable.sum(axis=1), kind="stable")
-    adj = _rows(comparable[np.ix_(order, order)])
+    order, adj = _comparability_rows(vecs, r)
     full = (1 << len(vecs)) - 1
     # nonadj[v]: the vertices v may share a color class with, v excluded
     nonadj = [full & ~(row | 1 << v) for v, row in enumerate(adj)]

@@ -7,8 +7,10 @@ color triple, and ``three_color_path`` is the triangle-pattern finder
 written over labels, per-triangle ``color`` reads and a scan of every
 vertex per step; ``lex_least_longest_rescan`` walks an oracle's start
 table by rescanning a whole level per placed vertex; ``levels_argsort``
-orders the vertex sets by a stable sort of their popcounts.  All are plain
-loops, whole scans or sorts, kept apart from the numpy kernels they check.
+orders the vertex sets by a stable sort of their popcounts;
+``comparability_rows_whole`` builds ``exact_G``'s renumbered adjacency from
+whole points x points matrices.  All are plain loops, whole scans or sorts,
+kept apart from the numpy kernels they check.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from ramsey_pods.core import (
     ComparabilityCertificate,
     VectorFamily,
     Verdict,
+    _below,
     validate_comparable,
     validate_increasing,
 )
@@ -30,7 +33,7 @@ from ramsey_pods.decomposition import (
 )
 from ramsey_pods.paths import PathCertificate, PathConstraint, _level
 from ramsey_pods.pods import Pod, pod_voxels
-from ramsey_pods.tournament import ColoredTournament, cyclic_triangles
+from ramsey_pods.tournament import ColoredTournament, _rows, cyclic_triangles
 
 
 def _up(x, y) -> frozenset[int]:
@@ -161,8 +164,24 @@ def lex_least_longest_rescan(oracle) -> tuple[int, ...]:
 
 
 def levels_argsort(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``paths._levels(n)`` by one stable argsort of the n-bit popcounts."""
+    """Every n-bit vertex set by one stable argsort of the popcounts, and the level bounds.
+
+    Level k, ``paths._level(n, k)``, is ``order[bounds[k]:bounds[k + 1]]``.
+    """
     size = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     order = np.argsort(size, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(size, minlength=n + 1))))
     return order, tuple(bounds.tolist())
+
+
+def comparability_rows_whole(vecs: np.ndarray, r: int) -> tuple[np.ndarray, list[int]]:
+    """``search._comparability_rows`` from whole points x points bool matrices.
+
+    The relation is ``_below`` ORed with its transpose, the order a stable
+    argsort of its negated row sums, and the rows those of the relation
+    with both axes reordered.
+    """
+    below = _below(vecs, r)
+    comparable = below | below.T
+    order = np.argsort(-comparable.sum(axis=1), kind="stable")
+    return order, _rows(comparable[np.ix_(order, order)])

@@ -9,7 +9,9 @@ one (push every value, scan the level) per level, and small levels are
 always dense; the route tests count the level scans and check sparse,
 dense, mixed and packed passes against ``_pull_fill`` and the reach lists
 of the fill that scanned every level.
-``_levels`` is checked against a stable argsort of the popcounts.  Packed oracles
+Each ``_level`` is checked against a slice of a stable argsort of the
+popcounts, and a cold sparse fill at n = 21 and its query against a
+memory bound: only the levels they read are built.  Packed oracles
 (``SubsetPathOracle.packed``) share one pass per direction, which must
 give every table it holds exactly the words and reach list of that table
 built alone.  The laziness tests count packed passes and the tables in
@@ -18,6 +20,7 @@ each: each caller builds only the direction it reads.
 
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 
 from ramsey_pods import decomposition, paths
 from ramsey_pods.constructions import canonical_coloring, lex_product
-from ramsey_pods.paths import SubsetPathOracle, _level, _levels
+from ramsey_pods.paths import SubsetPathOracle, _level
 from ramsey_pods.tournament import (
     ColoredTournament,
     random_ordered_coloring,
@@ -350,14 +353,33 @@ def test_packed_passes_match_lone_tables(case):
 
 def test_levels_match_a_stable_argsort_of_the_popcounts():
     for n in range(1, 23):
-        order, bounds = _levels(n)
-        want, want_bounds = levels_argsort(n)
-        assert order.dtype == want.dtype
-        assert np.array_equal(order, want), n
-        assert bounds == want_bounds, n
-        assert not order.flags.writeable
-        with pytest.raises(ValueError):
-            order[0] = 0
+        want, bounds = levels_argsort(n)
+        for k in range(n + 1):
+            level = _level(n, k)
+            assert level.dtype == np.intp
+            assert np.array_equal(level, want[bounds[k] : bounds[k + 1]]), (n, k)
+            assert not level.flags.writeable
+            with pytest.raises(ValueError):
+                level[0] = 0
+        # every level at n = 22 together is 32 MB
+        _level.cache_clear()
+
+
+def test_a_cold_sparse_oracle_builds_only_the_levels_it_reads():
+    # near-transitive, one color: the fill scans levels 2-4, pushes levels
+    # 5-17 sparsely and stops, and lex_least_longest starts from level 17.
+    # The start table is 8 MB; every level at n = 21 would be 16 MB more
+    t = _flipped(random_ordered_coloring(21, 2, seed=0).as_tournament(), 2, 0)
+    _level.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle = SubsetPathOracle(t, frozenset({1}))
+        path = oracle.lex_least_longest()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path) == oracle.longest() == 17
+    assert peak < 12 * 2**20
 
 
 @pytest.fixture()

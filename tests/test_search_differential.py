@@ -12,7 +12,9 @@ a count of free grid points from scratch, on random colorings and on
 optimal ones, none of which it may prune, and ``exact_f`` keeps the values
 it had before the bound.  ``exact_G`` is checked against networkx's
 maximum clique on every small grid, and its budget-tripped records on
-``G 3 2 5``.
+``G 3 2 5``; its renumbered comparability rows, built block by block, are
+checked against whole-matrix ones on every grid of at most 1,024 points
+and on each grid of 4,096 points.
 
 At r = q - 1 both minimizers first walk the maximizer's sides.  Their
 values are checked against ``_minimize`` run as the branch-and-bound alone
@@ -70,6 +72,7 @@ from ramsey_pods.tournament import (
     random_ordered_coloring,
     random_tournament,
 )
+from reference import comparability_rows_whole
 
 
 DOMINANCE_PINS = Path(__file__).parent / "data" / "dominance_pinned.json"
@@ -343,6 +346,35 @@ def test_exact_G_budget_keeps_a_growing_comparable_witness():
         values.append(rec.value)
     # one deterministic search: a larger budget only lets the incumbent grow
     assert values == sorted(values)
+
+
+# every grid of at most 1,024 points with n >= 2 (n = 1 would allow any q),
+# and each grid of 4,096 points at r = ceil(q/2); every r on every grid of
+# at most 4,096 points takes about 30 s
+ADJACENCY_GRIDS = [
+    (q, r, n) for q in range(1, 11) for r in range(1, q + 1) for n in range(2, 33) if n**q <= 1024
+] + [(q, -(-q // 2), n) for q, n in ((2, 64), (3, 16), (4, 8), (6, 4), (12, 2))]
+
+
+def test_exact_G_rows_match_the_whole_matrix_build():
+    for q, r, n in ADJACENCY_GRIDS:
+        vecs = _grid_vectors(q, n)
+        order, adj = search._comparability_rows(vecs, r)
+        want_order, want_adj = comparability_rows_whole(vecs, r)
+        assert np.array_equal(order, want_order), (q, r, n)
+        assert adj == want_adj, (q, r, n)
+
+
+@pytest.mark.parametrize("q,r,n", [(2, 1, 7), (3, 2, 4), (3, 1, 3), (4, 3, 2)])
+def test_exact_G_rows_packed_block_by_block(monkeypatch, q, r, n):
+    # blocks of one to six rows, in both the degree pass and the row pass
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 100)
+    vecs = _grid_vectors(q, n)
+    assert len(list(core._win_blocks(vecs))) > 1
+    order, adj = search._comparability_rows(vecs, r)
+    want_order, want_adj = comparability_rows_whole(vecs, r)
+    assert np.array_equal(order, want_order)
+    assert adj == want_adj
 
 
 # r = q - 1 keys on which the walk, the floor and the plain search all close
