@@ -179,9 +179,10 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
 
     Extensions must dominate every chosen vector (the relation is not
     transitive), so subproblems are determined by the bitmask of vectors
-    dominating the whole prefix; results are memoized on that mask as
-    (length, first point), the first point being the first strict maximum
-    in lexicographic order.
+    dominating the whole prefix; results are memoized on that mask as the
+    most points of a chain inside it.  The witness takes from each mask the
+    lowest point i whose ``mask & greater[i]`` is memoized one shorter: the
+    first strict maximum in lexicographic order.
 
     The search branches only on each node's coordinatewise-minimal points.
     If point j is at least point i in every coordinate, then every point
@@ -209,17 +210,17 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
     # keep[i]: the children a node keeps once child i is settled
     keep = [~(row | 1 << i) for i, row in enumerate(up)]
     del up
-    memo: dict[int, tuple[int, int]] = {}
+    memo: dict[int, int] = {}
     best_chain: list[int] = []
     prefix = [0]  # the chain to the open node on top of the stack
-    # per open node: [mask, children left, best length, its first point]
+    # per open node: [mask, children left, best length]
     stack: list[list[int]] = []
 
     def open_node(mask: int) -> None:
         if len(prefix) > len(best_chain):
             best_chain[:] = prefix
         clock.tick()
-        stack.append([mask, mask, 0, -1])
+        stack.append([mask, mask, 0])
 
     chain = [0]
     try:
@@ -227,11 +228,11 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
         closed = -1  # the length of the node just closed, -1 when none
         while stack:
             top = stack[-1]
-            mask, mm, best_len, best_first = top
+            mask, mm, best_len = top
             if closed >= 0:  # top's child prefix[-1] just closed
-                i = prefix.pop()
-                if closed + 1 > best_len:
-                    best_len, best_first = closed + 1, i
+                prefix.pop()
+                if closed >= best_len:
+                    best_len = closed + 1
                 closed = -1
             while mm:
                 bit = mm & -mm
@@ -245,25 +246,24 @@ def exact_F(q: int, r: int, n: int, budget: Budget | None = None) -> ExtremalRec
                     break
                 if len(prefix) >= len(best_chain):
                     best_chain[:] = prefix + [i]
-                if hit[0] + 1 > best_len:
-                    best_len, best_first = hit[0] + 1, i
+                if hit >= best_len:
+                    best_len = hit + 1
             else:
-                memo[mask] = (best_len, best_first)
+                memo[mask] = best_len
                 stack.pop()
                 closed = best_len
                 continue
-            top[1:] = mm, best_len, best_first
+            top[1:] = mm, best_len
             prefix.append(i)
             open_node(sub)
         best = closed + 1
-        # the witness: the root, then each memoized first point
-        mask = greater[0]
-        while mask:
-            length, first = memo[mask]
-            if length == 0:
-                break
-            chain.append(first)
-            mask &= greater[first]
+        mask = greater[0]  # the witness: the root, then each mask's first strict maximum
+        for length in range(closed - 1, -1, -1):
+            mm = mask
+            while memo.get(mask & greater[(i := (mm & -mm).bit_length() - 1)]) != length:
+                mm ^= 1 << i
+            chain.append(i)
+            mask &= greater[i]
         status = EXACT
     except BudgetExceeded:
         chain = list(best_chain)
@@ -807,9 +807,12 @@ def exact_g(q: int, r: int, n_vertices: int, budget: Budget | None = None) -> Ex
 
 
 def validate_record(record: ExtremalRecord) -> str | None:
-    """Re-check a record's witness; None when it supports the claim."""
+    """Re-check a record's status and witness; None when they support the claim."""
     try:
         _check_params(record.kind, record.q, record.r, record.size)
+        bound = LOWER_BOUND if record.kind in "FG" else UPPER_BOUND
+        if record.status not in (EXACT, bound):
+            return f"{record.kind} records are {EXACT} or {bound}, not {record.status!r}"
         if record.kind in "FG":
             fam = VectorFamily.from_json(record.certificate)
             if (fam.q, fam.r, fam.n) != (record.q, record.r, record.size):
@@ -823,8 +826,6 @@ def validate_record(record: ExtremalRecord) -> str | None:
             )
             if not cert.ok():
                 return f"witness fails validation at {cert.pair}"
-            if record.status == UPPER_BOUND:
-                return "maximizers cannot carry upper_bound records"
         else:
             cls, valuation, *_ = _MINIMIZERS[record.kind]
             witness = cls.from_json(record.certificate)
@@ -833,8 +834,6 @@ def validate_record(record: ExtremalRecord) -> str | None:
             val = valuation(witness, record.r)
             if val != record.value:
                 return f"witness value {val} != recorded {record.value}"
-            if record.status == LOWER_BOUND:
-                return "minimizers cannot carry lower_bound records"
     except (KeyError, ValueError, TypeError) as exc:
         return f"corrupt witness: {exc}"
     return None

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -63,6 +64,19 @@ def test_closed_values_pinned(solver, key, value):
     assert rec.status == EXACT
     assert rec.value == value
     assert validate_record(rec) is None
+
+
+def test_exact_F_memo_holds_one_length_per_mask():
+    # F 3 2 7 memoizes 98,242 masks; with (length, first point) tuples as
+    # values its traced peak is 18.9 MiB, with lengths alone 13.6 MiB
+    tracemalloc.start()
+    try:
+        rec = exact_F(3, 2, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rec.value, rec.nodes_explored) == (17, 98_242)
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("key,value", sorted(PINNED_G.items()))
@@ -226,6 +240,28 @@ def test_validate_record_rejects_r_zero(solver):
     # the record's parameters are checked before its witness is valued
     rec = dataclasses.replace(solver(2, 1, 3), r=0)
     assert validate_record(rec) == "corrupt witness: r=0 outside [1, 2]"
+
+
+@pytest.mark.parametrize("status", ["bogus", 1, None, UPPER_BOUND])
+def test_F_record_status_is_exact_or_lower_bound(tmp_path, status):
+    # a bad status is skipped on read like a corrupt line, and never written
+    path = tmp_path / "c.jsonl"
+    good = exact_F(3, 2, 4, Budget(max_nodes=2))
+    bad = dataclasses.replace(exact_F(3, 2, 4), status=status)
+    assert validate_record(bad) == f"F records are exact or lower_bound, not {status!r}"
+    cache_put(good, path)
+    with open(path, "a") as fh:
+        fh.write(json.dumps(bad.to_json()) + "\n")
+    assert cache_get("F", 3, 2, 4, path) == good
+    with pytest.raises(ValueError, match="refusing to persist"):
+        cache_put(bad, path)
+
+
+def test_f_record_status_is_exact_or_upper_bound():
+    rec = exact_f(2, 1, 4)
+    assert validate_record(dataclasses.replace(rec, status=UPPER_BOUND)) is None
+    bad = dataclasses.replace(rec, status=LOWER_BOUND)
+    assert validate_record(bad) == "f records are exact or upper_bound, not 'lower_bound'"
 
 
 def test_cache_prefers_strongest_bound(tmp_path):
