@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
+import re
 import sys
+import warnings
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .budget import Budget
 from .constructions import (
@@ -88,6 +93,66 @@ def _collector_paused():
             gc.enable()
 
 
+_WHITESPACE = b" \t\n\r"  # JSON's whitespace; no form feed, no vertical tab
+_DIGITS = b"0123456789"
+# a plain instance's text up to its rows, "_" standing for any JSON whitespace;
+# N and q have at most 19 digits, so int() takes them under any digit limit
+_PLAIN_HEAD = re.compile(
+    rb'_\{_"N"_:_(0|[1-9][0-9]{0,18})_,_"q"_:_(0|[1-9][0-9]{0,18})_,_"(edges|colors)"_:'.replace(
+        b"_", rb"[ \t\n\r]*"
+    )
+)
+_BRACKETS_BLANK = bytes.maketrans(b"[]", b"  ")
+
+
+def _plain_instance(raw: bytes) -> dict | None:
+    """Decode a plain instance file with its rows as one (m, 3) int64 array.
+
+    A plain instance is ``{"N": int, "q": int, "edges"|"colors": [[int,
+    int, int], ...]}`` with the keys in that order, JSON whitespace only
+    and unsigned integers without leading zeros; its rows are read in a
+    few C-speed passes, with no list per row.  Any other text, or one that
+    fails a check, gives None, and the caller decodes it with ``json``:
+    1. with its digits and whitespace deleted, the rows' text is exactly
+       ``[[,,],...,[,,]]``, m rows;
+    2. with the brackets blanked, ``np.fromstring`` reads exactly 3m
+       values from it (numpy 2.0 warns and stops early on bad text, later
+       versions raise);
+    3. every value is at least 1 and below int64's maximum (where
+       ``fromstring`` saturates), and the text's digit count is the sum of
+       the values' decimal lengths, which rules out leading zeros.
+    """
+    head = _PLAIN_HEAD.match(raw)
+    if head is None:
+        return None
+    rows = raw[head.end():].rstrip(_WHITESPACE)
+    if not rows.endswith(b"}"):
+        return None
+    rows = rows[:-1]
+    skeleton = rows.translate(None, _DIGITS + _WHITESPACE)
+    m = (len(skeleton) - 1) // 5
+    if skeleton != b"[" + (b"[,,]," * m)[:-1] + b"]":
+        return None
+    values = np.empty(0, np.int64)  # numpy reads the blanked "[]" as one 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            if m:
+                values = np.fromstring(rows.translate(_BRACKETS_BLANK), np.int64, sep=",")
+        except ValueError:
+            return None
+    if len(values) != 3 * m:
+        return None
+    top = int(values.max(initial=0))
+    if values.min(initial=1) < 1 or top >= np.iinfo(np.int64).max:
+        return None
+    # a value has one digit, plus one for each power of ten it reaches
+    width = len(values) + sum(np.count_nonzero(values >= 10**k) for k in range(1, len(str(top))))
+    if width != len(rows) - len(rows.translate(None, _DIGITS)):
+        return None
+    return {"N": int(head[1]), "q": int(head[2]), head[3].decode(): values.reshape(m, 3)}
+
+
 def _load(path: str, parse, what: str):
     """Read a JSON input file and build it with ``parse``.
 
@@ -98,14 +163,25 @@ def _load(path: str, parse, what: str):
     boolean field, and Python reads ``true`` as the integer 1, so a file
     holding ``true`` or ``false`` is rejected too; the parser's own checks
     run first and keep their messages.  The data is walked for booleans
-    only when the raw text holds such a token.
+    only when the raw text holds such a token.  A plain instance file is
+    decoded by ``_plain_instance``, its rows as one array; any other file,
+    and one whose rows fail its checks, by ``json``.  Nesting too deep for
+    ``json`` is unparsable too.
     """
     with _collector_paused():
         try:
-            text = Path(path).read_text()
-            data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-        except (OSError, ValueError) as exc:
+            raw = Path(path).read_bytes()
+        except OSError as exc:
             raise CliError(f"cannot parse {path}: {exc}", 3)
+        text = ""
+        data = _plain_instance(raw)
+        if data is None:
+            try:
+                # what Path.read_text returns: the locale's encoding, universal newlines
+                text = io.TextIOWrapper(io.BytesIO(raw)).read()
+                data = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+            except (ValueError, RecursionError) as exc:
+                raise CliError(f"cannot parse {path}: {exc}", 3)
         try:
             obj = parse(data)
         except (KeyError, ValueError, TypeError) as exc:
@@ -116,7 +192,7 @@ def _load(path: str, parse, what: str):
                 raise CliError(f"bad {what}: boolean {json.dumps(flag)} is not an integer", 3)
         # free the decoded lists before the collector is back on: its first
         # pass would otherwise walk every one of them
-        del text, data
+        del raw, text, data
         return obj
 
 

@@ -870,9 +870,10 @@ def _load_records(path: Path, key: tuple) -> list[ExtremalRecord]:
         line = line.strip()
         if not line:
             continue
+        # a line nested too deep for the decoder raises RecursionError
         try:
             rec = ExtremalRecord.from_json(json.loads(line))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError):
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError):
             continue
         if _record_key(rec) != key:
             continue

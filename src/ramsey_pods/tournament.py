@@ -34,11 +34,22 @@ class OrderedColoring:
     """
 
     def __init__(self, n_vertices: int, q: int, colors: Iterable[tuple[int, int, int]]):
-        """Parse an edge list: each pair (u, v), u < v, once, as (u, v, color)."""
+        """Parse an edge list: each pair (u, v), u < v, once, as (u, v, color).
+
+        The list may be an (m, 3) integer array, checked in numpy; one that
+        fails a check goes through the per-edge loop as a list, which
+        reports its first bad entry.
+        """
         if n_vertices < 1:
             raise ValueError("need at least one vertex")
         if q < 1:
             raise ValueError("palette must be nonempty")
+        if isinstance(colors, np.ndarray):
+            upper = _scatter_edges(colors, n_vertices, q, _color_dtype(q), ordered=True)
+            if upper is not None:
+                self._set(q, upper + upper.T)
+                return
+            colors = colors.tolist()
         colors = list(colors)
         if len(colors) < n_vertices * (n_vertices - 1) // 2:
             # before the table is built; a list this long bounds it, and has
@@ -181,6 +192,34 @@ def _color_rows(rows: list[list[int]], q: int) -> np.ndarray:
     return flat.reshape(len(rows), len(rows))
 
 
+def _scatter_edges(
+    edges: np.ndarray, n: int, q: int, dtype: np.dtype, ordered: bool
+) -> np.ndarray | None:
+    """The (N+1)x(N+1) matrix with c at [u, v] per row (u, v, c) of an edge array.
+
+    None unless ``edges`` is an (m, 3) integer array with one row per pair
+    of 1..N: m = N(N-1)/2 rows, u and v in 1..N, u < v when ``ordered``
+    and u != v otherwise, colors in 1..q, and no pair twice in either
+    orientation.  Checks run in that order.  ``dtype`` is the matrix's,
+    one that holds q; None too when int64 does not hold it (q >= 2^63).
+    """
+    m = n * (n - 1) // 2
+    if edges.shape != (m, 3) or edges.dtype.kind not in "iu" or not np.can_cast(dtype, np.int64):
+        return None
+    u, v, c = edges.T
+    if not np.all((u >= 1) & (v >= 1) & (u <= n) & (v <= n) & ((u < v) if ordered else (u != v))):
+        return None
+    if not np.all((c >= 1) & (c <= q)):
+        return None
+    table = np.zeros((n + 1, n + 1), dtype)
+    table[u, v] = c
+    hit = table != 0
+    # a pair listed twice, in either orientation, covers fewer than 2m cells
+    if np.count_nonzero(hit | hit.T) != 2 * m:
+        return None
+    return table
+
+
 def _check_palette(colors: np.ndarray, q: int) -> None:
     """Raise ValueError unless every off-diagonal entry is an integer in 1..q.
 
@@ -223,17 +262,30 @@ class ColoredTournament:
     """
 
     def __init__(self, n_vertices: int, q: int, edges: Iterable[tuple[int, int, int]]):
+        """Parse an edge list: each pair once, as (tail, head, color).
+
+        The list may be an (m, 3) integer array, checked in numpy; one that
+        fails a check goes through the per-edge loop as a list, which
+        reports its first bad entry.
+        """
         if n_vertices < 1:
             raise ValueError("need at least one vertex")
         if q < 1:
             raise ValueError("palette must be nonempty")
         n = n_vertices
+        vertices = range(1, n + 1)
+        if isinstance(edges, np.ndarray):
+            tails = _scatter_edges(edges, n, q, np.min_scalar_type(-q - 1), ordered=False)
+            if tails is not None:
+                forward = tails[1:, 1:]
+                self._set(vertices, q, forward - forward.T)
+                return
+            edges = edges.tolist()
         edges = list(edges)
         if len(edges) < n * (n - 1) // 2:
             # before the table is built; a list this long bounds it, and has
             # every pair if none is oriented twice
             raise ValueError("every vertex pair needs exactly one directed edge")
-        vertices = range(1, n + 1)
         get = {v: v - 1 for v in vertices}.get
         tails = [[0] * n for _ in range(n)]  # row i holds c at j for an edge i -> j
         for edge in edges:

@@ -136,6 +136,14 @@ def test_search_g_cached_above_exact_cap_exit_one(workdir, capsys):
     assert err == "error: g needs at most 22 vertices, got 23\n"
 
 
+def test_search_skips_a_cache_line_nested_too_deep(workdir, capsys):
+    # the JSON decoder raises RecursionError on it: skipped like a corrupt line
+    (workdir / "c.jsonl").write_text("[" * 10**5 + "]" * 10**5 + "\n")
+    code, out, err = run(capsys, "search", "F", "2", "1", "3", "--cache", "c.jsonl", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 9
+
+
 def test_search_F_above_grid_cap_exit_one(workdir, capsys):
     # 129^2 = 16641 grid points: the points x points relation is not built
     code, out, err = run(
@@ -276,8 +284,12 @@ def _malformed_inputs(workdir):
     (workdir / "f.json").write_text(json.dumps({"q": 2, "n": 2, "r": 1, "vectors": [[1, 3]]}))
     for name, n in (("t0.json", 0), ("t_neg.json", -2)):
         (workdir / name).write_text(json.dumps({"N": n, "q": 2, "edges": []}))
+    # nested too deep for the JSON decoder, which raises RecursionError
+    deep = "[" * 10**5 + "]" * 10**5
+    (workdir / "t_deep.json").write_text('{"N": 3, "q": 2, "edges": %s}' % deep)
     return {
         "verify_path": ["verify", "path", "t.json", "c.json"],
+        "verify_path_deep": ["verify", "path", "t_deep.json", "c.json"],
         "construct_product": ["construct", "product", "k.json", "k.json"],
         "construct_balance": ["construct", "balance", "k.json"],
         "construct_boost": ["construct", "boost", "f.json", "f.json"],
@@ -290,6 +302,7 @@ def _malformed_inputs(workdir):
     "command",
     [
         "verify_path",
+        "verify_path_deep",
         "construct_product",
         "construct_balance",
         "construct_boost",
@@ -300,7 +313,10 @@ def _malformed_inputs(workdir):
 def test_malformed_input_exit_three(workdir, capsys, command):
     code, _, err = run(capsys, *_malformed_inputs(workdir)[command])
     assert code == 3
-    assert err.startswith("error: bad ")
+    if command == "verify_path_deep":
+        assert err.startswith("error: cannot parse t_deep.json: maximum recursion depth exceeded")
+    else:
+        assert err.startswith("error: bad ")
 
 
 @pytest.mark.parametrize(

@@ -228,6 +228,7 @@ def test_cache_rejects_corrupt_lines(tmp_path):
     with open(path, "a") as fh:
         fh.write("not json at all\n")
         fh.write('[1, 2]\n"x"\n7\nnull\n')  # JSON, but not an object
+        fh.write("[" * 10**5 + "]" * 10**5 + "\n")  # too deep for the decoder
         broken = exact_F(2, 1, 2).to_json()
         broken["value"] = 99  # witness no longer matches
         fh.write(json.dumps(broken) + "\n")
