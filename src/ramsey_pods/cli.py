@@ -3,7 +3,8 @@
 Exit codes: 0 success (search: exact value), 1 invalid input or failed
 verification, 2 bound-only search result or no cyclic triangles, 3 an
 input file that cannot be read, is not JSON, or does not describe a valid
-object, or a search cache that cannot be read or appended to.
+object, an output file (``-o``, ``--trace``) that cannot be written, or a
+search cache that cannot be read or appended to.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import re
 import sys
 import warnings
 from contextlib import contextmanager
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -76,13 +76,13 @@ def _find_bool(data):
 def _collector_paused():
     """Run the body with the cyclic garbage collector off.
 
-    Decoding or encoding an instance makes one list per edge or row, and
+    Decoding an instance with ``json`` makes one list per edge or row, and
     each allocation counts toward a collector pass that walks them all.
     Those lists form a tree, which reference counting frees, so the passes
     find nothing.  The previous state comes back on every exit; a collector
-    that was already off stays off.  Only JSON decoding and encoding are
-    wrapped: the search closures are reference cycles that hold their memo,
-    so a whole command run this way could keep several memos alive at once.
+    that was already off stays off.  Only JSON decoding is wrapped: the
+    search closures are reference cycles that hold their memo, so a whole
+    command run this way could keep several memos alive at once.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -204,39 +204,93 @@ def _parse_instance(data: dict):
     raise CliError("instance file is neither a tournament nor a coloring", 3)
 
 
-def _indented(obj, indent: str) -> str:
-    """``json.dumps(obj, indent=2)`` for a value nested at ``indent``.
+def _indented(obj, indent: bytes) -> bytes | bytearray:
+    """``json.dumps(obj, indent=2)`` for a value nested at ``indent``, as ASCII bytes.
 
     The stdlib encoder drops to pure Python whenever it indents.  The shapes
-    the written files are made of are filled at C speed instead: a list of
-    exact ints is one join, and a list of equal-length rows of exact ints
-    (edges, coloring entries, vectors) is one ``%`` fill of a per-row
-    template.  ``bool`` is not an exact int, so it never prints as a digit.
-    Everything else goes to ``json.dumps`` and is shifted to ``indent``; a
-    JSON text has no raw newline inside its strings, so that shift only
-    moves its line starts.
+    the written files are made of are laid out at C speed instead: a list of
+    exact ints is one join, and a 2-D integer array with at least one row
+    and one column and every value in 0..2^63 - 1 (edges, coloring entries,
+    vectors) is ``_indented_rows``.  ``bool`` is not an exact int, so it
+    never prints as a digit.  Any other array (bool, object, negative or
+    empty) is turned into lists first.  Everything else goes to
+    ``json.dumps``, which escapes every non-ASCII character, and is shifted
+    to ``indent``; a JSON text has no raw newline inside its strings, so
+    that shift only moves its line starts.
     """
-    inner = indent + "  "
-    sep = ",\n" + inner
+    if isinstance(obj, np.ndarray):
+        if (
+            obj.ndim == 2
+            and obj.size
+            and obj.dtype.kind in "iu"
+            and int(obj.min()) >= 0
+            and int(obj.max()) < 2**63
+        ):
+            return _indented_rows(obj, indent)
+        obj = obj.tolist()
+    inner = indent + b"  "
+    sep = b",\n" + inner
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        items = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in obj.items()]
-        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
-    if type(obj) is list and obj:
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            return "[\n" + inner + sep.join(map(int.__repr__, obj)) + "\n" + indent + "]"
-        if kinds == {list} and len(set(map(len, obj))) == 1 and obj[0]:
-            flat = tuple(chain.from_iterable(obj))
-            if set(map(type, flat)) == {int}:
-                cell = ",\n" + inner + "  "
-                row = "[\n" + inner + "  " + cell.join(["%d"] * len(obj[0])) + "\n" + inner + "]"
-                return ("[\n" + inner + sep.join([row] * len(obj)) + "\n" + indent + "]") % flat
-    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+        # one join, so that a large value is copied once
+        parts = [b"{"]
+        for k, v in obj.items():
+            parts += [sep, json.dumps(k).encode(), b": ", _indented(v, inner)]
+        parts[1] = b"\n" + inner
+        return b"".join(parts + [b"\n" + indent + b"}"])
+    if type(obj) is list and obj and set(map(type, obj)) == {int}:
+        return b"[\n" + inner + sep.join(map(b"%d".__mod__, obj)) + b"\n" + indent + b"]"
+    return json.dumps(obj, indent=2).encode().replace(b"\n", b"\n" + indent)
+
+
+def _indented_rows(a: np.ndarray, indent: bytes) -> bytearray:
+    """``_indented`` of an (m, k) integer array, m, k >= 1, values in 0..2^63 - 1.
+
+    Each row is one byte record with a field of w NUL bytes per cell, w the
+    largest value's digit count.  The record is tiled m times, the digits
+    are written one position at a time from the right, a value's unused
+    leading positions staying NUL, and one pass drops every NUL.
+    """
+    m, k = a.shape
+    inner = indent + b"  "
+    top = int(a.max())
+    w = len(str(top))
+    lead = b"\n" + inner + b"  "
+    # every record starts with the separator before its row; the first
+    # record's "," becomes the outer list's "["
+    record = b",\n" + inner + b"[" + (lead + b"\0" * w + b",") * k
+    record = record[:-1] + b"\n" + inner + b"]"
+    text = bytearray(record) * m
+    text[0] = ord("[")
+    text += b"\n" + indent + b"]"
+    rows = np.frombuffer(text, np.uint8)[: m * len(record)].reshape(m, len(record))
+    # cell j's "[" or "," and lead, then its field, at a fixed stride
+    start, stride = 2 + len(inner), 1 + len(lead) + w
+    fields = rows[:, start : start + k * stride].reshape(m, k, stride)[:, :, stride - w :]
+    # numpy divides small unsigned ints by a constant fastest, and its % is
+    # slower than a division and a product
+    v = a.astype(np.min_scalar_type(top))
+    for p in range(w):
+        q = v // 10
+        digit = v - q * 10 + 48
+        if p:
+            digit *= v > 0
+        fields[:, :, w - 1 - p] = digit
+        v = q
+    return text.translate(None, b"\0")
+
+
+def _write(path: str, data: bytes) -> None:
+    """Write an output file; one that cannot be written exits 3."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", 3)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline, as ASCII bytes, if a path is given."""
     if path:
-        Path(path).write_text(_indented(payload, "") + "\n")
+        _write(path, _indented(payload, b"") + b"\n")
 
 
 def _parse_budget(text: str | None) -> Budget | None:
@@ -355,8 +409,7 @@ def cmd_construct(args) -> int:
             raise CliError(str(exc), 1)
         stats = {"size": len(out), "n": out.n}
     if args.output:
-        with _collector_paused():
-            _write_json(args.output, out.to_json())
+        _write_json(args.output, out.payload())
     if args.json:
         print(json.dumps({"stats": stats, "written": args.output}))
     else:
@@ -388,7 +441,7 @@ def cmd_decompose(args) -> int:
         color, cert = recursive_color_avoiding(t, seed=args.seed, trace=trace)
         summary = {"length": cert.length, "avoided_color": color}
         if args.trace:
-            Path(args.trace).write_text(trace_to_jsonl(trace))
+            _write(args.trace, trace_to_jsonl(trace).encode())
     _write_json(args.output, cert.to_json())
     if args.json:
         print(json.dumps({"summary": summary, "written": args.output}))

@@ -165,8 +165,14 @@ class VectorFamily:
             n = max((max(row) for row in rows), default=1)
         return cls.from_array(rows, r, n)
 
+    def payload(self) -> dict:
+        """The file's fields, ``vectors`` as the (m, q) coordinate array."""
+        return {"q": self.q, "n": self.n, "r": self.r, "vectors": self.coords}
+
     def to_json(self) -> dict:
-        return {"q": self.q, "n": self.n, "r": self.r, "vectors": self.coords.tolist()}
+        data = self.payload()
+        data["vectors"] = data["vectors"].tolist()
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "VectorFamily":

@@ -158,12 +158,14 @@ class OrderedColoring:
         t._set(range(1, self.n_vertices + 1), self.q, np.triu(colors) - np.tril(colors))
         return t
 
+    def payload(self) -> dict:
+        """The file's fields, ``colors`` as an (m, 3) array of (u, v, color) rows."""
+        return {"N": self.n_vertices, "q": int(self.q), "colors": np.stack(self._upper(), axis=1)}
+
     def to_json(self) -> dict:
-        return {
-            "N": self.n_vertices,
-            "q": int(self.q),
-            "colors": np.stack(self._upper(), axis=1).tolist(),
-        }
+        data = self.payload()
+        data["colors"] = data["colors"].tolist()
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "OrderedColoring":
@@ -392,14 +394,16 @@ class ColoredTournament:
         t._set(self.vertices, new_q, arc.astype(np.min_scalar_type(-new_q - 1)))
         return t
 
-    def to_json(self) -> dict:
+    def payload(self) -> dict:
+        """The file's fields, ``edges`` as an (m, 3) array of (tail, head, color) rows."""
         if self.vertices != tuple(range(1, self.n_vertices + 1)):
             raise ValueError("only 1..N labeled tournaments serialize")
-        return {
-            "N": self.n_vertices,
-            "q": int(self.q),
-            "edges": np.stack(self._triples(), axis=1).tolist(),
-        }
+        return {"N": self.n_vertices, "q": int(self.q), "edges": np.stack(self._triples(), axis=1)}
+
+    def to_json(self) -> dict:
+        data = self.payload()
+        data["edges"] = data["edges"].tolist()
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoredTournament":

@@ -496,6 +496,33 @@ def test_search_unusable_cache_exit_three(workdir, capsys, monkeypatch, path, me
     assert err.startswith(message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        ("d", "[Errno 21] Is a directory"),
+        ("nope/x.json", "[Errno 2] No such file or directory"),
+    ],
+    ids=["directory", "missing_directory"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "canonical", "2", "2", "-o"],
+        ["decompose", "recursive", "t.json", "-o"],
+        ["decompose", "recursive", "t.json", "--trace"],
+    ],
+    ids=["construct_output", "decompose_output", "decompose_trace"],
+)
+def test_unwritable_output_exit_three(workdir, capsys, argv, path, message):
+    (workdir / "d").mkdir()
+    (workdir / "t.json").write_text(json.dumps(random_tournament(6, 3, seed=1).to_json()))
+    code, out, err = run(capsys, *argv, path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_search_exact_hit_needs_no_writable_cache(workdir, capsys, monkeypatch):
     code, first, _ = run(capsys, "search", "F", "2", "1", "3", "--cache", "c.jsonl", "--json")
     assert code == 0
@@ -551,8 +578,8 @@ def collector(request):
     ],
 )
 def test_json_io_restores_collector_state(workdir, capsys, collector, case):
-    # decoding and encoding pause the cyclic collector and put it back as
-    # they found it, on success and on every exit-3 path of reading a file
+    # decoding pauses the cyclic collector and puts it back as it found
+    # it, on success and on every exit-3 path of reading a file
     argv, want, err_start = _collector_cases(workdir)[case]
     code, _, err = run(capsys, *argv)
     assert (code, gc.isenabled()) == (want, collector)
